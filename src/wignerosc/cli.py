@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,9 +24,9 @@ import numpy as np
 from .coupling import (CriticalCoupling, critical_coupling, table_to_csv,
                        table_to_text, weak_coupling_bound)
 from .errors import NumericError, UnirrepError, UnitarityError
-from .gl_spectrum import GlBasisVector, gl_lines_to_csv, gl_lines_to_json, gl_spectrum
-from .levels import SpectrumLine
-from .osp_spectrum import osp_lines_to_csv, osp_lines_to_json, osp_spectrum
+from .gl_spectrum import gl_levels, gl_lines_to_csv, gl_lines_to_json
+from .levels import LevelClasses, MergedLevels, spectrum_lines
+from .osp_spectrum import osp_levels, osp_lines_to_csv, osp_lines_to_json
 from .spectral import InteractionModel, decompose, load_matrix, mode_frequencies
 
 __all__ = ["main"]
@@ -211,19 +212,22 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _spectrum_lines(args, model: InteractionModel) -> list[SpectrumLine]:
-    freqs = mode_frequencies(decompose(model), model.omega, model.c)
+def _levels(args, decomp, couplings) -> tuple[LevelClasses, list[MergedLevels]]:
+    """Level classes of the requested representation and its merged lines at each coupling."""
+    freqs = (mode_frequencies(decomp, args.omega, c) for c in couplings)
     if args.algebra == "gl":
         if args.p < 0 or not float(args.p).is_integer():
             raise ValueError("gl spectra need a non-negative integer --p")
-        return gl_spectrum(model.n, int(args.p), freqs, merge_tol=args.tol,
-                           allow_nonunitary=args.allow_strong)
-    return osp_spectrum(model.n, args.p, freqs, k_max=args.kmax, merge_tol=args.tol)
+        return gl_levels(decomp.n, int(args.p), freqs, merge_tol=args.tol,
+                         allow_nonunitary=args.allow_strong)
+    return osp_levels(decomp.n, args.p, freqs, k_max=args.kmax, merge_tol=args.tol)
 
 
 def _cmd_spectrum(args) -> int:
     model = _model_from_flags(args, c=args.c)
-    lines = _spectrum_lines(args, model)
+    classes, (merged,) = _levels(args, decompose(model), [model.c])
+    lines = spectrum_lines(classes, merged)
+    del classes, merged  # release the class arrays before the output text is built
     if args.algebra == "gl":
         text = gl_lines_to_json(lines) if args.format == "json" \
             else gl_lines_to_csv(lines, model.n)
@@ -234,15 +238,9 @@ def _cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _line_label(args, line: SpectrumLine) -> str:
-    if args.algebra == "gl":
-        v: GlBasisVector = line.label
-        return f"{v.theta}/" + "-".join(str(x) for x in v.r)
-    height, sig, _ = line.label
-    return f"{height}/" + "-".join(str(s) for s in sig)
-
-
 def _cmd_sweep(args) -> int:
+    if not (math.isfinite(args.cmin) and math.isfinite(args.cmax)):
+        raise ValueError("--cmin and --cmax must be finite")
     if args.cmin < 0:
         raise ValueError("--cmin must be non-negative")
     if args.cmax < args.cmin:
@@ -261,20 +259,15 @@ def _cmd_sweep(args) -> int:
                 f"--cmax {args.cmax} exceeds the critical coupling {c_n:.6g}; "
                 "pass --allow-strong to sweep past it")
 
-    records = []
-    for i in range(args.steps):
-        c = args.cmin + (args.cmax - args.cmin) * i / (args.steps - 1)
-        freqs = mode_frequencies(decomp, args.omega, c)
-        if args.algebra == "gl":
-            if args.p < 0 or not float(args.p).is_integer():
-                raise ValueError("gl sweeps need a non-negative integer --p")
-            lines = gl_spectrum(model0.n, int(args.p), freqs, merge_tol=args.tol,
-                                allow_nonunitary=args.allow_strong)
-        else:
-            lines = osp_spectrum(model0.n, args.p, freqs, k_max=args.kmax,
-                                 merge_tol=args.tol)
-        for line in lines:
-            records.append((c, line.energy, line.multiplicity, _line_label(args, line)))
+    couplings = [args.cmin + (args.cmax - args.cmin) * i / (args.steps - 1)
+                 for i in range(args.steps)]
+    classes, merged = _levels(args, decomp, couplings)
+    # theta/r_1-...-r_n for gl, height/s_1-...-s_n for osp: one string per class
+    labels = [f"{key[0]}/" + "-".join(map(str, key[1:])) for key in classes.keys.tolist()]
+    records = [(c, e, m, labels[h])
+               for c, lines in zip(couplings, merged)
+               for e, m, h in zip(lines.energy.tolist(), lines.multiplicity.tolist(),
+                                  lines.head.tolist())]
 
     if args.format == "json":
         payload = [{"c": c, "energy": e, "multiplicity": m, "label": lab}

@@ -132,8 +132,10 @@ def critical_coupling(lambdas, omega: float = 1.0, tol: float = 1e-12) -> float:
     n = lambdas.shape[0]
     if n < 2:
         raise ValueError("need at least two oscillators")
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not np.all(np.isfinite(lambdas)):
+        raise ValueError("coupling eigenvalues must be finite")
+    if not 0 < omega < math.inf:
+        raise ValueError("omega must be positive and finite")
 
     # strict < 0 below: for couplings with no finite root the computed weight
     # decays to exactly 0.0 once c dwarfs omega^2, which is not a sign change

@@ -17,11 +17,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .coupling import GlWeights, gl_weights
 from .errors import UnitarityError
-from .levels import SpectrumLine, merge_lines
+from .levels import LevelClasses, MergedLevels, SpectrumLine, merge_classes, spectrum_lines
 from .spectral import ModeFrequencies
 
 __all__ = [
@@ -29,6 +32,8 @@ __all__ = [
     "enumerate_gl_basis",
     "gl_dimension",
     "gl_eigenvalue",
+    "gl_classes",
+    "gl_levels",
     "gl_spectrum",
     "gl_lines_to_csv",
     "gl_lines_to_json",
@@ -114,6 +119,72 @@ def gl_eigenvalue(v: GlBasisVector, weights: GlWeights, freqs: ModeFrequencies,
     return energy
 
 
+def gl_classes(n: int, p: int) -> LevelClasses:
+    """The V(p) basis as int64 class keys (theta, r_1, ..., r_n), each of multiplicity 1.
+
+    Rows follow enumerate_gl_basis: theta = 0 first, r lexicographic.
+    """
+    if n < 1:
+        raise ValueError("need at least one oscillator")
+    if p < 0:
+        raise ValueError("p must be a non-negative integer")
+    # grown one slot at a time: a row with ``left`` still to place branches,
+    # in order, into left + 1 rows that put 0..left in the next slot
+    keys = np.arange(min(p, 1) + 1)[:, None]
+    left = p - keys[:, 0]
+    for _ in range(n - 1):
+        branches = left + 1
+        parent = np.repeat(np.arange(len(left)), branches)
+        taken = np.arange(len(parent)) - np.repeat(np.cumsum(branches) - branches, branches)
+        keys = np.column_stack((keys[parent], taken))
+        left = left[parent] - taken
+    keys = np.column_stack((keys, left))
+
+    def labels(index: np.ndarray) -> list[GlBasisVector]:
+        theta, *r = keys[index].T.tolist()
+        return [GlBasisVector(theta=t, r=v) for t, v in zip(theta, zip(*r))]
+
+    return LevelClasses(keys=keys, multiplicity=np.ones(len(keys), dtype=np.int64),
+                        labels=labels)
+
+
+def gl_levels(n: int, p: int, freqs: Iterable[ModeFrequencies], merge_tol: float = 1e-9,
+              allow_nonunitary: bool = False) -> tuple[LevelClasses, list[MergedLevels]]:
+    """The V(p) spectrum at every coupling of ``freqs``, on one basis.
+
+    Each coupling gets the checks of gl_spectrum: the unitarity gate,
+    the two-form cross-check of every energy, and the dim V(p) total.
+    """
+    classes = gl_classes(n, p)
+    sqrt_mu, beta, beta_sum = [], [], []
+    for f in freqs:
+        weights = gl_weights(f)
+        if not allow_nonunitary and not weights.all_positive:
+            raise UnitarityError(
+                "weights change sign at this coupling; pass allow_nonunitary to proceed")
+        if weights.n != n:
+            raise ValueError("weights, frequencies and basis vector sizes disagree")
+        sqrt_mu.append(f.sqrt_mu)
+        beta.append(weights.beta)
+        beta_sum.append(weights.beta_sum)
+    theta, r = classes.keys[:, 0], classes.keys[:, 1:].astype(float)
+    beta_sum = np.array(beta_sum)[:, None]
+    # vecdot takes each r . sqrt_mu with the dot product gl_eigenvalue uses; at a
+    # single coupling r @ sqrt_mu runs a matrix-vector kernel that sums in another
+    # order and moves energies by an ulp
+    energy = beta_sum * p - np.vecdot(r, np.array(sqrt_mu)[:, None, :])
+    alt = beta_sum * theta + np.vecdot(r, np.array(beta)[:, None, :])
+    bad = np.abs(energy - alt) > _FORM_AGREEMENT_TOL * (1.0 + np.abs(energy))
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        raise AssertionError(
+            f"eigenvalue forms disagree: {float(energy[at])!r} vs {float(alt[at])!r}")
+    merged = merge_classes(energy, classes.multiplicity, merge_tol)
+    dim = gl_dimension(n, p)
+    assert all(int(lines.multiplicity.sum()) == dim for lines in merged)
+    return classes, merged
+
+
 def gl_spectrum(n: int, p: int, freqs: ModeFrequencies,
                 merge_tol: float = 1e-9,
                 allow_nonunitary: bool = False) -> list[SpectrumLine]:
@@ -123,15 +194,8 @@ def gl_spectrum(n: int, p: int, freqs: ModeFrequencies,
     reported as one line whose label is the lexicographically first
     member of the class.
     """
-    weights = gl_weights(freqs)
-    if not allow_nonunitary and not weights.all_positive:
-        raise UnitarityError(
-            "weights change sign at this coupling; pass allow_nonunitary to proceed")
-    raw = [(gl_eigenvalue(v, weights, freqs, p, allow_nonunitary=True), 1, v)
-           for v in enumerate_gl_basis(n, p)]
-    lines = merge_lines(raw, merge_tol)
-    assert sum(line.multiplicity for line in lines) == gl_dimension(n, p)
-    return lines
+    classes, (merged,) = gl_levels(n, p, [freqs], merge_tol, allow_nonunitary)
+    return spectrum_lines(classes, merged)
 
 
 def gl_lines_to_csv(lines: list[SpectrumLine], n: int) -> str:
@@ -140,14 +204,14 @@ def gl_lines_to_csv(lines: list[SpectrumLine], n: int) -> str:
     rows = [header]
     for line in lines:
         v: GlBasisVector = line.label
-        rows.append(f"{line.energy!r},{line.multiplicity},{v.theta},"
+        rows.append(f"{float(line.energy)!r},{line.multiplicity},{v.theta},"
                     + ",".join(str(x) for x in v.r))
     return "\n".join(rows) + "\n"
 
 
 def gl_lines_to_json(lines: list[SpectrumLine]) -> str:
     payload = [
-        {"energy": line.energy, "multiplicity": line.multiplicity,
+        {"energy": float(line.energy), "multiplicity": line.multiplicity,
          "theta": line.label.theta, "r": list(line.label.r)}
         for line in lines
     ]

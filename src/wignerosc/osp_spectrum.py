@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .errors import UnirrepError
-from .levels import SpectrumLine, merge_lines
+from .levels import LevelClasses, MergedLevels, SpectrumLine, merge_classes, spectrum_lines
 from .spectral import ModeFrequencies
 
 __all__ = [
@@ -41,6 +44,8 @@ __all__ = [
     "enumerate_gz",
     "osp_eigenvalue",
     "row_sum_signature",
+    "osp_classes",
+    "osp_levels",
     "osp_spectrum",
     "distinct_count_at_height",
     "is_unirrep",
@@ -189,13 +194,12 @@ def row_sum_signature(pattern: GZPattern) -> tuple[int, ...]:
     return tuple(sum(pattern.row(j)) for j in range(1, pattern.n + 1))
 
 
-def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:
-    """All patterns with top-row weight at most k_max.
+def _gz_rows(n: int, p: float, k_max: int):
+    """Rows of every pattern with top-row weight at most k_max, valid by construction.
 
     Top rows run over heights 0..k_max, partitions in
     reverse-lexicographic order; lower rows are filled depth-first with
-    entries descending. The count at each height equals
-    multiplicity_at_height(n, p, k).
+    entries descending.
     """
     if not is_unirrep(n, p):
         raise UnirrepError(
@@ -206,7 +210,7 @@ def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:
     def fill(stack: list[tuple[int, ...]]):
         cur = stack[-1]
         if len(cur) == 1:
-            yield GZPattern(rows=tuple(stack), n=n, p=p)
+            yield tuple(stack)
             return
         spans = [range(cur[i], cur[i + 1] - 1, -1) for i in range(len(cur) - 1)]
         for lower in product(*spans):
@@ -214,12 +218,17 @@ def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:
             yield from fill(stack)
             stack.pop()
 
-    out: list[GZPattern] = []
     for k in range(k_max + 1):
         for nu in partitions_of(k, math.ceil(p), max_slots=n):
-            top = nu.parts + (0,) * (n - nu.length)
-            out.extend(fill([top]))
-    return out
+            yield from fill([nu.parts + (0,) * (n - nu.length)])
+
+
+def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:
+    """All patterns with top-row weight at most k_max, in the order of ``_gz_rows``.
+
+    The count at each height equals multiplicity_at_height(n, p, k).
+    """
+    return [GZPattern(rows=rows, n=n, p=p) for rows in _gz_rows(n, p, k_max)]
 
 
 def osp_eigenvalue(pattern: GZPattern, freqs: ModeFrequencies, p: float) -> float:
@@ -239,6 +248,51 @@ def _signature_energy(sig: tuple[int, ...], freqs: ModeFrequencies, p: float) ->
     return total
 
 
+def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
+    """Row-sum signature classes up to top-row weight k_max, keyed (height, s_1, ..., s_n).
+
+    Patterns are enumerated once as raw rows and counted per signature;
+    a class's label carries the first pattern of the class in
+    enumeration order, which is the only one made a GZPattern.
+    """
+    first: dict[tuple[int, ...], tuple] = {}
+    count: dict[tuple[int, ...], int] = {}
+    for rows in _gz_rows(n, p, k_max):
+        sig = tuple(map(sum, reversed(rows)))
+        if sig in count:
+            count[sig] += 1
+        else:
+            count[sig] = 1
+            first[sig] = rows
+    sigs = sorted(count, key=lambda sig: (sig[-1], sig))  # label order: height, signature
+    keys = np.array([(sig[-1],) + sig for sig in sigs], dtype=np.int64)
+
+    def labels(index: np.ndarray) -> list[tuple[int, tuple[int, ...], GZPattern]]:
+        return [(sigs[i][-1], sigs[i], GZPattern(rows=first[sigs[i]], n=n, p=p))
+                for i in index.tolist()]
+
+    return LevelClasses(keys=keys, multiplicity=np.array([count[sig] for sig in sigs],
+                                                         dtype=np.int64), labels=labels)
+
+
+def osp_levels(n: int, p: float, freqs: Iterable[ModeFrequencies], k_max: int,
+               merge_tol: float = 1e-9) -> tuple[LevelClasses, list[MergedLevels]]:
+    """Spectrum lines up to top-row weight k_max at every coupling of ``freqs``, on one basis."""
+    classes = osp_classes(n, p, k_max)
+    sqrt_mu = []
+    for f in freqs:
+        if f.n != n:
+            raise ValueError("mode count disagrees with n")
+        sqrt_mu.append(f.sqrt_mu)
+    sqrt_mu = np.array(sqrt_mu)
+    shift = p / 2.0 + np.diff(classes.keys[:, 1:], axis=1, prepend=0)
+    # summed term by term in j, as _signature_energy does, so energies match it bit for bit
+    energy = np.zeros((len(sqrt_mu), len(shift)))
+    for j in range(n):
+        energy += sqrt_mu[:, j, None] * shift[:, j]
+    return classes, merge_classes(energy, classes.multiplicity, merge_tol)
+
+
 def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int,
                  merge_tol: float = 1e-9) -> list[SpectrumLine]:
     """Spectrum lines up to top-row weight k_max, sorted ascending.
@@ -249,16 +303,8 @@ def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int,
     special couplings. Line labels are (height, signature, pattern) with
     the first pattern of the class in enumeration order.
     """
-    if freqs.n != n:
-        raise ValueError("mode count disagrees with n")
-    classes: dict[tuple[int, ...], tuple[int, GZPattern]] = {}
-    for pattern in enumerate_gz(n, p, k_max):
-        sig = row_sum_signature(pattern)
-        count, rep = classes.get(sig, (0, pattern))
-        classes[sig] = (count + 1, rep)
-    raw = [(_signature_energy(sig, freqs, p), count, (rep.height, sig, rep))
-           for sig, (count, rep) in classes.items()]
-    return merge_lines(raw, merge_tol)
+    classes, (merged,) = osp_levels(n, p, [freqs], k_max, merge_tol)
+    return spectrum_lines(classes, merged)
 
 
 def distinct_count_at_height(n: int, k: int) -> int:
@@ -274,7 +320,7 @@ def osp_lines_to_csv(lines: list[SpectrumLine], n: int) -> str:
     rows = [header]
     for line in lines:
         height, sig, _ = line.label
-        rows.append(f"{line.energy!r},{line.multiplicity},{height},"
+        rows.append(f"{float(line.energy)!r},{line.multiplicity},{height},"
                     + ",".join(str(s) for s in sig))
     return "\n".join(rows) + "\n"
 
@@ -283,7 +329,7 @@ def osp_lines_to_json(lines: list[SpectrumLine]) -> str:
     payload = []
     for line in lines:
         height, sig, rep = line.label
-        payload.append({"energy": line.energy, "multiplicity": line.multiplicity,
+        payload.append({"energy": float(line.energy), "multiplicity": line.multiplicity,
                         "height": height, "signature": list(sig),
                         "pattern": [list(row) for row in rep.rows]})
     return json.dumps(payload, indent=2) + "\n"

@@ -57,6 +57,8 @@ def _require_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
     if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
@@ -85,12 +87,12 @@ class InteractionModel:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one oscillator")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-        if self.c < 0:
-            raise ValueError("coupling strength c must be non-negative")
-        if self.mass <= 0 or self.hbar <= 0:
-            raise ValueError("mass and hbar must be positive")
+        if not 0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
+        if not 0 <= self.c < math.inf:
+            raise ValueError("coupling strength c must be non-negative and finite")
+        if not (0 < self.mass < math.inf and 0 < self.hbar < math.inf):
+            raise ValueError("mass and hbar must be positive and finite")
         if self.kind == "krawtchouk":
             if self.ptilde is None or not 0.0 < self.ptilde < 1.0:
                 raise ValueError("krawtchouk coupling needs ptilde in (0,1)")
@@ -167,6 +169,8 @@ class ModeFrequencies:
 
     def __post_init__(self) -> None:
         mu = np.asarray(self.mu, dtype=float)
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("squared mode frequencies must be finite")
         if np.any(mu <= 0):
             bad = int(np.argmax(mu <= 0))
             raise PositiveDefinitenessError(
@@ -335,16 +339,18 @@ def mode_frequencies(decomp: SpectralDecomposition, omega: float, c: float) -> M
     """Squared normal-mode frequencies mu_j = omega^2 + c*lambda_j, in eigenvalue order.
 
     Raises PositiveDefinitenessError (naming the offending index) if any
-    mu_j fails to be strictly positive.
+    mu_j fails to be strictly positive, and ValueError if one is not finite.
     """
-    return ModeFrequencies(mu=omega ** 2 + c * decomp.lambdas)
+    with np.errstate(over="ignore", invalid="ignore"):  # ModeFrequencies rejects non-finite mu
+        mu = omega ** 2 + c * decomp.lambdas
+    return ModeFrequencies(mu=mu)
 
 
 def load_matrix(path) -> np.ndarray:
     """Read a symmetric matrix from a plain-text file.
 
     Format: first token is n, followed by n*n whitespace-separated reals
-    in row-major order. Symmetry is validated on load.
+    in row-major order. Finiteness and symmetry are validated on load.
     """
     with open(path, "r", encoding="ascii") as fh:
         tokens = fh.read().split()

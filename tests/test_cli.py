@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from wignerosc import build_krawtchouk_matrix, critical_coupling
+from wignerosc import (InteractionModel, build_krawtchouk_matrix, critical_coupling,
+                       decompose, gl_spectrum, mode_frequencies, osp_spectrum)
 from wignerosc.cli import main
 
 
@@ -213,3 +214,92 @@ def test_module_entry_point(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("lambda,")
+
+
+ROUND_TRIP = {
+    "gl": ["--algebra", "gl", "--model", "constant", "--n", "4", "--p", "3"],
+    "osp": ["--algebra", "osp", "--model", "krawtchouk", "--n", "3", "--p", "2.5",
+            "--kmax", "3"],
+}
+
+
+def _library_lines(algebra, c):
+    model = (InteractionModel.constant(4, c=c) if algebra == "gl"
+             else InteractionModel.krawtchouk(3, c=c))
+    freqs = mode_frequencies(decompose(model), model.omega, c)
+    if algebra == "gl":
+        return gl_spectrum(4, 3, freqs)
+    return osp_spectrum(3, 2.5, freqs, k_max=3)
+
+
+def _parse(text, fmt):
+    """(energy, multiplicity, integer label columns) per line, numbers read back by float()/json."""
+    if fmt == "json":
+        return [(row["energy"], row["multiplicity"],
+                 [row["theta"], *row["r"]] if "theta" in row
+                 else [row["height"], *row["signature"]])
+                for row in json.loads(text)]
+    rows = [row.split(",") for row in text.strip().split("\n")[1:]]
+    return [(float(e), int(m), [int(x) for x in key]) for e, m, *key in rows]
+
+
+def _library_rows(algebra, c):
+    return [(line.energy, line.multiplicity,
+             [line.label.theta, *line.label.r] if algebra == "gl"
+             else [line.label[0], *line.label[1]]) for line in _library_lines(algebra, c)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("algebra", ["gl", "osp"])
+def test_spectrum_output_parses_back_to_library_values(algebra, fmt, capsys):
+    assert main(["spectrum", *ROUND_TRIP[algebra], "--c", "0.3", "--format", fmt]) == 0
+    assert _parse(capsys.readouterr().out, fmt) == _library_rows(algebra, 0.3)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("algebra", ["gl", "osp"])
+def test_sweep_output_parses_back_to_library_values(algebra, fmt, capsys):
+    assert main(["sweep", *ROUND_TRIP[algebra], "--cmin", "0.1", "--cmax", "0.4",
+                 "--steps", "4", "--format", fmt]) == 0
+    text = capsys.readouterr().out
+    if fmt == "json":
+        records = [(row["c"], row["energy"], row["multiplicity"], row["label"])
+                   for row in json.loads(text)]
+    else:
+        records = [(float(c), float(e), int(m), lab) for c, e, m, lab in
+                   (row.split(",") for row in text.strip().split("\n")[1:])]
+    grid = [0.1 + (0.4 - 0.1) * i / 3 for i in range(4)]
+    expected = [(c, e, m, f"{key[0]}/" + "-".join(map(str, key[1:])))
+                for c in grid for e, m, key in _library_rows(algebra, c)]
+    assert records == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--algebra", "osp", "--n", "4", "--p", "2", "--c", "nan"],
+    ["spectrum", "--algebra", "gl", "--n", "4", "--p", "2", "--c", "inf"],
+    ["spectrum", "--algebra", "osp", "--n", "4", "--p", "2", "--omega", "nan"],
+    ["spectrum", "--algebra", "gl", "--n", "4", "--p", "2", "--c", "0.1", "--tol", "nan"],
+    ["sweep", "--algebra", "osp", "--n", "3", "--p", "1", "--cmin", "nan", "--cmax", "1",
+     "--steps", "3"],
+    ["sweep", "--algebra", "gl", "--n", "3", "--p", "1", "--cmin", "0", "--cmax", "nan",
+     "--steps", "3"],
+    ["sweep", "--algebra", "gl", "--n", "3", "--p", "1", "--cmin", "0", "--cmax", "inf",
+     "--steps", "3"],
+    # finite bounds whose grid overflows mu = omega^2 + c*lambda
+    ["sweep", "--algebra", "osp", "--n", "3", "--p", "1", "--cmin", "0", "--cmax", "1e308",
+     "--steps", "3"],
+    ["bounds", "--n", "4", "--omega", "nan"],
+])
+def test_non_finite_input_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error:" in out.err
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_non_finite_matrix_file_is_a_usage_error(tmp_path, capsys, entry):
+    path = tmp_path / "m.txt"
+    path.write_text(f"2\n1.0 {entry}\n{entry} 1.0\n")
+    assert main(["spectrum", "--algebra", "osp", "--model", "file", "--path", str(path),
+                 "--p", "1", "--c", "0.5"]) == 2
+    assert "finite" in capsys.readouterr().err

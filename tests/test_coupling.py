@@ -111,6 +111,14 @@ def test_critical_coupling_no_root_cases():
         critical_coupling(np.array([2.0, 2.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_critical_coupling_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        critical_coupling(np.array([0.0, bad, 2.0]))
+    with pytest.raises(ValueError, match="finite"):
+        critical_coupling(np.arange(4.0), omega=bad)
+
+
 def test_critical_coupling_three_modes_exact():
     # root of the n=3 Krawtchouk condition: c^2 - 6c - 3 = 0
     c3 = critical_coupling(np.array([0.0, 1.0, 2.0]))

@@ -1,0 +1,43 @@
+"""Byte-for-byte regression of CLI output against recorded reference files.
+
+The files in ``tests/data/golden`` were written by the per-basis-vector
+implementation that preceded the level-class kernel (its osp CSV
+printed ``np.float64(x)``; those files hold the plain ``x``). They cover
+the two-level gl collapse at c = 0, a gl coupling past c_n with
+--allow-strong, and the osp case with exact energy ties that
+multiplicity decides (n=5, p=3, kmax=4, ptilde 0.4, c = 1).
+"""
+
+from pathlib import Path
+
+import pytest
+
+from wignerosc.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+CASES = {
+    "gl_spectrum_c0.csv": "spectrum --algebra gl --model krawtchouk --n 4 --p 2 --c 0",
+    "gl_spectrum_constant.json":
+        "spectrum --algebra gl --model constant --n 5 --p 3 --c 0.3 --format json",
+    "gl_spectrum_strong.csv":
+        "spectrum --algebra gl --model krawtchouk --n 5 --p 2 --c 0.52 --allow-strong",
+    "osp_spectrum_tie.json": "spectrum --algebra osp --model krawtchouk --ptilde 0.4 --n 5 "
+                             "--p 3 --kmax 4 --c 1.0 --format json",
+    "osp_spectrum_tie.csv": "spectrum --algebra osp --model krawtchouk --ptilde 0.4 --n 5 "
+                            "--p 3 --kmax 4 --c 1.0",
+    "gl_sweep.csv": "sweep --algebra gl --model krawtchouk --n 4 --p 2 --cmin 0 --cmax 1.2 "
+                    "--steps 7",
+    "gl_sweep_strong.json": "sweep --algebra gl --model constant --n 4 --p 3 --cmin 0 "
+                            "--cmax 2 --steps 5 --allow-strong --format json",
+    "osp_sweep.json": "sweep --algebra osp --model krawtchouk --n 3 --p 2.5 --kmax 3 "
+                      "--cmin 0 --cmax 1 --steps 4 --format json",
+    "osp_sweep_tie.csv": "sweep --algebra osp --model krawtchouk --ptilde 0.4 --n 5 --p 3 "
+                         "--kmax 4 --cmin 0.5 --cmax 1.0 --steps 3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, capsys):
+    assert main(CASES[name].split()) == 0
+    assert capsys.readouterr().out.encode("ascii") == (GOLDEN / name).read_bytes()

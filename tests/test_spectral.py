@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerosc import (InteractionModel, PositiveDefinitenessError,
+from wignerosc import (InteractionModel, ModeFrequencies, PositiveDefinitenessError,
                        build_constant_matrix, build_krawtchouk_matrix,
                        constant_decomposition, decompose, jacobi_decomposition,
                        krawtchouk_decomposition, krawtchouk_eval, load_matrix,
@@ -205,6 +205,25 @@ def test_interaction_model_validation():
         InteractionModel.constant(0)
     m = InteractionModel.general(np.eye(3), omega=2.0, c=0.5)
     assert m.n == 3 and m.kind == "general"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_inputs_rejected(bad, tmp_path):
+    with pytest.raises(ValueError, match="finite"):
+        InteractionModel.constant(3, omega=bad)
+    with pytest.raises(ValueError, match="finite"):
+        InteractionModel.krawtchouk(3, c=bad)
+    with pytest.raises(ValueError, match="finite"):
+        InteractionModel.general(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        ModeFrequencies(mu=np.array([1.0, bad]))
+    # c * lambda overflowing is caught on mu, not silently turned into inf energies
+    with pytest.raises(ValueError, match="finite"):
+        mode_frequencies(constant_decomposition(3), 1.0, 1e308)
+    path = tmp_path / "m.txt"
+    path.write_text(f"2\n1 0\n0 {bad!r}\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_matrix(path)
 
 
 def test_decompose_dispatch():
