@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCriticalCouplingError
-from .spectral import ModeFrequencies
+from .spectral import ModeFrequencies, omega_squared
 
 __all__ = [
     "GlWeights",
@@ -108,7 +108,7 @@ def weak_coupling_bound(n: int, omega: float = 1.0) -> float:
     """
     if n < 2:
         raise ValueError("bound defined for n >= 2")
-    return 2.0 * (2 * n - 3) * omega ** 2 / ((n - 1) * (n * n - 3 * n + 4))
+    return 2.0 * (2 * n - 3) * omega_squared(omega) / ((n - 1) * (n * n - 3 * n + 4))
 
 
 def _smallest_weight(c: float, lambdas: np.ndarray, omega: float) -> float:
@@ -134,12 +134,11 @@ def critical_coupling(lambdas, omega: float = 1.0, tol: float = 1e-12) -> float:
         raise ValueError("need at least two oscillators")
     if not np.all(np.isfinite(lambdas)):
         raise ValueError("coupling eigenvalues must be finite")
-    if not 0 < omega < math.inf:
-        raise ValueError("omega must be positive and finite")
+    omega2 = omega_squared(omega)
 
     # strict < 0 below: for couplings with no finite root the computed weight
     # decays to exactly 0.0 once c dwarfs omega^2, which is not a sign change
-    lo, hi = 0.0, omega ** 2
+    lo, hi = 0.0, omega2
     for _ in range(_MAX_BRACKET_DOUBLINGS):
         if _smallest_weight(hi, lambdas, omega) < 0.0:
             break

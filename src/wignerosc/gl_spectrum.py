@@ -24,7 +24,8 @@ import numpy as np
 
 from .coupling import GlWeights, gl_weights
 from .errors import UnitarityError
-from .levels import LevelClasses, MergedLevels, SpectrumLine, merge_classes, spectrum_lines
+from .levels import (LevelClasses, MergedLevels, SpectrumLine, grow_compositions,
+                     merge_classes, spectrum_lines)
 from .spectral import ModeFrequencies
 
 __all__ = [
@@ -128,17 +129,8 @@ def gl_classes(n: int, p: int) -> LevelClasses:
         raise ValueError("need at least one oscillator")
     if p < 0:
         raise ValueError("p must be a non-negative integer")
-    # grown one slot at a time: a row with ``left`` still to place branches,
-    # in order, into left + 1 rows that put 0..left in the next slot
-    keys = np.arange(min(p, 1) + 1)[:, None]
-    left = p - keys[:, 0]
-    for _ in range(n - 1):
-        branches = left + 1
-        parent = np.repeat(np.arange(len(left)), branches)
-        taken = np.arange(len(parent)) - np.repeat(np.cumsum(branches) - branches, branches)
-        keys = np.column_stack((keys[parent], taken))
-        left = left[parent] - taken
-    keys = np.column_stack((keys, left))
+    theta = np.arange(min(p, 1) + 1)
+    keys = grow_compositions(theta[:, None], p - theta, n)
 
     def labels(index: np.ndarray) -> list[GlBasisVector]:
         theta, *r = keys[index].T.tolist()

@@ -16,7 +16,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 __all__ = ["SpectrumLine", "LevelClasses", "MergedLevels", "merge_lines",
-           "merge_classes", "spectrum_lines"]
+           "merge_classes", "spectrum_lines", "grow_compositions"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,23 @@ class MergedLevels(NamedTuple):
     head: np.ndarray
     energy: np.ndarray
     multiplicity: np.ndarray
+
+
+def grow_compositions(keys: np.ndarray, left: np.ndarray, parts: int) -> np.ndarray:
+    """Extend each row of ``keys`` by ``parts`` slots holding its ``left`` units in every way.
+
+    Children of a row stay in its place and follow each other in
+    lexicographic order of the new slots.
+    """
+    # a row with ``left`` still to place branches, in order, into left + 1
+    # rows that put 0..left in the next slot
+    for _ in range(parts - 1):
+        branches = left + 1
+        parent = np.repeat(np.arange(len(left)), branches)
+        taken = np.arange(len(parent)) - np.repeat(np.cumsum(branches) - branches, branches)
+        keys = np.column_stack((keys[parent], taken))
+        left = left[parent] - taken
+    return np.column_stack((keys, left))
 
 
 def merge_lines(raw: list[tuple[float, int, Any]], merge_tol: float) -> list[SpectrumLine]:

@@ -38,6 +38,7 @@ __all__ = [
     "jacobi_decomposition",
     "decompose",
     "mode_frequencies",
+    "omega_squared",
     "load_matrix",
 ]
 
@@ -65,6 +66,16 @@ def _require_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def omega_squared(omega: float) -> float:
+    """omega^2, refusing (ValueError) an omega that is not positive or whose square is not finite.
+
+    Python's ``**`` raises OverflowError where the square exceeds the float range.
+    """
+    if not (0 < omega < math.inf and float(omega) * float(omega) < math.inf):
+        raise ValueError("omega must be positive and finite, with a finite square")
+    return omega ** 2
+
+
 @dataclass(frozen=True)
 class InteractionModel:
     """Physical parameters of a coupled-oscillator system, A = omega^2 I + c M.
@@ -87,8 +98,7 @@ class InteractionModel:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one oscillator")
-        if not 0 < self.omega < math.inf:
-            raise ValueError("omega must be positive and finite")
+        omega_squared(self.omega)
         if not 0 <= self.c < math.inf:
             raise ValueError("coupling strength c must be non-negative and finite")
         if not (0 < self.mass < math.inf and 0 < self.hbar < math.inf):
@@ -342,7 +352,7 @@ def mode_frequencies(decomp: SpectralDecomposition, omega: float, c: float) -> M
     mu_j fails to be strictly positive, and ValueError if one is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # ModeFrequencies rejects non-finite mu
-        mu = omega ** 2 + c * decomp.lambdas
+        mu = omega_squared(omega) + c * decomp.lambdas
     return ModeFrequencies(mu=mu)
 
 

@@ -303,3 +303,18 @@ def test_non_finite_matrix_file_is_a_usage_error(tmp_path, capsys, entry):
     assert main(["spectrum", "--algebra", "osp", "--model", "file", "--path", str(path),
                  "--p", "1", "--c", "0.5"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--algebra", "gl", "--n", "4", "--p", "2", "--omega", "1e200"],
+    ["sweep", "--algebra", "gl", "--n", "4", "--p", "2", "--omega", "1e200",
+     "--cmin", "0", "--cmax", "0.1", "--steps", "3"],
+    ["sweep", "--algebra", "osp", "--n", "3", "--p", "1", "--omega", "1e200",
+     "--cmin", "0", "--cmax", "0.1", "--steps", "3"],
+    ["bounds", "--n", "4", "--omega", "1e200"],
+    ["bounds", "--model", "constant", "--n", "4", "--omega", "1e200"],
+])
+def test_omega_whose_square_overflows_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error: omega" in out.err

@@ -201,3 +201,12 @@ def test_sqrt_sum_bound_examples():
 def test_sqrt_sum_bound_property(n, excess):
     big_c = (n - 4) ** 2 / 16.0 + excess
     assert sqrt_sum_bound_holds(big_c, n)
+
+
+def test_omega_whose_square_overflows_is_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        critical_coupling(np.arange(4.0), omega=1e200)
+    with pytest.raises(ValueError, match="finite"):
+        weak_coupling_bound(4, omega=1e200)
+    with pytest.raises(ValueError, match="finite"):
+        critical_coupling_table([4, 5], omega=1e200)

@@ -10,6 +10,8 @@ from wignerosc import (GZPattern, InteractionModel, ModeFrequencies,
                        osp_eigenvalue, osp_spectrum, reconstruct_observables,
                        verify_compatibility)
 
+from fock_dense import dense_q, densify
+
 
 def _kraw_freqs(n, c, omega=1.0):
     return ModeFrequencies(mu=omega ** 2 + c * np.arange(n))
@@ -17,24 +19,25 @@ def _kraw_freqs(n, c, omega=1.0):
 
 def test_single_mode_hamiltonian_diagonal():
     ops = build_fock_operators(1, ModeFrequencies(mu=np.array([1.0])), 3)
-    assert np.allclose(ops.h, np.diag([0.5, 1.5, 2.5]), atol=1e-15)
+    assert np.allclose(densify(ops).h, np.diag([0.5, 1.5, 2.5]), atol=1e-15)
 
 
 def test_vacuum_energy():
     for n, c in ((2, 0.3), (3, 0.0), (3, 0.7)):
         freqs = _kraw_freqs(n, c)
         ops = build_fock_operators(n, freqs, 3, hbar=1.0)
-        assert ops.h[0, 0] == pytest.approx(0.5 * freqs.sqrt_mu.sum(), abs=1e-12)
+        assert densify(ops).h[0, 0] == pytest.approx(0.5 * freqs.sqrt_mu.sum(), abs=1e-12)
 
 
 def test_ladder_algebra_on_interior():
     freqs = _kraw_freqs(2, 0.4)
     ops = build_fock_operators(2, freqs, 4)
+    dense = densify(ops)
     mask = ops.interior
     eye = np.eye(ops.dim)
     for j in range(2):
         for k in range(2):
-            comm = ops.a_minus[j] @ ops.a_plus[k] - ops.a_plus[k] @ ops.a_minus[j]
+            comm = dense.a_minus[j] @ dense.a_plus[k] - dense.a_plus[k] @ dense.a_minus[j]
             target = eye if j == k else 0.0
             sub = (comm - target)[np.ix_(mask, mask)]
             assert np.abs(sub).max() < 1e-12
@@ -43,9 +46,10 @@ def test_ladder_algebra_on_interior():
 def test_operator_set_structure():
     freqs = _kraw_freqs(2, 0.4)
     ops = build_fock_operators(2, freqs, 4)
+    dense = densify(ops)
     for j in range(2):
-        assert np.array_equal(ops.a_minus[j], ops.a_plus[j].T)
-    assert np.abs(ops.h - ops.h.T).max() == 0.0
+        assert np.array_equal(dense.a_minus[j], dense.a_plus[j].T)
+    assert np.abs(dense.h - dense.h.T).max() == 0.0
     assert ops.interior_dim == 3 ** 2
     # state indexing is mixed-radix with the first mode most significant
     assert ops.occupations[1].tolist() == [0, 1]
@@ -107,10 +111,11 @@ def test_report_json_schema():
 def test_mode_number_conserved():
     freqs = _kraw_freqs(2, 0.3)
     ops = build_fock_operators(2, freqs, 5)
+    dense = densify(ops)
     mask = ops.interior
     for j in range(2):
-        num = ops.a_plus[j] @ ops.a_minus[j]
-        comm = ops.h @ num - num @ ops.h
+        num = dense.a_plus[j] @ dense.a_minus[j]
+        comm = dense.h @ num - num @ dense.h
         assert np.abs(comm[np.ix_(mask, mask)]).max() < 1e-10
 
 
@@ -197,8 +202,9 @@ def test_reconstruct_single_mode():
     freqs = mode_frequencies(decomp, model.omega, model.c)
     ops = build_fock_operators(1, freqs, 5)
     obs = reconstruct_observables(decomp, ops, model)
-    expected = math.sqrt(1.0 / (2 * 1.3)) * (ops.a_plus[0] + ops.a_minus[0])
-    assert np.abs(obs.q[0] - expected).max() < 1e-14
+    dense = densify(ops)
+    expected = math.sqrt(1.0 / (2 * 1.3)) * (dense.a_plus[0] + dense.a_minus[0])
+    assert np.abs(dense_q(obs, dense, 0) - expected).max() < 1e-14
 
 
 def test_reconstruct_compatibility_residuals():

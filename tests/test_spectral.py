@@ -262,3 +262,14 @@ def test_trace_preserved_krawtchouk(n, pt, c):
     m = build_krawtchouk_matrix(n, pt)
     d = krawtchouk_decomposition(n, pt)
     assert d.lambdas.sum() == pytest.approx(np.trace(m), rel=1e-10, abs=1e-12)
+
+
+def test_omega_whose_square_overflows_is_rejected():
+    # 1e200 ** 2 raises OverflowError in Python; it must be a ValueError (usage error)
+    with pytest.raises(ValueError, match="finite"):
+        InteractionModel.krawtchouk(4, omega=1e200)
+    with pytest.raises(ValueError, match="finite"):
+        mode_frequencies(constant_decomposition(3), 1e200, 0.1)
+    # the largest omega whose square still fits is accepted
+    omega = math.sqrt(np.finfo(float).max) * (1 - 1e-15)
+    assert InteractionModel.constant(2, omega=omega).omega == omega
