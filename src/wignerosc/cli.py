@@ -19,10 +19,8 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .coupling import (CriticalCoupling, critical_coupling, table_to_csv,
-                       table_to_text, weak_coupling_bound)
+from .coupling import (CriticalCoupling, critical_coupling, krawtchouk_coupling_row,
+                       table_to_csv, table_to_text)
 from .errors import NumericError, UnirrepError, UnitarityError
 from .gl_spectrum import gl_levels, gl_lines_to_csv, gl_lines_to_json
 from .levels import LevelClasses, MergedLevels, spectrum_lines
@@ -122,13 +120,15 @@ def _parse_n_list(value: str | None) -> list[int]:
     return out
 
 
-def _model_from_flags(args, c: float = 0.0) -> InteractionModel:
+def _model_from_flags(args, c: float = 0.0, n: int | None = None) -> InteractionModel:
+    """The model the flags describe; ``n``, when given, replaces ``--n``."""
     if args.model == "file":
         if not args.path:
             raise ValueError("--model file needs --path")
         matrix = load_matrix(args.path)
         return InteractionModel.general(matrix, omega=args.omega, c=c)
-    n = _parse_n(args.n)
+    if n is None:
+        n = _parse_n(args.n)
     if args.model == "constant":
         return InteractionModel.constant(n, omega=args.omega, c=c)
     return InteractionModel.krawtchouk(n, omega=args.omega, c=c, ptilde=args.ptilde)
@@ -166,36 +166,18 @@ def _cmd_decompose(args) -> int:
 
 
 def _bounds_rows(args) -> list[CriticalCoupling]:
-    omega = args.omega
     rows = []
-    if args.model == "krawtchouk":
-        for n in _parse_n_list(args.n):
-            if n < 2:
-                raise ValueError("bounds need n >= 2")
-            lambdas = np.arange(n, dtype=float)
-            rows.append(CriticalCoupling(
-                n=n,
-                c_critical=critical_coupling(lambdas, omega=omega, tol=args.tol) / omega ** 2,
-                c_bound=weak_coupling_bound(n, omega=omega) / omega ** 2))
-        return rows
-    if args.model == "constant":
-        sizes = _parse_n_list(args.n)
-    else:
-        sizes = [None]
-    for n in sizes:
+    for n in [None] if args.model == "file" else _parse_n_list(args.n):
         if n is not None and n < 2:
             raise ValueError("bounds need n >= 2")
-        if n is not None:
-            args_n = argparse.Namespace(**{**vars(args), "n": str(n)})
+        if args.model == "krawtchouk":
+            rows.append(krawtchouk_coupling_row(n, omega=args.omega, tol=args.tol))
         else:
-            args_n = args
-        model = _model_from_flags(args_n)
-        decomp = decompose(model)
-        rows.append(CriticalCoupling(
-            n=model.n,
-            c_critical=critical_coupling(decomp.lambdas, omega=omega,
-                                         tol=args.tol) / omega ** 2,
-            c_bound=None))
+            model = _model_from_flags(args, n=n)
+            rows.append(CriticalCoupling(
+                n=model.n,
+                c_critical=critical_coupling(decompose(model).lambdas, omega=args.omega,
+                                             tol=args.tol) / args.omega ** 2))
     return rows
 
 

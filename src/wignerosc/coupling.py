@@ -31,6 +31,7 @@ __all__ = [
     "gl_weights",
     "weak_coupling_bound",
     "critical_coupling",
+    "krawtchouk_coupling_row",
     "critical_coupling_table",
     "table_to_text",
     "table_to_csv",
@@ -160,6 +161,17 @@ def critical_coupling(lambdas, omega: float = 1.0, tol: float = 1e-12) -> float:
     return lo
 
 
+def krawtchouk_coupling_row(n: int, omega: float = 1.0, tol: float = 1e-12) -> CriticalCoupling:
+    """Critical coupling and closed-form bound of the Krawtchouk law lambda_j = j - 1, n >= 2.
+
+    Both values are divided by omega^2.
+    """
+    lambdas = np.arange(n, dtype=float)
+    return CriticalCoupling(n=n,
+                            c_critical=critical_coupling(lambdas, omega=omega, tol=tol) / omega ** 2,
+                            c_bound=weak_coupling_bound(n, omega=omega) / omega ** 2)
+
+
 def critical_coupling_table(n_list, omega: float = 1.0,
                             tol: float = 1e-12) -> list[CriticalCoupling]:
     """Critical couplings and closed-form bounds for the Krawtchouk eigenvalue law.
@@ -170,10 +182,7 @@ def critical_coupling_table(n_list, omega: float = 1.0,
     for n in n_list:
         if n < 4:
             raise ValueError("table rows start at n = 4")
-        lambdas = np.arange(n, dtype=float)
-        c_n = critical_coupling(lambdas, omega=omega, tol=tol) / omega ** 2
-        c_t = weak_coupling_bound(n, omega=omega) / omega ** 2
-        rows.append(CriticalCoupling(n=n, c_critical=c_n, c_bound=c_t))
+        rows.append(krawtchouk_coupling_row(n, omega=omega, tol=tol))
     return rows
 
 

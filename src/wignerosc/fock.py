@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .levels import LevelClasses, SpectrumLine, grow_compositions, merge_classes, spectrum_lines
 from .osp_spectrum import GZPattern
-from .spectral import InteractionModel, ModeFrequencies, SpectralDecomposition
+from .spectral import InteractionModel, ModeFrequencies, SpectralDecomposition, mode_frequencies
 
 __all__ = [
     "FockBasisState",
@@ -286,7 +286,7 @@ def reconstruct_observables(decomp: SpectralDecomposition, ops: TruncatedOperato
     n = model.n
     if decomp.n != n or ops.n != n:
         raise ValueError("decomposition, operators and model sizes disagree")
-    expected = np.sqrt(model.omega ** 2 + model.c * decomp.lambdas)
+    expected = mode_frequencies(decomp, model.omega, model.c).sqrt_mu
     if float(np.abs(expected - ops.sqrt_mu).max()) > 1e-12 * (1.0 + float(expected.max())):
         raise ValueError("operator set was built for different mode frequencies")
 

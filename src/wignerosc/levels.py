@@ -16,7 +16,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 __all__ = ["SpectrumLine", "LevelClasses", "MergedLevels", "merge_lines",
-           "merge_classes", "spectrum_lines", "grow_compositions"]
+           "merge_classes", "spectrum_lines", "branch", "grow_compositions"]
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,17 @@ class MergedLevels(NamedTuple):
     multiplicity: np.ndarray
 
 
+def branch(branches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parent row and rank among its siblings of each child, row i having branches[i] children.
+
+    Children of a row stay in its place, so growing an array by
+    ``keys[parent]`` keeps the parents' order.
+    """
+    parent = np.repeat(np.arange(len(branches)), branches)
+    rank = np.arange(len(parent)) - np.repeat(np.cumsum(branches) - branches, branches)
+    return parent, rank
+
+
 def grow_compositions(keys: np.ndarray, left: np.ndarray, parts: int) -> np.ndarray:
     """Extend each row of ``keys`` by ``parts`` slots holding its ``left`` units in every way.
 
@@ -67,9 +78,7 @@ def grow_compositions(keys: np.ndarray, left: np.ndarray, parts: int) -> np.ndar
     # a row with ``left`` still to place branches, in order, into left + 1
     # rows that put 0..left in the next slot
     for _ in range(parts - 1):
-        branches = left + 1
-        parent = np.repeat(np.arange(len(left)), branches)
-        taken = np.arange(len(parent)) - np.repeat(np.cumsum(branches) - branches, branches)
+        parent, taken = branch(left + 1)
         keys = np.column_stack((keys[parent], taken))
         left = left[parent] - taken
     return np.column_stack((keys, left))

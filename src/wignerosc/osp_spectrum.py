@@ -11,9 +11,11 @@ Each pattern is an eigenvector; with s_j the sum of the length-j row,
     E = sum_j sqrt(mu_j) * (p/2 + s_j - s_{j-1}),    s_0 = 0,
 
 in units of hbar. Patterns sharing the row-sum vector (s_1, ..., s_n)
-share the eigenvalue for every coupling, so multiplicities are computed
-exactly by integer signature grouping; merging by floating tolerance is
-applied only on top, to catch level crossings at special couplings.
+share the eigenvalue for every coupling. All patterns up to a top-row
+weight are grown as one integer array, and their (height, s_1, ..., s_n)
+keys are grouped with ``np.unique``, which gives exact multiplicities;
+merging by floating tolerance is applied only on top, to catch level
+crossings at special couplings.
 
 All combinatorial quantities (hook products, multiplicities) use exact
 rational arithmetic; floating point enters only in the final energy.
@@ -26,12 +28,12 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
 from .errors import UnirrepError
-from .levels import LevelClasses, MergedLevels, SpectrumLine, merge_classes, spectrum_lines
+from .levels import (LevelClasses, MergedLevels, SpectrumLine, branch, merge_classes,
+                     spectrum_lines)
 from .spectral import ModeFrequencies
 
 __all__ = [
@@ -194,33 +196,39 @@ def row_sum_signature(pattern: GZPattern) -> tuple[int, ...]:
     return tuple(sum(pattern.row(j)) for j in range(1, pattern.n + 1))
 
 
-def _gz_rows(n: int, p: float, k_max: int):
-    """Rows of every pattern with top-row weight at most k_max, valid by construction.
+def _row_starts(n: int) -> list[int]:
+    """Column of each pattern row's first entry in a flattened pattern, top row first."""
+    return [i * n - i * (i - 1) // 2 for i in range(n)]
 
-    Top rows run over heights 0..k_max, partitions in
-    reverse-lexicographic order; lower rows are filled depth-first with
-    entries descending.
+
+def _gz_rows(n: int, p: float, k_max: int) -> np.ndarray:
+    """Every pattern with top-row weight at most k_max, one flattened pattern per row.
+
+    Columns hold the pattern rows top first (see ``_row_starts``). Top
+    rows run over heights 0..k_max, partitions in reverse-lexicographic
+    order; then each lower-row entry, left to right, takes the values
+    between its two upper neighbours in descending order. Children keep
+    their parent's place, so rows come in the depth-first order of
+    filling the pattern row by row.
     """
     if not is_unirrep(n, p):
         raise UnirrepError(
             f"V(p) of osp(1|{2 * n}) needs p in {{1..{n - 1}}} or p > {n - 1}; got p = {p}")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
+    rows = np.array([nu.parts + (0,) * (n - nu.length) for k in range(k_max + 1)
+                     for nu in partitions_of(k, math.ceil(p), max_slots=n)], dtype=np.int64)
+    for above, length in zip(_row_starts(n), range(n - 1, 0, -1)):
+        for i in range(above, above + length):
+            parent, rank = branch(rows[:, i] - rows[:, i + 1] + 1)
+            rows = np.column_stack((rows[parent], rows[parent, i] - rank))
+    return rows
 
-    def fill(stack: list[tuple[int, ...]]):
-        cur = stack[-1]
-        if len(cur) == 1:
-            yield tuple(stack)
-            return
-        spans = [range(cur[i], cur[i + 1] - 1, -1) for i in range(len(cur) - 1)]
-        for lower in product(*spans):
-            stack.append(lower)
-            yield from fill(stack)
-            stack.pop()
 
-    for k in range(k_max + 1):
-        for nu in partitions_of(k, math.ceil(p), max_slots=n):
-            yield from fill([nu.parts + (0,) * (n - nu.length)])
+def _patterns(rows: np.ndarray, n: int, p: float) -> list[GZPattern]:
+    """Validated GZPatterns of flattened pattern rows."""
+    slices = [slice(a, a + n - i) for i, a in enumerate(_row_starts(n))]
+    return [GZPattern(rows=[flat[s] for s in slices], n=n, p=p) for flat in rows.tolist()]
 
 
 def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:
@@ -228,21 +236,16 @@ def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:
 
     The count at each height equals multiplicity_at_height(n, p, k).
     """
-    return [GZPattern(rows=rows, n=n, p=p) for rows in _gz_rows(n, p, k_max)]
+    return _patterns(_gz_rows(n, p, k_max), n, p)
 
 
 def osp_eigenvalue(pattern: GZPattern, freqs: ModeFrequencies, p: float) -> float:
     """Energy (units of hbar): sum_j sqrt(mu_j) (p/2 + s_j - s_{j-1})."""
     if pattern.n != freqs.n:
         raise ValueError("pattern size and mode count disagree")
-    sig = row_sum_signature(pattern)
-    return _signature_energy(sig, freqs, p)
-
-
-def _signature_energy(sig: tuple[int, ...], freqs: ModeFrequencies, p: float) -> float:
     total = 0.0
     prev = 0
-    for j, s in enumerate(sig):
+    for j, s in enumerate(row_sum_signature(pattern)):
         total += freqs.sqrt_mu[j] * (p / 2.0 + (s - prev))
         prev = s
     return total
@@ -251,28 +254,21 @@ def _signature_energy(sig: tuple[int, ...], freqs: ModeFrequencies, p: float) ->
 def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
     """Row-sum signature classes up to top-row weight k_max, keyed (height, s_1, ..., s_n).
 
-    Patterns are enumerated once as raw rows and counted per signature;
-    a class's label carries the first pattern of the class in
+    Patterns are grown once as one integer array and grouped on their
+    keys; a class's label carries the first pattern of the class in
     enumeration order, which is the only one made a GZPattern.
     """
-    first: dict[tuple[int, ...], tuple] = {}
-    count: dict[tuple[int, ...], int] = {}
-    for rows in _gz_rows(n, p, k_max):
-        sig = tuple(map(sum, reversed(rows)))
-        if sig in count:
-            count[sig] += 1
-        else:
-            count[sig] = 1
-            first[sig] = rows
-    sigs = sorted(count, key=lambda sig: (sig[-1], sig))  # label order: height, signature
-    keys = np.array([(sig[-1],) + sig for sig in sigs], dtype=np.int64)
+    rows = _gz_rows(n, p, k_max)
+    sums = np.add.reduceat(rows, _row_starts(n), axis=1)[:, ::-1]  # s_1, ..., s_n
+    keys, first, count = np.unique(np.column_stack((sums[:, -1], sums)), axis=0,
+                                   return_index=True, return_counts=True)
+    heads = rows[first]  # only the class representatives outlive this call
 
     def labels(index: np.ndarray) -> list[tuple[int, tuple[int, ...], GZPattern]]:
-        return [(sigs[i][-1], sigs[i], GZPattern(rows=first[sigs[i]], n=n, p=p))
-                for i in index.tolist()]
+        return [(key[0], tuple(key[1:]), pattern) for key, pattern in
+                zip(keys[index].tolist(), _patterns(heads[index], n, p))]
 
-    return LevelClasses(keys=keys, multiplicity=np.array([count[sig] for sig in sigs],
-                                                         dtype=np.int64), labels=labels)
+    return LevelClasses(keys=keys, multiplicity=count.astype(np.int64), labels=labels)
 
 
 def osp_levels(n: int, p: float, freqs: Iterable[ModeFrequencies], k_max: int,
@@ -286,7 +282,7 @@ def osp_levels(n: int, p: float, freqs: Iterable[ModeFrequencies], k_max: int,
         sqrt_mu.append(f.sqrt_mu)
     sqrt_mu = np.array(sqrt_mu)
     shift = p / 2.0 + np.diff(classes.keys[:, 1:], axis=1, prepend=0)
-    # summed term by term in j, as _signature_energy does, so energies match it bit for bit
+    # summed term by term in j, as osp_eigenvalue does, so energies match it bit for bit
     energy = np.zeros((len(sqrt_mu), len(shift)))
     for j in range(n):
         energy += sqrt_mu[:, j, None] * shift[:, j]

@@ -137,6 +137,46 @@ def test_enumerate_gz_counts():
     assert len(set(pats)) == len(pats)
 
 
+def _accepted_grids(n, p, k):
+    """Every entry grid of height <= k that GZPattern accepts, in no particular order.
+
+    No entry of an accepted grid exceeds its top row's first entry, so
+    the lower rows only try values up to that one.
+    """
+    out = []
+    for top in itertools.product(range(k + 1), repeat=n):
+        if sum(top) > k:
+            continue
+        for rest in itertools.product(range(top[0] + 1), repeat=n * (n - 1) // 2):
+            flat = top + rest
+            rows, start = [], 0
+            for length in range(n, 0, -1):
+                rows.append(flat[start:start + length])
+                start += length
+            try:
+                out.append(GZPattern(rows=tuple(rows), n=n, p=p))
+            except ValueError:
+                pass
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_enumerate_gz_order_matches_filtered_grids(n):
+    for p in (1, 2, 3, n - 0.5, n + 0.25):
+        if not is_unirrep(n, p):
+            continue
+        grids = _accepted_grids(n, p, 3)
+        grids.sort(key=lambda pat: (pat.height, [-x for row in pat.rows for x in row]))
+        for k_max in range(4):
+            expected = [pat for pat in grids if pat.height <= k_max]
+            pats = enumerate_gz(n, p, k_max)
+            assert pats == expected
+            assert len(set(pats)) == len(pats)
+            heights = [pat.height for pat in pats]
+            assert [heights.count(k) for k in range(k_max + 1)] == \
+                [multiplicity_at_height(n, p, k) for k in range(k_max + 1)]
+
+
 def test_enumerate_gz_rejects_bad_p():
     with pytest.raises(UnirrepError):
         enumerate_gz(4, 0.5, 2)
@@ -189,10 +229,11 @@ def test_displayed_patterns_share_energy():
 
 def test_signature_law_both_directions():
     rng = np.random.default_rng(17)
+    patterns = {n: enumerate_gz(n, 2, 3) for n in range(2, 6)}
     checked_equal = checked_diff = 0
     while checked_equal < 500 or checked_diff < 500:
         n = int(rng.integers(2, 6))
-        pats = enumerate_gz(n, 2, 3)
+        pats = patterns[n]
         i, j = rng.integers(0, len(pats), size=2)
         a, b = pats[int(i)], pats[int(j)]
         freqs = ModeFrequencies(mu=np.sort(rng.uniform(0.1, 7.0, size=n)))
