@@ -6,6 +6,12 @@ printed ``np.float64(x)``; those files hold the plain ``x``). They cover
 the two-level gl collapse at c = 0, a gl coupling past c_n with
 --allow-strong, and the osp case with exact energy ties that
 multiplicity decides (n=5, p=3, kmax=4, ptilde 0.4, c = 1).
+
+The ``spectrum`` files added later were written by the level-class
+kernel through the per-algebra writers it then used, before the CLI
+printed spectra from the class keys. They cover a p = 0 gl module (one
+line, no theta = 1 row), negative gl energies past c_n, osp at n = 1,
+and osp at a non-integer p.
 """
 
 from pathlib import Path
@@ -26,6 +32,13 @@ CASES = {
                              "--p 3 --kmax 4 --c 1.0 --format json",
     "osp_spectrum_tie.csv": "spectrum --algebra osp --model krawtchouk --ptilde 0.4 --n 5 "
                             "--p 3 --kmax 4 --c 1.0",
+    "gl_spectrum_p0.csv": "spectrum --algebra gl --model constant --n 3 --p 0 --c 0.2",
+    "gl_spectrum_negative.json": "spectrum --algebra gl --model krawtchouk --n 4 --p 3 "
+                                 "--c 2.0 --allow-strong --format json",
+    "osp_spectrum_n1.json": "spectrum --algebra osp --model constant --n 1 --p 0.5 --kmax 3 "
+                            "--c 0.4 --format json",
+    "osp_spectrum_half_integer_p.json": "spectrum --algebra osp --model krawtchouk --n 3 "
+                                        "--p 2.5 --kmax 3 --c 0.6 --format json",
     "gl_sweep.csv": "sweep --algebra gl --model krawtchouk --n 4 --p 2 --cmin 0 --cmax 1.2 "
                     "--steps 7",
     "gl_sweep_strong.json": "sweep --algebra gl --model constant --n 4 --p 3 --cmin 0 "
