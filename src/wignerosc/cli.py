@@ -22,9 +22,9 @@ import sys
 from .coupling import (CriticalCoupling, critical_coupling, krawtchouk_coupling_row,
                        table_to_csv, table_to_text)
 from .errors import NumericError, UnirrepError, UnitarityError
-from .gl_spectrum import gl_levels, gl_lines_to_csv, gl_lines_to_json
-from .levels import LevelClasses, MergedLevels, spectrum_lines
-from .osp_spectrum import osp_levels, osp_lines_to_csv, osp_lines_to_json
+from .gl_spectrum import gl_levels
+from .levels import LevelClasses, MergedLevels
+from .osp_spectrum import osp_levels
 from .spectral import InteractionModel, decompose, load_matrix, mode_frequencies
 
 __all__ = ["main"]
@@ -126,6 +126,9 @@ def _model_from_flags(args, c: float = 0.0, n: int | None = None) -> Interaction
         if not args.path:
             raise ValueError("--model file needs --path")
         matrix = load_matrix(args.path)
+        if args.n is not None and _parse_n_list(args.n) != [len(matrix)]:
+            raise ValueError(f"--n {args.n} does not match the {len(matrix)}x{len(matrix)} "
+                             "matrix in --path")
         return InteractionModel.general(matrix, omega=args.omega, c=c)
     if n is None:
         n = _parse_n(args.n)
@@ -208,14 +211,23 @@ def _levels(args, decomp, couplings) -> tuple[LevelClasses, list[MergedLevels]]:
 def _cmd_spectrum(args) -> int:
     model = _model_from_flags(args, c=args.c)
     classes, (merged,) = _levels(args, decompose(model), [model.c])
-    lines = spectrum_lines(classes, merged)
-    del classes, merged  # release the class arrays before the output text is built
-    if args.algebra == "gl":
-        text = gl_lines_to_json(lines) if args.format == "json" \
-            else gl_lines_to_csv(lines, model.n)
+    # each line's head class key: theta, r_1..r_n for gl; height, s_1..s_n for osp
+    first, rest, rest_json = ("theta", "r", "r") if args.algebra == "gl" \
+        else ("height", "s", "signature")
+    rows = zip(merged.energy.tolist(), merged.multiplicity.tolist(),
+               classes.keys[merged.head].tolist())
+    if args.format == "json":
+        payload = [{"energy": e, "multiplicity": m, first: key[0], rest_json: key[1:]}
+                   for e, m, key in rows]
+        if args.algebra == "osp":
+            for record, (_, _, pattern) in zip(payload, classes.labels(merged.head)):
+                record["pattern"] = [list(row) for row in pattern.rows]
+        text = json.dumps(payload, indent=2) + "\n"
     else:
-        text = osp_lines_to_json(lines) if args.format == "json" \
-            else osp_lines_to_csv(lines, model.n)
+        header = f"energy,multiplicity,{first}," + ",".join(
+            f"{rest}_{j}" for j in range(1, model.n + 1))
+        text = "\n".join([header] + [f"{e!r},{m}," + ",".join(map(str, key))
+                                     for e, m, key in rows]) + "\n"
     _emit(text, args.out)
     return EXIT_OK
 

@@ -15,7 +15,6 @@ as c approaches the critical coupling.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -36,8 +35,6 @@ __all__ = [
     "gl_classes",
     "gl_levels",
     "gl_spectrum",
-    "gl_lines_to_csv",
-    "gl_lines_to_json",
 ]
 
 _FORM_AGREEMENT_TOL = 1e-10
@@ -188,23 +185,3 @@ def gl_spectrum(n: int, p: int, freqs: ModeFrequencies,
     """
     classes, (merged,) = gl_levels(n, p, [freqs], merge_tol, allow_nonunitary)
     return spectrum_lines(classes, merged)
-
-
-def gl_lines_to_csv(lines: list[SpectrumLine], n: int) -> str:
-    """CSV export: energy, multiplicity, theta, then the class representative's r."""
-    header = "energy,multiplicity,theta," + ",".join(f"r_{j}" for j in range(1, n + 1))
-    rows = [header]
-    for line in lines:
-        v: GlBasisVector = line.label
-        rows.append(f"{float(line.energy)!r},{line.multiplicity},{v.theta},"
-                    + ",".join(str(x) for x in v.r))
-    return "\n".join(rows) + "\n"
-
-
-def gl_lines_to_json(lines: list[SpectrumLine]) -> str:
-    payload = [
-        {"energy": float(line.energy), "multiplicity": line.multiplicity,
-         "theta": line.label.theta, "r": list(line.label.r)}
-        for line in lines
-    ]
-    return json.dumps(payload, indent=2) + "\n"

@@ -42,7 +42,9 @@ class LevelClasses(NamedTuple):
     lexicographically, which is the order of the library labels that
     ``labels(index)`` builds for an array of class indices, so class
     indices rank labels. ``multiplicity`` holds the exact int64 class
-    sizes.
+    sizes. Labels are for library callers (``gl_spectrum``,
+    ``osp_spectrum``, ``fock_spectrum``); the CLI prints ``keys``, and
+    builds labels only for the osp JSON ``pattern`` field.
     """
 
     keys: np.ndarray

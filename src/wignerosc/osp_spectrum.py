@@ -23,7 +23,6 @@ rational arithmetic; floating point enters only in the final energy.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -51,8 +50,6 @@ __all__ = [
     "osp_spectrum",
     "distinct_count_at_height",
     "is_unirrep",
-    "osp_lines_to_csv",
-    "osp_lines_to_json",
 ]
 
 
@@ -308,24 +305,3 @@ def distinct_count_at_height(n: int, k: int) -> int:
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     return math.comb(n + k - 1, n - 1)
-
-
-def osp_lines_to_csv(lines: list[SpectrumLine], n: int) -> str:
-    """CSV export: energy, multiplicity, height, then the class row-sum signature."""
-    header = "energy,multiplicity,height," + ",".join(f"s_{j}" for j in range(1, n + 1))
-    rows = [header]
-    for line in lines:
-        height, sig, _ = line.label
-        rows.append(f"{float(line.energy)!r},{line.multiplicity},{height},"
-                    + ",".join(str(s) for s in sig))
-    return "\n".join(rows) + "\n"
-
-
-def osp_lines_to_json(lines: list[SpectrumLine]) -> str:
-    payload = []
-    for line in lines:
-        height, sig, rep = line.label
-        payload.append({"energy": float(line.energy), "multiplicity": line.multiplicity,
-                        "height": height, "signature": list(sig),
-                        "pattern": [list(row) for row in rep.rows]})
-    return json.dumps(payload, indent=2) + "\n"

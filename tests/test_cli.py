@@ -203,6 +203,26 @@ def test_file_model_positive_definiteness_failure(tmp_path, capsys):
     assert "positive definite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose"],
+    ["bounds"],
+    ["spectrum", "--algebra", "osp", "--p", "2", "--c", "0.3"],
+    ["sweep", "--algebra", "gl", "--p", "2", "--cmin", "0", "--cmax", "0.2", "--steps", "3"],
+])
+def test_file_model_refuses_a_conflicting_n(tmp_path, capsys, argv):
+    m = build_krawtchouk_matrix(3, 0.4)
+    path = tmp_path / "m3.txt"
+    path.write_text("3\n" + " ".join(repr(float(x)) for x in m.ravel()) + "\n")
+    argv = argv + ["--model", "file", "--path", str(path)]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--n", "3"]) == 0
+    assert capsys.readouterr() == plain
+    assert main(argv + ["--n", "9"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error: --n 9 does not match the 3x3 matrix" in out.err
+
+
 def test_module_entry_point(tmp_path):
     import subprocess
     import sys

@@ -8,7 +8,7 @@ from wignerosc import (GlBasisVector, ModeFrequencies, UnitarityError,
                        constant_decomposition, critical_coupling, enumerate_gl_basis,
                        gl_dimension, gl_eigenvalue, gl_spectrum, gl_weights,
                        mode_frequencies)
-from wignerosc.gl_spectrum import gl_lines_to_csv, gl_lines_to_json
+from wignerosc.cli import main
 
 
 def _kraw_freqs(n, c, omega=1.0):
@@ -166,15 +166,18 @@ def test_constant_chain_spectrum():
     assert sum(line.multiplicity for line in lines) == 14
 
 
-def test_csv_and_json_exports():
-    lines = gl_spectrum(4, 2, _kraw_freqs(4, 0.5))
-    csv = gl_lines_to_csv(lines, 4)
+def test_csv_and_json_exports(capsys):
+    # the Krawtchouk chain has lambda_j = j - 1, so these are _kraw_freqs(4, 0.5)
+    argv = "spectrum --algebra gl --model krawtchouk --n 4 --p 2 --c 0.5".split()
+    assert main(argv) == 0
+    csv = capsys.readouterr().out
     rows = csv.strip().split("\n")
     assert rows[0] == "energy,multiplicity,theta,r_1,r_2,r_3,r_4"
     assert len(rows) == 15
     assert "\r" not in csv
 
-    payload = json.loads(gl_lines_to_json(lines))
+    assert main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 14
     assert payload[0]["multiplicity"] == 1
     assert set(payload[0]) == {"energy", "multiplicity", "theta", "r"}

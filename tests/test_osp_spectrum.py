@@ -12,7 +12,7 @@ from wignerosc import (GZPattern, ModeFrequencies, Partition, UnirrepError, conj
                        distinct_count_at_height, enumerate_gz, generalized_binomial,
                        is_unirrep, multiplicity_at_height, osp_eigenvalue, osp_spectrum,
                        partitions_of, row_sum_signature)
-from wignerosc.osp_spectrum import osp_lines_to_csv, osp_lines_to_json
+from wignerosc.cli import main
 
 # the two four-row patterns displayed as an equal-energy pair
 PATTERN_A = GZPattern(rows=((5, 0, 0, 0), (4, 0, 0), (2, 0), (1,)), n=4, p=5)
@@ -313,13 +313,16 @@ def test_non_integer_p_top_rows():
     assert lines[0].energy == pytest.approx(float(freqs.sqrt_mu.sum() * 3.5 / 2), abs=1e-12)
 
 
-def test_csv_and_json_exports():
-    lines = osp_spectrum(4, 2, _kraw_freqs(4, 0.3), k_max=2)
-    csv = osp_lines_to_csv(lines, 4)
+def test_csv_and_json_exports(capsys):
+    # the Krawtchouk chain has lambda_j = j - 1, so these are _kraw_freqs(4, 0.3)
+    argv = "spectrum --algebra osp --model krawtchouk --n 4 --p 2 --c 0.3 --kmax 2".split()
+    assert main(argv) == 0
+    csv = capsys.readouterr().out
     rows = csv.strip().split("\n")
     assert rows[0] == "energy,multiplicity,height,s_1,s_2,s_3,s_4"
     assert len(rows) == 16  # 1 + 4 + 10 lines
-    payload = json.loads(osp_lines_to_json(lines))
+    assert main(argv + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 15
     assert set(payload[0]) == {"energy", "multiplicity", "height", "signature", "pattern"}
     assert payload[0]["pattern"] == [[0, 0, 0, 0], [0, 0, 0], [0, 0], [0]]
