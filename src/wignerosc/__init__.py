@@ -28,17 +28,15 @@ from .osp_spectrum import (GZPattern, Partition, conjugate, distinct_count_at_he
                            partitions_of, row_sum_signature)
 from .spectral import (InteractionModel, ModeFrequencies, SpectralDecomposition,
                        build_constant_matrix, build_krawtchouk_matrix,
-                       constant_decomposition, decompose, jacobi_decomposition,
-                       krawtchouk_decomposition, krawtchouk_eval, load_matrix,
-                       mode_frequencies)
+                       constant_decomposition, decompose, krawtchouk_decomposition,
+                       load_matrix, mode_frequencies)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "InteractionModel", "SpectralDecomposition", "ModeFrequencies",
-    "build_constant_matrix", "constant_decomposition", "krawtchouk_eval",
-    "build_krawtchouk_matrix", "krawtchouk_decomposition", "jacobi_decomposition",
-    "decompose", "mode_frequencies", "load_matrix",
+    "build_constant_matrix", "constant_decomposition", "build_krawtchouk_matrix",
+    "krawtchouk_decomposition", "decompose", "mode_frequencies", "load_matrix",
     "GlWeights", "CriticalCoupling", "gl_weights", "weak_coupling_bound",
     "critical_coupling", "critical_coupling_table", "sqrt_sum_bound_holds",
     "SpectrumLine",

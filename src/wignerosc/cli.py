@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser("decompose", help="eigendecomposition of the coupling matrix")
     _add_model_flags(p_dec)
     _add_output_flags(p_dec)
-    p_dec.add_argument("--tol", type=float, default=1e-12,
-                       help="Jacobi off-diagonal tolerance")
 
     p_bnd = sub.add_parser("bounds", help="critical coupling strengths")
     _add_model_flags(p_bnd)
@@ -147,7 +145,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_decompose(args) -> int:
     model = _model_from_flags(args)
-    decomp = decompose(model, tol=args.tol)
+    decomp = decompose(model)
     m = model.coupling_matrix()
     if args.format == "json":
         text = json.dumps({"source": decomp.source,

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: numeric failures (Jacobi
-non-convergence, loss of positive definiteness, missing critical
-coupling) exit with 3, representation-validity failures (unirrep
-violation, non-unitary weights) with 4.
+The CLI maps these onto exit codes: numeric failures (a decomposition
+that misses its residual bounds or whose LAPACK call fails, loss of
+positive definiteness, missing critical coupling) exit with 3,
+representation-validity failures (unirrep violation, non-unitary
+weights) with 4.
 """
 
 

@@ -7,8 +7,10 @@ enter the energy spectrum, so this module exposes:
 
 * builders for the two analytically solvable coupling matrices
   (nearest-neighbour constant coupling and Krawtchouk coupling),
-* their closed-form eigendecompositions,
-* a cyclic Jacobi eigensolver for arbitrary symmetric matrices,
+* ``decompose``: closed-form eigenvalues for both (and closed-form
+  eigenvectors for the constant chain), LAPACK (``numpy.linalg.eigh``)
+  eigenvectors otherwise, every result checked against its
+  orthonormality and reconstruction bounds,
 * the map from eigenvalues lambda_j of M to the squared normal-mode
   frequencies mu_j = omega^2 + c*lambda_j.
 
@@ -32,10 +34,8 @@ __all__ = [
     "ModeFrequencies",
     "build_constant_matrix",
     "constant_decomposition",
-    "krawtchouk_eval",
     "build_krawtchouk_matrix",
     "krawtchouk_decomposition",
-    "jacobi_decomposition",
     "decompose",
     "mode_frequencies",
     "omega_squared",
@@ -45,7 +45,9 @@ __all__ = [
 #: relative tolerance used to accept a matrix as symmetric
 SYMMETRY_RTOL = 1e-12
 
-_JACOBI_MAX_SWEEPS = 100
+#: every decomposition is checked against these bounds (see ``decompose``)
+ORTHONORMALITY_TOL = 1e-10
+RECONSTRUCTION_RTOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -146,12 +148,14 @@ class SpectralDecomposition:
 
     Column j of ``u`` is the eigenvector paired with ``lambdas[j]``; the
     sign of each column is fixed so that its first component of
-    non-negligible size is positive.
+    non-negligible size is positive. ``source`` says where the
+    eigenvalues come from: "analytic" (a closed form; the Krawtchouk
+    eigenvectors are still computed numerically) or "numeric".
     """
 
     lambdas: np.ndarray
     u: np.ndarray
-    source: str  # "analytic" | "numeric"
+    source: str  # "analytic" | "numeric": how the eigenvalues were obtained
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambdas", _freeze(self.lambdas))
@@ -167,7 +171,7 @@ class SpectralDecomposition:
                          np.abs(self.u @ self.u.T - eye).max()))
 
     def reconstruction_residual(self, m: np.ndarray) -> float:
-        return float(np.abs(m - self.u @ np.diag(self.lambdas) @ self.u.T).max())
+        return float(np.abs(m - (self.u * self.lambdas) @ self.u.T).max())
 
 
 @dataclass(frozen=True)
@@ -195,13 +199,8 @@ class ModeFrequencies:
 
 def _fix_column_signs(u: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first non-negligible entry is positive."""
-    u = np.array(u)
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-    return u
+    first = np.argmax(np.abs(u) > 1e-12, axis=0)
+    return u * np.where(u[first, np.arange(u.shape[1])] < 0, -1.0, 1.0)
 
 
 def build_constant_matrix(n: int) -> np.ndarray:
@@ -209,45 +208,13 @@ def build_constant_matrix(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need at least one oscillator")
     m = 2.0 * np.eye(n)
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = -1.0
-    m[idx + 1, idx] = -1.0
+    m.flat[1::n + 1] = m.flat[n::n + 1] = -1.0
     return m
 
 
 def constant_decomposition(n: int) -> SpectralDecomposition:
-    """Closed-form eigensystem of the constant-coupling chain.
-
-    lambda_j = 2 - 2 cos(j pi / (n+1)) and
-    u_ij = sqrt(2/(n+1)) sin(i j pi / (n+1)), i, j = 1..n.
-    """
-    if n < 1:
-        raise ValueError("need at least one oscillator")
-    j = np.arange(1, n + 1)
-    lambdas = 2.0 - 2.0 * np.cos(j * np.pi / (n + 1))
-    i = j[:, None]
-    u = np.sqrt(2.0 / (n + 1)) * np.sin(i * j[None, :] * np.pi / (n + 1))
-    return SpectralDecomposition(lambdas=lambdas, u=_fix_column_signs(u), source="analytic")
-
-
-def krawtchouk_eval(i: int, j: int, n: int, ptilde: float) -> float:
-    """Normalized Krawtchouk polynomial value K_i(j) for parameters (n-1, ptilde).
-
-    K_i(j) = [C(n-1,i) C(n-1,j) pt^(i+j) (1-pt)^(n-i-j-1)]^(1/2)
-             * sum_k C(i,k) C(j,k) / C(n-1,k) * (-1/pt)^k,
-    symmetric in i and j; the rows (and columns) of the n x n table are
-    orthonormal.
-    """
-    if not 0.0 < ptilde < 1.0:
-        raise ValueError("ptilde must lie strictly between 0 and 1")
-    if not (0 <= i <= n - 1 and 0 <= j <= n - 1):
-        raise ValueError(f"indices ({i}, {j}) out of range for n = {n}")
-    pref = math.comb(n - 1, i) * math.comb(n - 1, j) \
-        * ptilde ** (i + j) * (1.0 - ptilde) ** (n - i - j - 1)
-    acc = 0.0
-    for k in range(min(i, j) + 1):
-        acc += math.comb(i, k) * math.comb(j, k) / math.comb(n - 1, k) * (-1.0 / ptilde) ** k
-    return math.sqrt(pref) * acc
+    """Closed-form eigensystem of the constant-coupling chain (see ``decompose``)."""
+    return decompose(InteractionModel.constant(n))
 
 
 def build_krawtchouk_matrix(n: int, ptilde: float) -> np.ndarray:
@@ -263,86 +230,56 @@ def build_krawtchouk_matrix(n: int, ptilde: float) -> np.ndarray:
     r = np.arange(n, dtype=float)
     m = np.diag((n - 1) * ptilde + (1.0 - 2.0 * ptilde) * r)
     e = np.sqrt(ptilde * (1.0 - ptilde)) * np.sqrt(r[1:] * (n - r[1:]))
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = -e
-    m[idx + 1, idx] = -e
+    m.flat[1::n + 1] = m.flat[n::n + 1] = -e  # super- and subdiagonal
     return m
 
 
 def krawtchouk_decomposition(n: int, ptilde: float) -> SpectralDecomposition:
-    """Closed-form eigensystem of the Krawtchouk matrix: lambda_j = j - 1,
-    eigenvector entries u_ij = K_(i-1)(j-1)."""
-    if n < 1:
-        raise ValueError("need at least one oscillator")
-    lambdas = np.arange(n, dtype=float)
-    u = np.array([[krawtchouk_eval(i, j, n, ptilde) for j in range(n)] for i in range(n)])
-    return SpectralDecomposition(lambdas=lambdas, u=_fix_column_signs(u), source="analytic")
+    """Eigensystem of the Krawtchouk matrix: lambda_j = j - 1 and LAPACK eigenvectors."""
+    return decompose(InteractionModel.krawtchouk(n, ptilde=ptilde))
 
 
-def jacobi_decomposition(m: np.ndarray, tol: float = 1e-12) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix by the cyclic Jacobi method.
+def decompose(model: InteractionModel) -> SpectralDecomposition:
+    """Spectral decomposition of a model's coupling matrix M, checked against M.
 
-    Sweeps Givens rotations over all index pairs until the largest
-    off-diagonal magnitude drops below ``tol`` times the largest entry
-    of the input. Unconditionally robust at desk scale; not tuned for
-    large n.
+    * constant: lambda_j = 2 - 2 cos(j pi / (n+1)) and
+      u_ij = sqrt(2/(n+1)) sin(i j pi / (n+1)), i, j = 1..n ("analytic");
+    * krawtchouk: lambda_j = j - 1 ("analytic"); the eigenvectors come
+      from ``numpy.linalg.eigh`` of M, whose ascending eigenvalues are
+      these distinct integers, so column j pairs with lambda_j. (The
+      closed-form Krawtchouk-polynomial entries lose every digit to
+      cancellation from n ~ 30 on.)
+    * general: eigenvalues and eigenvectors from ``numpy.linalg.eigh``
+      ("numeric").
+
+    Raises NumericError if LAPACK fails, or if the result's
+    orthonormality residual exceeds ORTHONORMALITY_TOL or its
+    reconstruction residual exceeds RECONSTRUCTION_RTOL * (1 + max|M|).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = _require_symmetric(m).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    scale = float(np.abs(a).max())
-    if n == 1 or scale == 0.0:
-        return SpectralDecomposition(lambdas=np.diag(a).copy(), u=v, source="numeric")
-    threshold = tol * scale
-
-    def offdiag_max() -> float:
-        off = np.abs(a - np.diag(np.diag(a)))
-        return float(off.max())
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if offdiag_max() <= threshold:
-            break
-        for p in range(n - 1):  # one cyclic sweep over all index pairs
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0)) \
-                    if theta != 0.0 else 1.0
-                cth = 1.0 / math.sqrt(1.0 + t * t)
-                sth = t * cth
-                # a <- J^T a J with the (p,q) Givens rotation J
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = cth * rp - sth * rq
-                a[q, :] = sth * rp + cth * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = cth * cp - sth * cq
-                a[:, q] = sth * cp + cth * cq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = cth * vp - sth * vq
-                v[:, q] = sth * vp + cth * vq
-    else:
-        raise NumericError(
-            f"Jacobi iteration did not converge within {_JACOBI_MAX_SWEEPS} sweeps")
-
-    lambdas = np.diag(a).copy()
-    order = np.argsort(lambdas, kind="stable")
-    return SpectralDecomposition(lambdas=lambdas[order],
-                                 u=_fix_column_signs(v[:, order]),
-                                 source="numeric")
-
-
-def decompose(model: InteractionModel, tol: float = 1e-12) -> SpectralDecomposition:
-    """Spectral decomposition of a model's coupling matrix, analytic when available."""
+    m = model.coupling_matrix()
+    n = model.n
     if model.kind == "constant":
-        return constant_decomposition(model.n)
-    if model.kind == "krawtchouk":
-        return krawtchouk_decomposition(model.n, model.ptilde)
-    return jacobi_decomposition(model.matrix, tol=tol)
+        j = np.arange(1, n + 1)
+        lambdas = 2.0 - 2.0 * np.cos(j * np.pi / (n + 1))
+        u = np.sqrt(2.0 / (n + 1)) * np.sin(j[:, None] * j * np.pi / (n + 1))
+    else:
+        try:
+            lambdas, u = np.linalg.eigh(m)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigh failed on the {model.kind} coupling matrix: {exc}") from exc
+        if model.kind == "krawtchouk":
+            lambdas = np.arange(n, dtype=float)
+    decomp = SpectralDecomposition(lambdas=lambdas, u=_fix_column_signs(u),
+                                   source="numeric" if model.kind == "general" else "analytic")
+    orth = decomp.orthonormality_residual()
+    recon = decomp.reconstruction_residual(m)
+    recon_bound = RECONSTRUCTION_RTOL * (1.0 + float(np.abs(m).max()))
+    if not (orth <= ORTHONORMALITY_TOL and recon <= recon_bound):
+        raise NumericError(
+            f"{model.kind} decomposition at n = {n} misses its residual bounds: "
+            f"orthonormality {orth:.3e} (bound {ORTHONORMALITY_TOL:.0e}), "
+            f"reconstruction {recon:.3e} (bound {recon_bound:.3e})")
+    return decomp
 
 
 def mode_frequencies(decomp: SpectralDecomposition, omega: float, c: float) -> ModeFrequencies:

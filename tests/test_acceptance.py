@@ -17,11 +17,12 @@ from wignerosc import (InteractionModel, ModeFrequencies, build_constant_matrix,
                        build_fock_operators, build_krawtchouk_matrix,
                        constant_decomposition, critical_coupling,
                        critical_coupling_table, decompose, fock_spectrum, gl_spectrum,
-                       jacobi_decomposition, krawtchouk_decomposition, mode_frequencies,
+                       krawtchouk_decomposition, mode_frequencies,
                        multiplicity_at_height, osp_spectrum, partitions_of,
                        reconstruct_observables, row_sum_signature, verify_compatibility,
                        weak_coupling_bound)
 from wignerosc.osp_spectrum import enumerate_gz
+from spectral_oracles import jacobi_decomposition
 
 TABLE_ROWS = {
     4: (0.41667, 1.27357), 5: (0.25000, 0.51723), 6: (0.16364, 0.27857),

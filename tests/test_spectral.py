@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerosc import (InteractionModel, ModeFrequencies, PositiveDefinitenessError,
-                       build_constant_matrix, build_krawtchouk_matrix,
-                       constant_decomposition, decompose, jacobi_decomposition,
-                       krawtchouk_decomposition, krawtchouk_eval, load_matrix,
-                       mode_frequencies)
+from wignerosc import (InteractionModel, ModeFrequencies, NumericError,
+                       PositiveDefinitenessError, build_constant_matrix,
+                       build_krawtchouk_matrix, constant_decomposition, decompose,
+                       krawtchouk_decomposition, load_matrix, mode_frequencies)
+from wignerosc.cli import main
+from spectral_oracles import (fix_column_signs, jacobi_decomposition, krawtchouk_eval,
+                              krawtchouk_exact)
 
 
 def test_constant_matrix_small_cases():
@@ -273,3 +275,130 @@ def test_omega_whose_square_overflows_is_rejected():
     # the largest omega whose square still fits is accepted
     omega = math.sqrt(np.finfo(float).max) * (1 - 1e-15)
     assert InteractionModel.constant(2, omega=omega).omega == omega
+
+
+# ------------------------------------------------------------ eigen path and residual gate
+
+def _meets_gate(d, m):
+    return (d.orthonormality_residual() <= 1e-10
+            and d.reconstruction_residual(m) <= 1e-10 * (1 + np.abs(m).max()))
+
+
+def test_krawtchouk_decompose_meets_the_gate_up_to_n100():
+    for n in range(1, 101):
+        for pt in (0.1, 0.5, 0.8):
+            d = decompose(InteractionModel.krawtchouk(n, ptilde=pt))
+            assert d.lambdas.tolist() == list(range(n))
+            assert d.source == "analytic"
+            assert _meets_gate(d, build_krawtchouk_matrix(n, pt)), (n, pt)
+
+
+@pytest.mark.parametrize("n", [30, 40])
+def test_krawtchouk_eigenvectors_match_the_exact_sum(n):
+    # the floating-point closed form is off by 5.6e2 in orthonormality at n = 30
+    exact = fix_column_signs(krawtchouk_exact(n, 0.8))
+    u = decompose(InteractionModel.krawtchouk(n, ptilde=0.8)).u
+    for j in range(n):
+        assert np.abs(u[:, j] - exact[:, j]).max() <= 1e-10, j
+
+
+def test_decompose_matches_jacobi_at_n40():
+    # both eigen paths of each model against the Jacobi oracle, past criterion 9's n <= 12
+    for model in (InteractionModel.constant(40), InteractionModel.krawtchouk(40, ptilde=0.2),
+                  InteractionModel.krawtchouk(40, ptilde=0.8)):
+        m = model.coupling_matrix()
+        num = jacobi_decomposition(m)
+        for d in (decompose(model), decompose(InteractionModel.general(m))):
+            assert np.abs(d.lambdas - num.lambdas).max() <= 1e-9
+            assert np.abs(d.u - num.u).max() <= 1e-9
+
+
+def test_eigh_path_degenerate_matrices_and_n1():
+    d = decompose(InteractionModel.general(np.eye(4)))
+    assert d.source == "numeric"
+    assert np.allclose(d.lambdas, 1.0, rtol=0, atol=1e-14)
+    assert d.orthonormality_residual() <= 1e-14
+
+    g1 = np.eye(3)
+    g1[[0, 0, 1, 1], [0, 1, 0, 1]] = [math.cos(0.3), -math.sin(0.3),
+                                      math.sin(0.3), math.cos(0.3)]
+    g2 = np.eye(3)
+    g2[[1, 1, 2, 2], [1, 2, 1, 2]] = [math.cos(0.7), -math.sin(0.7),
+                                      math.sin(0.7), math.cos(0.7)]
+    q = g1 @ g2
+    m = q @ np.diag([1.0, 1.0, 2.0]) @ q.T
+    d = decompose(InteractionModel.general(m))
+    assert np.allclose(d.lambdas, [1, 1, 2], rtol=0, atol=1e-10)
+    proj = d.u[:, :2] @ d.u[:, :2].T
+    assert np.abs(proj - q[:, :2] @ q[:, :2].T).max() < 1e-9
+    assert _meets_gate(d, m)
+
+    for model in (InteractionModel.general(np.array([[-3.5]])), InteractionModel.constant(1),
+                  InteractionModel.krawtchouk(1, ptilde=0.3)):
+        d = decompose(model)
+        assert d.u.tolist() == [[1.0]]
+        assert d.lambdas[0] == pytest.approx(model.coupling_matrix()[0, 0], abs=1e-15)
+
+
+def test_sign_convention_on_every_path():
+    rng = np.random.default_rng(11)
+    models = [InteractionModel.constant(n) for n in (1, 2, 7, 60)]
+    models += [InteractionModel.krawtchouk(n, ptilde=pt) for n in (1, 2, 7, 60)
+               for pt in (0.1, 0.5, 0.9)]
+    for n in (1, 2, 7, 60):
+        b = rng.normal(size=(n, n))
+        models.append(InteractionModel.general(b + b.T))
+    models.append(InteractionModel.general(-np.eye(5)))
+    for model in models:
+        u = decompose(model).u
+        assert np.array_equal(fix_column_signs(u), u), (model.kind, model.n)
+        for j in range(model.n):
+            assert u[:, j][np.abs(u[:, j]) > 1e-12][0] > 0
+
+
+def _perturbed_eigh(monkeypatch, du=0.0, dlambda=0.0):
+    eigh = np.linalg.eigh
+
+    def fake(m):
+        lambdas, u = eigh(m)
+        return lambdas + dlambda, u + du * np.ones_like(u)
+    monkeypatch.setattr(np.linalg, "eigh", fake)
+
+
+@pytest.mark.parametrize("du, dlambda", [(1e-8, 0.0), (0.0, 1e-7)])
+def test_gate_refuses_a_perturbed_eigh(monkeypatch, du, dlambda):
+    m = build_krawtchouk_matrix(6, 0.3)
+    _perturbed_eigh(monkeypatch, du, dlambda)
+    with pytest.raises(NumericError, match="residual bounds"):
+        decompose(InteractionModel.general(m))
+    if du:  # the Krawtchouk branch keeps its exact eigenvalues, so only U can fail
+        with pytest.raises(NumericError, match="orthonormality"):
+            decompose(InteractionModel.krawtchouk(6, ptilde=0.3))
+    assert decompose(InteractionModel.constant(6)).source == "analytic"  # no eigh call
+
+
+def test_gate_failure_exits_3_from_the_cli(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text("3\n2 -1 0\n-1 2 -1\n0 -1 2\n")
+    _perturbed_eigh(monkeypatch, du=1e-6)
+    for argv in (["--model", "file", "--path", str(path)],
+                 ["--model", "krawtchouk", "--n", "40", "--ptilde", "0.8", "--format", "json"]):
+        assert main(["decompose"] + argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "residual bounds" in err
+
+
+def test_eigh_failure_is_a_numeric_error(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericError, match="did not converge"):
+        decompose(InteractionModel.krawtchouk(5, ptilde=0.5))
+
+
+def test_decompose_takes_no_tolerance():
+    with pytest.raises(TypeError):
+        decompose(InteractionModel.constant(3), tol=1e-12)
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--model", "constant", "--n", "3", "--tol", "1e-9"])
+    assert exc.value.code == 2
