@@ -19,13 +19,11 @@ from .errors import (NoCriticalCouplingError, NumericError,
 from .fock import (CompatibilityReport, FockBasisState, ReconstructedObservables,
                    TruncatedOperatorSet, build_fock_operators, fock_spectrum,
                    gz_to_fock, reconstruct_observables, verify_compatibility)
-from .gl_spectrum import (GlBasisVector, enumerate_gl_basis, gl_dimension,
-                          gl_eigenvalue, gl_spectrum)
+from .gl_spectrum import GlBasisVector, gl_dimension, gl_spectrum
 from .levels import SpectrumLine
 from .osp_spectrum import (GZPattern, Partition, conjugate, distinct_count_at_height,
                            enumerate_gz, generalized_binomial, is_unirrep,
-                           multiplicity_at_height, osp_eigenvalue, osp_spectrum,
-                           partitions_of, row_sum_signature)
+                           multiplicity_at_height, osp_spectrum, partitions_of)
 from .spectral import (InteractionModel, ModeFrequencies, SpectralDecomposition,
                        build_constant_matrix, build_krawtchouk_matrix,
                        constant_decomposition, decompose, krawtchouk_decomposition,
@@ -39,12 +37,10 @@ __all__ = [
     "krawtchouk_decomposition", "decompose", "mode_frequencies", "load_matrix",
     "GlWeights", "CriticalCoupling", "gl_weights", "weak_coupling_bound",
     "critical_coupling", "critical_coupling_table", "sqrt_sum_bound_holds",
-    "SpectrumLine",
-    "GlBasisVector", "enumerate_gl_basis", "gl_dimension", "gl_eigenvalue",
-    "gl_spectrum",
+    "SpectrumLine", "GlBasisVector", "gl_dimension", "gl_spectrum",
     "Partition", "GZPattern", "partitions_of", "conjugate", "generalized_binomial",
-    "multiplicity_at_height", "enumerate_gz", "osp_eigenvalue", "row_sum_signature",
-    "osp_spectrum", "distinct_count_at_height", "is_unirrep",
+    "multiplicity_at_height", "enumerate_gz", "osp_spectrum", "distinct_count_at_height",
+    "is_unirrep",
     "FockBasisState", "TruncatedOperatorSet", "CompatibilityReport",
     "ReconstructedObservables", "build_fock_operators", "verify_compatibility",
     "fock_spectrum", "gz_to_fock", "reconstruct_observables",

@@ -7,9 +7,10 @@ bounds      critical couplings (and the Krawtchouk closed-form bound)
 spectrum    energy spectrum at a single coupling strength
 sweep       long-format spectrum dataset over a grid of coupling strengths
 
-Exit codes: 0 success, 2 usage error, 3 numeric failure,
-4 representation-validity failure. Output files are deterministic:
-'.' decimal separator, LF line endings, shortest round-trip floats.
+Exit codes: 0 success, 2 usage error (a basis build over the byte
+budget included), 3 numeric failure, 4 representation-validity failure.
+Output files are deterministic: '.' decimal separator, LF line endings,
+shortest round-trip floats.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import sys
 
 from .coupling import (CriticalCoupling, critical_coupling, krawtchouk_coupling_row,
                        table_to_csv, table_to_text)
-from .errors import NumericError, UnirrepError, UnitarityError
+from .errors import NumericError, ResourceLimitError, UnirrepError, UnitarityError
 from .gl_spectrum import gl_levels
 from .levels import LevelClasses, MergedLevels
-from .osp_spectrum import osp_levels
+from .osp_spectrum import hook_patterns, osp_levels
 from .spectral import InteractionModel, decompose, load_matrix, mode_frequencies
 
 __all__ = ["main"]
@@ -64,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p_bnd)
     _add_output_flags(p_bnd)
     p_bnd.set_defaults(format=None)
-    p_bnd.add_argument("--tol", type=float, default=1e-12, help="bisection tolerance")
 
     p_spec = sub.add_parser("spectrum", help="energy spectrum at one coupling strength")
     _add_model_flags(p_spec)
@@ -74,7 +74,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--c", type=float, default=0.0, help="coupling strength")
     p_spec.add_argument("--kmax", type=int, default=3,
                         help="top-row weight cutoff (osp only)")
-    p_spec.add_argument("--tol", type=float, default=1e-9, help="level-merge tolerance")
     p_spec.add_argument("--allow-strong", action="store_true",
                         help="compute the gl spectrum even past the critical coupling")
 
@@ -87,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_swp.add_argument("--cmax", type=float, required=True)
     p_swp.add_argument("--steps", type=int, required=True)
     p_swp.add_argument("--kmax", type=int, default=3)
-    p_swp.add_argument("--tol", type=float, default=1e-9, help="level-merge tolerance")
     p_swp.add_argument("--allow-strong", action="store_true")
     return parser
 
@@ -146,7 +144,6 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_decompose(args) -> int:
     model = _model_from_flags(args)
     decomp = decompose(model)
-    m = model.coupling_matrix()
     if args.format == "json":
         text = json.dumps({"source": decomp.source,
                            "lambdas": decomp.lambdas.tolist(),
@@ -159,10 +156,8 @@ def _cmd_decompose(args) -> int:
                                  + [repr(float(x)) for x in decomp.u[:, j]]))
         text = "\n".join(rows) + "\n"
     _emit(text, args.out)
-    print(f"orthonormality residual: {decomp.orthonormality_residual():.3e}",
-          file=sys.stderr)
-    print(f"reconstruction residual: {decomp.reconstruction_residual(m):.3e}",
-          file=sys.stderr)
+    print(f"orthonormality residual: {decomp.orthonormality:.3e}", file=sys.stderr)
+    print(f"reconstruction residual: {decomp.reconstruction:.3e}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -172,13 +167,13 @@ def _bounds_rows(args) -> list[CriticalCoupling]:
         if n is not None and n < 2:
             raise ValueError("bounds need n >= 2")
         if args.model == "krawtchouk":
-            rows.append(krawtchouk_coupling_row(n, omega=args.omega, tol=args.tol))
+            rows.append(krawtchouk_coupling_row(n, omega=args.omega))
         else:
             model = _model_from_flags(args, n=n)
             rows.append(CriticalCoupling(
                 n=model.n,
-                c_critical=critical_coupling(decompose(model).lambdas, omega=args.omega,
-                                             tol=args.tol) / args.omega ** 2))
+                c_critical=critical_coupling(decompose(model).lambdas,
+                                             omega=args.omega) / args.omega ** 2))
     return rows
 
 
@@ -201,9 +196,8 @@ def _levels(args, decomp, couplings) -> tuple[LevelClasses, list[MergedLevels]]:
     if args.algebra == "gl":
         if args.p < 0 or not float(args.p).is_integer():
             raise ValueError("gl spectra need a non-negative integer --p")
-        return gl_levels(decomp.n, int(args.p), freqs, merge_tol=args.tol,
-                         allow_nonunitary=args.allow_strong)
-    return osp_levels(decomp.n, args.p, freqs, k_max=args.kmax, merge_tol=args.tol)
+        return gl_levels(decomp.n, int(args.p), freqs, allow_nonunitary=args.allow_strong)
+    return osp_levels(decomp.n, args.p, freqs, k_max=args.kmax)
 
 
 def _cmd_spectrum(args) -> int:
@@ -212,14 +206,14 @@ def _cmd_spectrum(args) -> int:
     # each line's head class key: theta, r_1..r_n for gl; height, s_1..s_n for osp
     first, rest, rest_json = ("theta", "r", "r") if args.algebra == "gl" \
         else ("height", "s", "signature")
-    rows = zip(merged.energy.tolist(), merged.multiplicity.tolist(),
-               classes.keys[merged.head].tolist())
+    keys = classes.keys[merged.head]
+    rows = zip(merged.energy.tolist(), merged.multiplicity.tolist(), keys.tolist())
     if args.format == "json":
         payload = [{"energy": e, "multiplicity": m, first: key[0], rest_json: key[1:]}
                    for e, m, key in rows]
         if args.algebra == "osp":
-            for record, (_, _, pattern) in zip(payload, classes.labels(merged.head)):
-                record["pattern"] = [list(row) for row in pattern.rows]
+            for record, pattern in zip(payload, hook_patterns(keys[:, 1:])):
+                record["pattern"] = pattern
         text = json.dumps(payload, indent=2) + "\n"
     else:
         header = f"energy,multiplicity,{first}," + ",".join(
@@ -291,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

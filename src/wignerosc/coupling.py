@@ -40,6 +40,7 @@ __all__ = [
 
 _MAX_BRACKET_DOUBLINGS = 200
 _MAX_BISECTIONS = 200
+_BISECTION_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,12 +119,12 @@ def _smallest_weight(c: float, lambdas: np.ndarray, omega: float) -> float:
     return float(sq.sum() / (lambdas.shape[0] - 1) - sq.max())
 
 
-def critical_coupling(lambdas, omega: float = 1.0, tol: float = 1e-12) -> float:
+def critical_coupling(lambdas, omega: float = 1.0) -> float:
     """Largest coupling strength keeping every beta_j positive.
 
     Solves beta_min(c) = 0 by bracketed bisection: the upper bracket is
     expanded geometrically from c = omega^2 until the weight turns
-    negative, then the bracket is halved to relative width ``tol``. The
+    negative, then the bracket is halved to relative width 1e-12. The
     returned point lies on the positive side of the root. Raises
     NoCriticalCouplingError when no sign change exists (e.g. all
     lambda_j equal, or the Krawtchouk chain with n = 2 where the
@@ -156,24 +157,23 @@ def critical_coupling(lambdas, omega: float = 1.0, tol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * hi:
+        if hi - lo <= _BISECTION_RTOL * hi:
             break
     return lo
 
 
-def krawtchouk_coupling_row(n: int, omega: float = 1.0, tol: float = 1e-12) -> CriticalCoupling:
+def krawtchouk_coupling_row(n: int, omega: float = 1.0) -> CriticalCoupling:
     """Critical coupling and closed-form bound of the Krawtchouk law lambda_j = j - 1, n >= 2.
 
     Both values are divided by omega^2.
     """
     lambdas = np.arange(n, dtype=float)
     return CriticalCoupling(n=n,
-                            c_critical=critical_coupling(lambdas, omega=omega, tol=tol) / omega ** 2,
+                            c_critical=critical_coupling(lambdas, omega=omega) / omega ** 2,
                             c_bound=weak_coupling_bound(n, omega=omega) / omega ** 2)
 
 
-def critical_coupling_table(n_list, omega: float = 1.0,
-                            tol: float = 1e-12) -> list[CriticalCoupling]:
+def critical_coupling_table(n_list, omega: float = 1.0) -> list[CriticalCoupling]:
     """Critical couplings and closed-form bounds for the Krawtchouk eigenvalue law.
 
     One row per requested n (each >= 4), all values divided by omega^2.
@@ -182,7 +182,7 @@ def critical_coupling_table(n_list, omega: float = 1.0,
     for n in n_list:
         if n < 4:
             raise ValueError("table rows start at n = 4")
-        rows.append(krawtchouk_coupling_row(n, omega=omega, tol=tol))
+        rows.append(krawtchouk_coupling_row(n, omega=omega))
     return rows
 
 

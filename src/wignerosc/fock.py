@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .levels import LevelClasses, SpectrumLine, grow_compositions, merge_classes, spectrum_lines
+from .levels import (BYTE_BUDGET, LevelClasses, SpectrumLine, grow_compositions,
+                     merge_classes, spectrum_lines)
 from .osp_spectrum import GZPattern
 from .spectral import InteractionModel, ModeFrequencies, SpectralDecomposition, mode_frequencies
 
@@ -47,8 +48,6 @@ __all__ = [
     "gz_to_fock",
     "reconstruct_observables",
 ]
-
-_BYTE_BUDGET = 2 ** 29  # arrays of one build + reconstruct, in bytes
 
 
 def _peak_bytes(n: int, cutoff: int) -> int:
@@ -133,10 +132,10 @@ def build_fock_operators(n: int, freqs: ModeFrequencies, cutoff: int,
         raise ValueError("mode count disagrees with n")
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    if _peak_bytes(n, cutoff) > _BYTE_BUDGET:
+    if _peak_bytes(n, cutoff) > BYTE_BUDGET:
         raise ResourceLimitError(
             f"cutoff**n = {cutoff ** n} states need {_peak_bytes(n, cutoff)} bytes, "
-            f"beyond the {_BYTE_BUDGET}-byte guard")
+            f"beyond the {BYTE_BUDGET}-byte guard")
 
     occ = np.indices((cutoff,) * n).reshape(n, -1)  # occ[j, i]: k_j of state i
     a_minus = np.sqrt(occ)

@@ -21,17 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import GlWeights, gl_weights
-from .errors import UnitarityError
-from .levels import (LevelClasses, MergedLevels, SpectrumLine, grow_compositions,
-                     merge_classes, spectrum_lines)
+from .coupling import gl_weights
+from .errors import ResourceLimitError, UnitarityError
+from .levels import (BYTE_BUDGET, MERGE_TOL, LevelClasses, MergedLevels, SpectrumLine,
+                     grow_compositions, merge_classes, spectrum_lines)
 from .spectral import ModeFrequencies
 
 __all__ = [
     "GlBasisVector",
-    "enumerate_gl_basis",
     "gl_dimension",
-    "gl_eigenvalue",
     "gl_classes",
     "gl_levels",
     "gl_spectrum",
@@ -58,28 +56,6 @@ class GlBasisVector:
         return self.theta + sum(self.r)
 
 
-def _compositions(total: int, parts: int):
-    """Weak compositions of ``total`` into ``parts`` slots, lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def enumerate_gl_basis(n: int, p: int) -> list[GlBasisVector]:
-    """All basis vectors of V(p), sorted lexicographically in (theta, r)."""
-    if n < 1:
-        raise ValueError("need at least one oscillator")
-    if p < 0:
-        raise ValueError("p must be a non-negative integer")
-    out = [GlBasisVector(theta=0, r=r) for r in _compositions(p, n)]
-    if p >= 1:
-        out.extend(GlBasisVector(theta=1, r=r) for r in _compositions(p - 1, n))
-    return out
-
-
 def gl_dimension(n: int, p: int) -> int:
     """dim V(p) = C(p+n-1, n-1) + C(p+n-2, n-1), the second term absent at p = 0."""
     if n < 1 or p < 0:
@@ -90,42 +66,18 @@ def gl_dimension(n: int, p: int) -> int:
     return dim
 
 
-def gl_eigenvalue(v: GlBasisVector, weights: GlWeights, freqs: ModeFrequencies,
-                  p: int, allow_nonunitary: bool = False) -> float:
-    """Energy (units of hbar) of one basis vector.
-
-    Evaluates beta*p - sum_j sqrt(mu_j) r_j and cross-checks it against
-    the equivalent form beta*theta + sum_j beta_j r_j; disagreement
-    beyond rounding means inconsistent inputs. Mixed-sign weights are
-    refused unless ``allow_nonunitary`` (the eigenvalue formula itself
-    is sign-agnostic, but the unitary real form is lost).
-    """
-    n = freqs.n
-    if weights.n != n or len(v.r) != n:
-        raise ValueError("weights, frequencies and basis vector sizes disagree")
-    if v.p != p:
-        raise ValueError(f"basis vector belongs to V({v.p}), not V({p})")
-    if not allow_nonunitary and not weights.all_positive:
-        raise UnitarityError(
-            "weights change sign at this coupling; pass allow_nonunitary to proceed")
-    energy = weights.beta_sum * p - float(freqs.sqrt_mu @ v.r)
-    alt = weights.beta_sum * v.theta + float(weights.beta @ v.r)
-    scale = 1.0 + abs(energy)
-    if abs(energy - alt) > _FORM_AGREEMENT_TOL * scale:
-        raise AssertionError(
-            f"eigenvalue forms disagree: {energy!r} vs {alt!r}")
-    return energy
-
-
 def gl_classes(n: int, p: int) -> LevelClasses:
     """The V(p) basis as int64 class keys (theta, r_1, ..., r_n), each of multiplicity 1.
 
-    Rows follow enumerate_gl_basis: theta = 0 first, r lexicographic.
+    Rows ascend lexicographically: theta = 0 first, then r. A build over
+    BYTE_BUDGET raises ResourceLimitError before anything is allocated.
     """
-    if n < 1:
-        raise ValueError("need at least one oscillator")
-    if p < 0:
-        raise ValueError("p must be a non-negative integer")
+    dim = gl_dimension(n, p)
+    need = 24 * (n + 1) * dim  # grow_compositions' peak: three int64 copies of the keys
+    if need > BYTE_BUDGET:
+        raise ResourceLimitError(
+            f"V({p}) of gl(1|{n}) has {dim} basis vectors that need {need} bytes, "
+            f"beyond the {BYTE_BUDGET}-byte guard")
     theta = np.arange(min(p, 1) + 1)
     keys = grow_compositions(theta[:, None], p - theta, n)
 
@@ -137,12 +89,14 @@ def gl_classes(n: int, p: int) -> LevelClasses:
                         labels=labels)
 
 
-def gl_levels(n: int, p: int, freqs: Iterable[ModeFrequencies], merge_tol: float = 1e-9,
+def gl_levels(n: int, p: int, freqs: Iterable[ModeFrequencies],
               allow_nonunitary: bool = False) -> tuple[LevelClasses, list[MergedLevels]]:
     """The V(p) spectrum at every coupling of ``freqs``, on one basis.
 
-    Each coupling gets the checks of gl_spectrum: the unitarity gate,
-    the two-form cross-check of every energy, and the dim V(p) total.
+    Each coupling gets the unitarity gate (mixed-sign weights raise
+    UnitarityError unless ``allow_nonunitary``), a cross-check of every
+    energy against the equivalent form beta*theta + sum_j beta_j r_j,
+    and the dim V(p) total. Levels closer than MERGE_TOL merge.
     """
     classes = gl_classes(n, p)
     sqrt_mu, beta, beta_sum = [], [], []
@@ -158,9 +112,9 @@ def gl_levels(n: int, p: int, freqs: Iterable[ModeFrequencies], merge_tol: float
         beta_sum.append(weights.beta_sum)
     theta, r = classes.keys[:, 0], classes.keys[:, 1:].astype(float)
     beta_sum = np.array(beta_sum)[:, None]
-    # vecdot takes each r . sqrt_mu with the dot product gl_eigenvalue uses; at a
-    # single coupling r @ sqrt_mu runs a matrix-vector kernel that sums in another
-    # order and moves energies by an ulp
+    # vecdot takes each r . sqrt_mu as a dot product of two vectors; at a single
+    # coupling r @ sqrt_mu runs a matrix-vector kernel that sums in another order
+    # and moves energies by an ulp
     energy = beta_sum * p - np.vecdot(r, np.array(sqrt_mu)[:, None, :])
     alt = beta_sum * theta + np.vecdot(r, np.array(beta)[:, None, :])
     bad = np.abs(energy - alt) > _FORM_AGREEMENT_TOL * (1.0 + np.abs(energy))
@@ -168,20 +122,19 @@ def gl_levels(n: int, p: int, freqs: Iterable[ModeFrequencies], merge_tol: float
         at = tuple(np.argwhere(bad)[0])
         raise AssertionError(
             f"eigenvalue forms disagree: {float(energy[at])!r} vs {float(alt[at])!r}")
-    merged = merge_classes(energy, classes.multiplicity, merge_tol)
+    merged = merge_classes(energy, classes.multiplicity, MERGE_TOL)
     dim = gl_dimension(n, p)
     assert all(int(lines.multiplicity.sum()) == dim for lines in merged)
     return classes, merged
 
 
 def gl_spectrum(n: int, p: int, freqs: ModeFrequencies,
-                merge_tol: float = 1e-9,
                 allow_nonunitary: bool = False) -> list[SpectrumLine]:
     """The complete V(p) spectrum, sorted ascending with exact multiplicities.
 
-    Levels closer than ``merge_tol`` (absolute, units of hbar*omega) are
+    Levels closer than MERGE_TOL (absolute, units of hbar*omega) are
     reported as one line whose label is the lexicographically first
     member of the class.
     """
-    classes, (merged,) = gl_levels(n, p, [freqs], merge_tol, allow_nonunitary)
+    classes, (merged,) = gl_levels(n, p, [freqs], allow_nonunitary)
     return spectrum_lines(classes, merged)

@@ -1,11 +1,10 @@
-"""Shared spectrum-line records, integer level classes, and the merging helpers.
+"""Shared spectrum-line records, integer level classes, and the merge that makes lines.
 
 Every gl(1|n) and osp(1|2n) level is an integer weight class with an
 exact multiplicity whose energy depends on the coupling only through
 sqrt(mu_j). ``LevelClasses`` holds such a class set, built once per
 representation; ``merge_classes`` turns a (couplings x classes) energy
-grid into spectrum lines for every coupling at once, with the same
-result as ``merge_lines`` on each row.
+grid into spectrum lines for every coupling at once.
 """
 
 from __future__ import annotations
@@ -15,8 +14,14 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["SpectrumLine", "LevelClasses", "MergedLevels", "merge_lines",
+__all__ = ["SpectrumLine", "LevelClasses", "MergedLevels", "MERGE_TOL", "BYTE_BUDGET",
            "merge_classes", "spectrum_lines", "branch", "grow_compositions"]
+
+#: energies closer than this (units of hbar) print as one gl or osp line
+MERGE_TOL = 1e-9
+
+#: bytes a gl basis or Fock model build may hold; a larger one raises ResourceLimitError
+BYTE_BUDGET = 2 ** 29
 
 
 @dataclass(frozen=True)
@@ -43,8 +48,7 @@ class LevelClasses(NamedTuple):
     ``labels(index)`` builds for an array of class indices, so class
     indices rank labels. ``multiplicity`` holds the exact int64 class
     sizes. Labels are for library callers (``gl_spectrum``,
-    ``osp_spectrum``, ``fock_spectrum``); the CLI prints ``keys``, and
-    builds labels only for the osp JSON ``pattern`` field.
+    ``osp_spectrum``, ``fock_spectrum``); the CLI prints ``keys`` only.
     """
 
     keys: np.ndarray
@@ -75,7 +79,8 @@ def grow_compositions(keys: np.ndarray, left: np.ndarray, parts: int) -> np.ndar
     """Extend each row of ``keys`` by ``parts`` slots holding its ``left`` units in every way.
 
     Children of a row stay in its place and follow each other in
-    lexicographic order of the new slots.
+    lexicographic order of the new slots. At most three int64 copies of
+    the grown array are held at once.
     """
     # a row with ``left`` still to place branches, in order, into left + 1
     # rows that put 0..left in the next slot
@@ -86,50 +91,15 @@ def grow_compositions(keys: np.ndarray, left: np.ndarray, parts: int) -> np.ndar
     return np.column_stack((keys, left))
 
 
-def merge_lines(raw: list[tuple[float, int, Any]], merge_tol: float) -> list[SpectrumLine]:
-    """Collapse (energy, multiplicity, label) triples into sorted spectrum lines.
-
-    The triples are sorted as whole tuples: by energy, then by
-    multiplicity, then by label, so an exact energy tie goes to the
-    smaller multiplicity before the label is looked at. A triple joins
-    the current cluster when its energy exceeds the previous triple's
-    by at most ``merge_tol``; clusters therefore chain, and one cluster
-    may span more than ``merge_tol``. Each cluster becomes one line with
-    the energy and label of its first triple and the summed
-    multiplicity.
-    """
-    if not merge_tol >= 0:
-        raise ValueError("merge_tol must be non-negative")
-    ordered = sorted(raw)  # labels must be orderable for deterministic ties
-    lines: list[SpectrumLine] = []
-    cluster: list[tuple[float, int, Any]] = []
-
-    def flush() -> None:
-        if cluster:
-            energy, _, label = cluster[0]
-            lines.append(SpectrumLine(energy=energy,
-                                      multiplicity=sum(m for _, m, _ in cluster),
-                                      label=label))
-
-    prev = None
-    for triple in ordered:
-        if prev is not None and triple[0] - prev > merge_tol:
-            flush()
-            cluster = []
-        cluster.append(triple)
-        prev = triple[0]
-    flush()
-    return lines
-
-
 def merge_classes(energies: np.ndarray, multiplicity: np.ndarray,
                   merge_tol: float) -> list[MergedLevels]:
-    """``merge_lines`` applied to every row of a (couplings, classes) energy grid.
+    """Spectrum lines of every row of a (couplings, classes) energy grid.
 
-    Classes must be in label order (see ``LevelClasses``): each row is
-    sorted on (energy, multiplicity, class index), which is merge_lines'
-    (energy, multiplicity, label) order, and split wherever consecutive
-    energies differ by more than ``merge_tol``.
+    Classes must be in label order (see ``LevelClasses``). Each row is
+    sorted on (energy, multiplicity, class index) and split wherever
+    consecutive energies differ by more than ``merge_tol``; splits chain,
+    so one line may span more. A line takes its first member's energy
+    and class as head, and the summed multiplicity.
     """
     if not merge_tol >= 0:
         raise ValueError("merge_tol must be non-negative")

@@ -31,8 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import UnirrepError
-from .levels import (LevelClasses, MergedLevels, SpectrumLine, branch, merge_classes,
-                     spectrum_lines)
+from .levels import (MERGE_TOL, LevelClasses, MergedLevels, SpectrumLine, branch,
+                     merge_classes, spectrum_lines)
 from .spectral import ModeFrequencies
 
 __all__ = [
@@ -43,8 +43,7 @@ __all__ = [
     "generalized_binomial",
     "multiplicity_at_height",
     "enumerate_gz",
-    "osp_eigenvalue",
-    "row_sum_signature",
+    "hook_patterns",
     "osp_classes",
     "osp_levels",
     "osp_spectrum",
@@ -188,11 +187,6 @@ class GZPattern:
         return sum(self.rows[0])
 
 
-def row_sum_signature(pattern: GZPattern) -> tuple[int, ...]:
-    """Row sums (s_1, ..., s_n); equal signatures give equal energies for every coupling."""
-    return tuple(sum(pattern.row(j)) for j in range(1, pattern.n + 1))
-
-
 def _row_starts(n: int) -> list[int]:
     """Column of each pattern row's first entry in a flattened pattern, top row first."""
     return [i * n - i * (i - 1) // 2 for i in range(n)]
@@ -222,55 +216,48 @@ def _gz_rows(n: int, p: float, k_max: int) -> np.ndarray:
     return rows
 
 
-def _patterns(rows: np.ndarray, n: int, p: float) -> list[GZPattern]:
-    """Validated GZPatterns of flattened pattern rows."""
-    slices = [slice(a, a + n - i) for i, a in enumerate(_row_starts(n))]
-    return [GZPattern(rows=[flat[s] for s in slices], n=n, p=p) for flat in rows.tolist()]
-
-
 def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:
     """All patterns with top-row weight at most k_max, in the order of ``_gz_rows``.
 
     The count at each height equals multiplicity_at_height(n, p, k).
     """
-    return _patterns(_gz_rows(n, p, k_max), n, p)
+    slices = [slice(a, a + n - i) for i, a in enumerate(_row_starts(n))]
+    return [GZPattern(rows=[flat[s] for s in slices], n=n, p=p)
+            for flat in _gz_rows(n, p, k_max).tolist()]
 
 
-def osp_eigenvalue(pattern: GZPattern, freqs: ModeFrequencies, p: float) -> float:
-    """Energy (units of hbar): sum_j sqrt(mu_j) (p/2 + s_j - s_{j-1})."""
-    if pattern.n != freqs.n:
-        raise ValueError("pattern size and mode count disagree")
-    total = 0.0
-    prev = 0
-    for j, s in enumerate(row_sum_signature(pattern)):
-        total += freqs.sqrt_mu[j] * (p / 2.0 + (s - prev))
-        prev = s
-    return total
+def hook_patterns(signatures: np.ndarray) -> list[list[list[int]]]:
+    """The first enumerated pattern of each row-sum class, rows top (length n) first.
+
+    Row i of ``signatures`` holds s_1..s_n; the length-j row of its
+    pattern is (s_j, 0, ..., 0). No other class member has the top row
+    (s_n, 0, ..., 0), the first partition of its height.
+    """
+    return [[[s[j - 1]] + [0] * (j - 1) for j in range(len(s), 0, -1)]
+            for s in signatures.tolist()]
 
 
 def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
     """Row-sum signature classes up to top-row weight k_max, keyed (height, s_1, ..., s_n).
 
     Patterns are grown once as one integer array and grouped on their
-    keys; a class's label carries the first pattern of the class in
-    enumeration order, which is the only one made a GZPattern.
+    keys; a class's label carries its first pattern in enumeration
+    order, the hook pattern of its signature (see ``hook_patterns``).
     """
     rows = _gz_rows(n, p, k_max)
     sums = np.add.reduceat(rows, _row_starts(n), axis=1)[:, ::-1]  # s_1, ..., s_n
-    keys, first, count = np.unique(np.column_stack((sums[:, -1], sums)), axis=0,
-                                   return_index=True, return_counts=True)
-    heads = rows[first]  # only the class representatives outlive this call
+    keys, count = np.unique(np.column_stack((sums[:, -1], sums)), axis=0, return_counts=True)
 
     def labels(index: np.ndarray) -> list[tuple[int, tuple[int, ...], GZPattern]]:
-        return [(key[0], tuple(key[1:]), pattern) for key, pattern in
-                zip(keys[index].tolist(), _patterns(heads[index], n, p))]
+        return [(key[0], tuple(key[1:]), GZPattern(rows=pattern, n=n, p=p)) for key, pattern in
+                zip(keys[index].tolist(), hook_patterns(keys[index, 1:]))]
 
     return LevelClasses(keys=keys, multiplicity=count.astype(np.int64), labels=labels)
 
 
-def osp_levels(n: int, p: float, freqs: Iterable[ModeFrequencies], k_max: int,
-               merge_tol: float = 1e-9) -> tuple[LevelClasses, list[MergedLevels]]:
-    """Spectrum lines up to top-row weight k_max at every coupling of ``freqs``, on one basis."""
+def osp_levels(n: int, p: float, freqs: Iterable[ModeFrequencies],
+               k_max: int) -> tuple[LevelClasses, list[MergedLevels]]:
+    """Lines up to top-row weight k_max at every coupling of ``freqs``, merged at MERGE_TOL."""
     classes = osp_classes(n, p, k_max)
     sqrt_mu = []
     for f in freqs:
@@ -279,24 +266,23 @@ def osp_levels(n: int, p: float, freqs: Iterable[ModeFrequencies], k_max: int,
         sqrt_mu.append(f.sqrt_mu)
     sqrt_mu = np.array(sqrt_mu)
     shift = p / 2.0 + np.diff(classes.keys[:, 1:], axis=1, prepend=0)
-    # summed term by term in j, as osp_eigenvalue does, so energies match it bit for bit
+    # summed term by term in j, so energies match a per-pattern sum bit for bit
     energy = np.zeros((len(sqrt_mu), len(shift)))
     for j in range(n):
         energy += sqrt_mu[:, j, None] * shift[:, j]
-    return classes, merge_classes(energy, classes.multiplicity, merge_tol)
+    return classes, merge_classes(energy, classes.multiplicity, MERGE_TOL)
 
 
-def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int,
-                 merge_tol: float = 1e-9) -> list[SpectrumLine]:
+def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int) -> list[SpectrumLine]:
     """Spectrum lines up to top-row weight k_max, sorted ascending.
 
     Multiplicities come from exact row-sum-signature grouping (so they
-    are correct even when two energies are numerically close);
-    ``merge_tol`` additionally merges lines whose energies cross at
-    special couplings. Line labels are (height, signature, pattern) with
-    the first pattern of the class in enumeration order.
+    are correct even when two energies are numerically close); MERGE_TOL
+    additionally merges lines whose energies cross at special couplings.
+    Line labels are (height, signature, pattern) with the first pattern
+    of the class in enumeration order.
     """
-    classes, (merged,) = osp_levels(n, p, [freqs], k_max, merge_tol)
+    classes, (merged,) = osp_levels(n, p, [freqs], k_max)
     return spectrum_lines(classes, merged)
 
 

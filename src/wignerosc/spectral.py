@@ -22,7 +22,7 @@ formula at ``j`` passes ``j+1`` where needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -151,11 +151,15 @@ class SpectralDecomposition:
     non-negligible size is positive. ``source`` says where the
     eigenvalues come from: "analytic" (a closed form; the Krawtchouk
     eigenvectors are still computed numerically) or "numeric".
+    ``orthonormality`` and ``reconstruction`` are the residuals that
+    ``decompose`` checked (None on a decomposition built elsewhere).
     """
 
     lambdas: np.ndarray
     u: np.ndarray
     source: str  # "analytic" | "numeric": how the eigenvalues were obtained
+    orthonormality: float | None = None
+    reconstruction: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lambdas", _freeze(self.lambdas))
@@ -279,7 +283,7 @@ def decompose(model: InteractionModel) -> SpectralDecomposition:
             f"{model.kind} decomposition at n = {n} misses its residual bounds: "
             f"orthonormality {orth:.3e} (bound {ORTHONORMALITY_TOL:.0e}), "
             f"reconstruction {recon:.3e} (bound {recon_bound:.3e})")
-    return decomp
+    return replace(decomp, orthonormality=orth, reconstruction=recon)
 
 
 def mode_frequencies(decomp: SpectralDecomposition, omega: float, c: float) -> ModeFrequencies:

@@ -1,0 +1,118 @@
+"""Per-vector spectrum oracles for the level-class kernel.
+
+The library builds integer class arrays once and evaluates and merges
+every class at once. These functions take the long way: every gl(1|n)
+basis vector or osp(1|2n) Gelfand-Zetlin pattern as an object, one
+energy each, merged by ``merge_lines``. Tests compare the two paths.
+"""
+
+from __future__ import annotations
+
+from typing import Any
+
+from wignerosc import (GlBasisVector, GlWeights, GZPattern, ModeFrequencies, SpectrumLine,
+                       UnitarityError)
+
+_FORM_AGREEMENT_TOL = 1e-10
+
+
+def _compositions(total: int, parts: int):
+    """Weak compositions of ``total`` into ``parts`` slots, lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def enumerate_gl_basis(n: int, p: int) -> list[GlBasisVector]:
+    """All basis vectors of V(p), sorted lexicographically in (theta, r)."""
+    if n < 1:
+        raise ValueError("need at least one oscillator")
+    if p < 0:
+        raise ValueError("p must be a non-negative integer")
+    out = [GlBasisVector(theta=0, r=r) for r in _compositions(p, n)]
+    if p >= 1:
+        out.extend(GlBasisVector(theta=1, r=r) for r in _compositions(p - 1, n))
+    return out
+
+
+def gl_eigenvalue(v: GlBasisVector, weights: GlWeights, freqs: ModeFrequencies,
+                  p: int, allow_nonunitary: bool = False) -> float:
+    """Energy (units of hbar) of one basis vector.
+
+    Evaluates beta*p - sum_j sqrt(mu_j) r_j and cross-checks it against
+    the equivalent form beta*theta + sum_j beta_j r_j; disagreement
+    beyond rounding means inconsistent inputs. Mixed-sign weights are
+    refused unless ``allow_nonunitary`` (the eigenvalue formula itself
+    is sign-agnostic, but the unitary real form is lost).
+    """
+    n = freqs.n
+    if weights.n != n or len(v.r) != n:
+        raise ValueError("weights, frequencies and basis vector sizes disagree")
+    if v.p != p:
+        raise ValueError(f"basis vector belongs to V({v.p}), not V({p})")
+    if not allow_nonunitary and not weights.all_positive:
+        raise UnitarityError(
+            "weights change sign at this coupling; pass allow_nonunitary to proceed")
+    energy = weights.beta_sum * p - float(freqs.sqrt_mu @ v.r)
+    alt = weights.beta_sum * v.theta + float(weights.beta @ v.r)
+    scale = 1.0 + abs(energy)
+    if abs(energy - alt) > _FORM_AGREEMENT_TOL * scale:
+        raise AssertionError(
+            f"eigenvalue forms disagree: {energy!r} vs {alt!r}")
+    return energy
+
+
+def row_sum_signature(pattern: GZPattern) -> tuple[int, ...]:
+    """Row sums (s_1, ..., s_n); equal signatures give equal energies for every coupling."""
+    return tuple(sum(pattern.row(j)) for j in range(1, pattern.n + 1))
+
+
+def osp_eigenvalue(pattern: GZPattern, freqs: ModeFrequencies, p: float) -> float:
+    """Energy (units of hbar): sum_j sqrt(mu_j) (p/2 + s_j - s_{j-1})."""
+    if pattern.n != freqs.n:
+        raise ValueError("pattern size and mode count disagree")
+    total = 0.0
+    prev = 0
+    for j, s in enumerate(row_sum_signature(pattern)):
+        total += freqs.sqrt_mu[j] * (p / 2.0 + (s - prev))
+        prev = s
+    return total
+
+
+def merge_lines(raw: list[tuple[float, int, Any]], merge_tol: float) -> list[SpectrumLine]:
+    """Collapse (energy, multiplicity, label) triples into sorted spectrum lines.
+
+    The triples are sorted as whole tuples: by energy, then by
+    multiplicity, then by label, so an exact energy tie goes to the
+    smaller multiplicity before the label is looked at. A triple joins
+    the current cluster when its energy exceeds the previous triple's
+    by at most ``merge_tol``; clusters therefore chain, and one cluster
+    may span more than ``merge_tol``. Each cluster becomes one line with
+    the energy and label of its first triple and the summed
+    multiplicity.
+    """
+    if not merge_tol >= 0:
+        raise ValueError("merge_tol must be non-negative")
+    ordered = sorted(raw)  # labels must be orderable for deterministic ties
+    lines: list[SpectrumLine] = []
+    cluster: list[tuple[float, int, Any]] = []
+
+    def flush() -> None:
+        if cluster:
+            energy, _, label = cluster[0]
+            lines.append(SpectrumLine(energy=energy,
+                                      multiplicity=sum(m for _, m, _ in cluster),
+                                      label=label))
+
+    prev = None
+    for triple in ordered:
+        if prev is not None and triple[0] - prev > merge_tol:
+            flush()
+            cluster = []
+        cluster.append(triple)
+        prev = triple[0]
+    flush()
+    return lines

@@ -19,9 +19,9 @@ from wignerosc import (InteractionModel, ModeFrequencies, build_constant_matrix,
                        critical_coupling_table, decompose, fock_spectrum, gl_spectrum,
                        krawtchouk_decomposition, mode_frequencies,
                        multiplicity_at_height, osp_spectrum, partitions_of,
-                       reconstruct_observables, row_sum_signature, verify_compatibility,
-                       weak_coupling_bound)
+                       reconstruct_observables, verify_compatibility, weak_coupling_bound)
 from wignerosc.osp_spectrum import enumerate_gz
+from oracles import row_sum_signature
 from spectral_oracles import jacobi_decomposition
 
 TABLE_ROWS = {

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,7 +299,7 @@ def test_sweep_output_parses_back_to_library_values(algebra, fmt, capsys):
     ["spectrum", "--algebra", "osp", "--n", "4", "--p", "2", "--c", "nan"],
     ["spectrum", "--algebra", "gl", "--n", "4", "--p", "2", "--c", "inf"],
     ["spectrum", "--algebra", "osp", "--n", "4", "--p", "2", "--omega", "nan"],
-    ["spectrum", "--algebra", "gl", "--n", "4", "--p", "2", "--c", "0.1", "--tol", "nan"],
+    ["spectrum", "--algebra", "gl", "--n", "4", "--p", "2", "--c", "0.1", "--ptilde", "nan"],
     ["sweep", "--algebra", "osp", "--n", "3", "--p", "1", "--cmin", "nan", "--cmax", "1",
      "--steps", "3"],
     ["sweep", "--algebra", "gl", "--n", "3", "--p", "1", "--cmin", "0", "--cmax", "nan",
@@ -338,3 +339,32 @@ def test_omega_whose_square_overflows_is_a_usage_error(argv, capsys):
     assert main(argv) == 2
     out = capsys.readouterr()
     assert out.out == "" and "error: omega" in out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--algebra", "gl", "--n", "4", "--p", "2", "--c", "0.1"],
+    ["sweep", "--algebra", "osp", "--n", "3", "--p", "1", "--cmin", "0", "--cmax", "1",
+     "--steps", "3"],
+    ["bounds", "--n", "4..6"],
+])
+def test_tol_flag_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum --c 0.1", "sweep --cmin 0 --cmax 0.01 --steps 2"])
+def test_oversize_gl_build_is_a_usage_error_before_allocating(command, capsys):
+    # dim V(10) of gl(1|20) is 26,936,910 basis vectors: gigabytes of int64 keys
+    argv = command.split() + ["--algebra", "gl", "--n", "20", "--p", "10"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "26936910 basis vectors" in out.err and " bytes, beyond the " in out.err

@@ -17,10 +17,11 @@ import pytest
 from wignerosc import (InteractionModel, ModeFrequencies, ResourceLimitError,
                        build_fock_operators, decompose, fock_spectrum, mode_frequencies,
                        reconstruct_observables, verify_compatibility)
-from wignerosc.fock import _BYTE_BUDGET, _peak_bytes
-from wignerosc.levels import merge_lines
+from wignerosc.fock import _peak_bytes
+from wignerosc.levels import BYTE_BUDGET
 from fock_dense import (dense_compatibility, dense_observables, dense_operators, dense_q,
                         dense_w, densify)
+from oracles import merge_lines
 
 SIZES = [(n, k) for n in range(1, 9) for k in range(2, 257) if k ** n <= 256]
 UNITS = [(1.0, 1.0), (1.7, 2.5), (0.6, 0.45)]  # (hbar, mass)
@@ -86,7 +87,7 @@ def test_compatibility_beyond_dense_reach():
 
 def test_over_budget_size_is_refused_before_allocating():
     freqs = ModeFrequencies(mu=np.array([1.0, 1.5]))
-    assert _peak_bytes(2, 2000) > _BYTE_BUDGET
+    assert _peak_bytes(2, 2000) > BYTE_BUDGET
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="bytes"):

@@ -2,21 +2,21 @@
 
 ``gl_spectrum`` and ``osp_spectrum`` build integer class arrays once and
 evaluate and merge every class at once. The oracles below take the long
-way: every basis vector or Gelfand-Zetlin pattern as an object, one
-energy each, and ``merge_lines``. Both must give equal SpectrumLine
-lists, energies bit for bit.
+way through ``oracles``: every basis vector or Gelfand-Zetlin pattern as
+an object, one energy each, and ``merge_lines``. Both must give equal
+SpectrumLine lists, energies bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from wignerosc import (InteractionModel, ModeFrequencies, NoCriticalCouplingError,
-                       critical_coupling, decompose, enumerate_gl_basis, enumerate_gz,
-                       gl_eigenvalue, gl_spectrum, gl_weights, is_unirrep,
-                       mode_frequencies, osp_eigenvalue, osp_spectrum, row_sum_signature)
+                       critical_coupling, decompose, enumerate_gz, gl_spectrum, gl_weights,
+                       is_unirrep, mode_frequencies, osp_spectrum)
 from wignerosc.cli import main
-from wignerosc.levels import merge_lines
 from wignerosc.spectral import constant_decomposition
+from oracles import (enumerate_gl_basis, gl_eigenvalue, merge_lines, osp_eigenvalue,
+                     row_sum_signature)
 
 MODELS = {"krawtchouk": lambda n: np.arange(n, dtype=float),
           "constant": lambda n: constant_decomposition(n).lambdas}

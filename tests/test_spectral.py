@@ -402,3 +402,24 @@ def test_decompose_takes_no_tolerance():
     with pytest.raises(SystemExit) as exc:
         main(["decompose", "--model", "constant", "--n", "3", "--tol", "1e-9"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("model", [InteractionModel.constant(5),
+                                   InteractionModel.krawtchouk(6, ptilde=0.3),
+                                   InteractionModel.general(build_constant_matrix(4) + 1.0)])
+def test_decompose_carries_its_gate_residuals(model):
+    d = decompose(model)
+    assert d.orthonormality == d.orthonormality_residual()
+    assert d.reconstruction == d.reconstruction_residual(model.coupling_matrix())
+
+
+def test_decompose_cli_prints_the_gate_residuals(monkeypatch, capsys):
+    built = []
+    original = InteractionModel.coupling_matrix
+    monkeypatch.setattr(InteractionModel, "coupling_matrix",
+                        lambda self: built.append(self) or original(self))
+    assert main(["decompose", "--model", "krawtchouk", "--n", "7"]) == 0
+    assert len(built) == 1  # decompose's own gate, not a second build in the CLI
+    d = decompose(InteractionModel.krawtchouk(7))
+    assert capsys.readouterr().err == (f"orthonormality residual: {d.orthonormality:.3e}\n"
+                                       f"reconstruction residual: {d.reconstruction:.3e}\n")
