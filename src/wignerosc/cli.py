@@ -20,8 +20,7 @@ import json
 import math
 import sys
 
-from .coupling import (CriticalCoupling, critical_coupling, krawtchouk_coupling_row,
-                       table_to_csv, table_to_text)
+from .coupling import CriticalCoupling, critical_coupling, krawtchouk_coupling_row
 from .errors import NumericError, ResourceLimitError, UnirrepError, UnitarityError
 from .gl_spectrum import gl_levels
 from .levels import LevelClasses, MergedLevels
@@ -183,10 +182,20 @@ def _cmd_bounds(args) -> int:
         payload = [{"n": r.n, "c_tilde_over_omega2": r.c_bound,
                     "c_n_over_omega2": r.c_critical, "ratio": r.ratio} for r in rows]
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        _emit(table_to_csv(rows), args.out)
-    else:
-        _emit(table_to_text(rows), args.out)
+        return EXIT_OK
+    if args.format == "csv":
+        lines = ["n,c_tilde_over_omega2,c_n_over_omega2,ratio"]
+        for row in rows:
+            bound = "" if row.c_bound is None else repr(row.c_bound)
+            ratio = "" if row.ratio is None else repr(row.ratio)
+            lines.append(f"{row.n},{bound},{repr(row.c_critical)},{ratio}")
+    else:  # the five-decimal table
+        lines = [f"{'n':>4}  {'bound/omega^2':>13}  {'c_n/omega^2':>11}  {'bound/c_n':>9}"]
+        for row in rows:
+            bound = f"{row.c_bound:13.5f}" if row.c_bound is not None else " " * 13
+            ratio = f"{row.ratio:9.5f}" if row.ratio is not None else " " * 9
+            lines.append(f"{row.n:>4}  {bound}  {row.c_critical:11.5f}  {ratio}")
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

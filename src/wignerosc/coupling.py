@@ -33,8 +33,6 @@ __all__ = [
     "critical_coupling",
     "krawtchouk_coupling_row",
     "critical_coupling_table",
-    "table_to_text",
-    "table_to_csv",
     "sqrt_sum_bound_holds",
 ]
 
@@ -45,29 +43,36 @@ _BISECTION_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class GlWeights:
-    """The weights beta_j of the diagonal gl(1|n) Hamiltonian, with bookkeeping.
+    """The weights beta_j of the diagonal gl(1|n) Hamiltonian.
 
-    ``beta_sum`` equals (1/(n-1)) sum_k sqrt(mu_k); ``signs`` records
-    sign(beta_j) (the signature of the star condition), and
-    ``all_positive`` marks the weak-coupling regime.
+    Everything else is derived from ``beta``: ``beta_sum`` equals
+    (1/(n-1)) sum_k sqrt(mu_k), ``signs`` records sign(beta_j) (the
+    signature of the star condition), and ``all_positive`` marks the
+    weak-coupling regime.
     """
 
     beta: np.ndarray
-    beta_sum: float
-    all_positive: bool
-    signs: np.ndarray
 
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta, dtype=float)
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-        signs = np.asarray(self.signs)
-        signs.setflags(write=False)
-        object.__setattr__(self, "signs", signs)
 
     @property
     def n(self) -> int:
         return self.beta.shape[0]
+
+    @property
+    def beta_sum(self) -> float:
+        return float(self.beta.sum())
+
+    @property
+    def all_positive(self) -> bool:
+        return bool(np.all(self.beta > 0))
+
+    @property
+    def signs(self) -> np.ndarray:
+        return np.sign(self.beta).astype(int)
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,7 @@ def gl_weights(freqs: ModeFrequencies) -> GlWeights:
         raise ValueError("gl(1|n) weights need at least two oscillators")
     sq = freqs.sqrt_mu
     total = float(sq.sum()) / (n - 1)
-    beta = total - sq
-    return GlWeights(beta=beta,
-                     beta_sum=float(beta.sum()),
-                     all_positive=bool(np.all(beta > 0)),
-                     signs=np.sign(beta).astype(int))
+    return GlWeights(beta=total - sq)
 
 
 def weak_coupling_bound(n: int, omega: float = 1.0) -> float:
@@ -125,10 +126,12 @@ def critical_coupling(lambdas, omega: float = 1.0) -> float:
     Solves beta_min(c) = 0 by bracketed bisection: the upper bracket is
     expanded geometrically from c = omega^2 until the weight turns
     negative, then the bracket is halved to relative width 1e-12. The
-    returned point lies on the positive side of the root. Raises
-    NoCriticalCouplingError when no sign change exists (e.g. all
-    lambda_j equal, or the Krawtchouk chain with n = 2 where the
-    smallest weight is identically omega).
+    returned point lies on the positive side of the root. With a
+    negative lambda_min the bracket stops at omega^2 / -lambda_min,
+    where mu_min reaches zero. Raises NoCriticalCouplingError when no
+    sign change exists before that (e.g. all lambda_j equal, or the
+    Krawtchouk chain with n = 2 where the smallest weight is
+    identically omega).
     """
     lambdas = np.asarray(lambdas, dtype=float)
     n = lambdas.shape[0]
@@ -138,12 +141,24 @@ def critical_coupling(lambdas, omega: float = 1.0) -> float:
         raise ValueError("coupling eigenvalues must be finite")
     omega2 = omega_squared(omega)
 
+    smallest = float(lambdas.min())
+    limit = math.inf
+    if smallest < 0.0:  # mu_min = omega^2 + c * lambda_min reaches zero at c = limit
+        limit = omega2 / -smallest
+        while omega2 + limit * smallest < 0.0:  # rounded as in _smallest_weight
+            limit = math.nextafter(limit, 0.0)
+
     # strict < 0 below: for couplings with no finite root the computed weight
     # decays to exactly 0.0 once c dwarfs omega^2, which is not a sign change
     lo, hi = 0.0, omega2
     for _ in range(_MAX_BRACKET_DOUBLINGS):
+        hi = min(hi, limit)
         if _smallest_weight(hi, lambdas, omega) < 0.0:
             break
+        if hi == limit < math.inf:
+            raise NoCriticalCouplingError(
+                f"smallest weight stays positive up to c = {limit:.6g}, where the "
+                "interaction matrix stops being positive definite")
         lo, hi = hi, 2.0 * hi
     else:
         raise NoCriticalCouplingError(
@@ -184,26 +199,6 @@ def critical_coupling_table(n_list, omega: float = 1.0) -> list[CriticalCoupling
             raise ValueError("table rows start at n = 4")
         rows.append(krawtchouk_coupling_row(n, omega=omega))
     return rows
-
-
-def table_to_text(rows: list[CriticalCoupling]) -> str:
-    """Fixed-point five-decimal rendering of the critical-coupling table."""
-    lines = [f"{'n':>4}  {'bound/omega^2':>13}  {'c_n/omega^2':>11}  {'bound/c_n':>9}"]
-    for row in rows:
-        bound = f"{row.c_bound:13.5f}" if row.c_bound is not None else " " * 13
-        ratio = f"{row.ratio:9.5f}" if row.ratio is not None else " " * 9
-        lines.append(f"{row.n:>4}  {bound}  {row.c_critical:11.5f}  {ratio}")
-    return "\n".join(lines) + "\n"
-
-
-def table_to_csv(rows: list[CriticalCoupling]) -> str:
-    """Machine-readable mirror of the critical-coupling table."""
-    lines = ["n,c_tilde_over_omega2,c_n_over_omega2,ratio"]
-    for row in rows:
-        bound = "" if row.c_bound is None else repr(row.c_bound)
-        ratio = "" if row.ratio is None else repr(row.ratio)
-        lines.append(f"{row.n},{bound},{repr(row.c_critical)},{ratio}")
-    return "\n".join(lines) + "\n"
 
 
 def sqrt_sum_bound_holds(big_c: float, n: int) -> bool:

@@ -26,14 +26,12 @@ noted where each identity is formed).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .levels import (BYTE_BUDGET, LevelClasses, SpectrumLine, grow_compositions,
-                     merge_classes, spectrum_lines)
+from .levels import BYTE_BUDGET, SpectrumLine, grow_compositions, merge_classes, spectrum_lines
 from .osp_spectrum import GZPattern
 from .spectral import InteractionModel, ModeFrequencies, SpectralDecomposition, mode_frequencies
 
@@ -175,15 +173,6 @@ class CompatibilityReport:
     def max_residual(self) -> float:
         return max(self.raising_residuals + self.lowering_residuals)
 
-    def to_json(self) -> str:
-        identities = [{"identity": "ladder_commutator", "mode": j + 1, "sign": sign,
-                       "residual": res}
-                      for sign, residuals in (("+", self.raising_residuals),
-                                              ("-", self.lowering_residuals))
-                      for j, res in enumerate(residuals)]
-        return json.dumps({"cutoff": self.cutoff, "interior_dimension": self.interior_dim,
-                           "identities": identities}, indent=2) + "\n"
-
 
 def verify_compatibility(ops: TruncatedOperatorSet) -> CompatibilityReport:
     """Measure the ladder identities on interior states; thresholds are the caller's.
@@ -225,12 +214,10 @@ def fock_spectrum(n: int, freqs: ModeFrequencies, hbar: float = 1.0,
     _, first, counts = np.unique(np.add.reduceat(occ, runs, axis=1), axis=0,
                                  return_index=True, return_counts=True)
     reps = occ[first]
-    classes = LevelClasses(keys=reps, multiplicity=counts,
-                           labels=lambda index: list(map(tuple, reps[index].tolist())))
     e0 = 0.5 * float(freqs.sqrt_mu.sum())
     energy = hbar * (e0 + np.vecdot(reps.astype(float), freqs.sqrt_mu))
-    (merged,) = merge_classes(energy[None, :], classes.multiplicity, merge_tol=0.0)
-    return spectrum_lines(classes, merged)
+    (merged,) = merge_classes(energy[None, :], counts, merge_tol=0.0)
+    return spectrum_lines(merged, list(map(tuple, reps[merged.head].tolist())))
 
 
 def gz_to_fock(pattern: GZPattern) -> FockBasisState:

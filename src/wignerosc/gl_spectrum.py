@@ -69,8 +69,9 @@ def gl_dimension(n: int, p: int) -> int:
 def gl_classes(n: int, p: int) -> LevelClasses:
     """The V(p) basis as int64 class keys (theta, r_1, ..., r_n), each of multiplicity 1.
 
-    Rows ascend lexicographically: theta = 0 first, then r. A build over
-    BYTE_BUDGET raises ResourceLimitError before anything is allocated.
+    Rows ascend lexicographically (theta = 0 first, then r), the order of
+    their ``GlBasisVector`` labels. A build over BYTE_BUDGET raises
+    ResourceLimitError before anything is allocated.
     """
     dim = gl_dimension(n, p)
     need = 24 * (n + 1) * dim  # grow_compositions' peak: three int64 copies of the keys
@@ -80,13 +81,7 @@ def gl_classes(n: int, p: int) -> LevelClasses:
             f"beyond the {BYTE_BUDGET}-byte guard")
     theta = np.arange(min(p, 1) + 1)
     keys = grow_compositions(theta[:, None], p - theta, n)
-
-    def labels(index: np.ndarray) -> list[GlBasisVector]:
-        theta, *r = keys[index].T.tolist()
-        return [GlBasisVector(theta=t, r=v) for t, v in zip(theta, zip(*r))]
-
-    return LevelClasses(keys=keys, multiplicity=np.ones(len(keys), dtype=np.int64),
-                        labels=labels)
+    return LevelClasses(keys=keys, multiplicity=np.ones(len(keys), dtype=np.int64))
 
 
 def gl_levels(n: int, p: int, freqs: Iterable[ModeFrequencies],
@@ -137,4 +132,5 @@ def gl_spectrum(n: int, p: int, freqs: ModeFrequencies,
     member of the class.
     """
     classes, (merged,) = gl_levels(n, p, [freqs], allow_nonunitary)
-    return spectrum_lines(classes, merged)
+    theta, *r = classes.keys[merged.head].T.tolist()
+    return spectrum_lines(merged, [GlBasisVector(theta=t, r=v) for t, v in zip(theta, zip(*r))])

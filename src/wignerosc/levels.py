@@ -10,7 +10,7 @@ grid into spectrum lines for every coupling at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -44,16 +44,13 @@ class LevelClasses(NamedTuple):
 
     Row i of ``keys`` is the integer key of class i (gl(1|n): theta,
     r_1..r_n; osp(1|2n): height, s_1..s_n). Rows ascend
-    lexicographically, which is the order of the library labels that
-    ``labels(index)`` builds for an array of class indices, so class
-    indices rank labels. ``multiplicity`` holds the exact int64 class
-    sizes. Labels are for library callers (``gl_spectrum``,
-    ``osp_spectrum``, ``fock_spectrum``); the CLI prints ``keys`` only.
+    lexicographically, which is also the order of the library labels
+    built from them, so class indices rank labels. ``multiplicity``
+    holds the exact int64 class sizes.
     """
 
     keys: np.ndarray
     multiplicity: np.ndarray
-    labels: Callable[[np.ndarray], list]
 
 
 class MergedLevels(NamedTuple):
@@ -118,8 +115,7 @@ def merge_classes(energies: np.ndarray, multiplicity: np.ndarray,
         np.split(sums, bounds))]
 
 
-def spectrum_lines(classes: LevelClasses, merged: MergedLevels) -> list[SpectrumLine]:
-    """The merged lines at one coupling as SpectrumLine records with library labels."""
+def spectrum_lines(merged: MergedLevels, labels: list) -> list[SpectrumLine]:
+    """The merged lines at one coupling as SpectrumLine records, ``labels`` one per line."""
     return [SpectrumLine(energy=e, multiplicity=m, label=label)
-            for e, m, label in zip(merged.energy.tolist(), merged.multiplicity.tolist(),
-                                   classes.labels(merged.head))]
+            for e, m, label in zip(merged.energy.tolist(), merged.multiplicity.tolist(), labels)]

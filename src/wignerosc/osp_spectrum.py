@@ -74,9 +74,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
 
 def partitions_of(k: int, max_parts: int, max_slots: int | None = None) -> list[Partition]:
     """Partitions of k into at most min(max_parts, max_slots) parts, reverse-lexicographic."""
@@ -241,18 +238,12 @@ def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
     """Row-sum signature classes up to top-row weight k_max, keyed (height, s_1, ..., s_n).
 
     Patterns are grown once as one integer array and grouped on their
-    keys; a class's label carries its first pattern in enumeration
-    order, the hook pattern of its signature (see ``hook_patterns``).
+    keys; each class's multiplicity is its exact pattern count.
     """
     rows = _gz_rows(n, p, k_max)
     sums = np.add.reduceat(rows, _row_starts(n), axis=1)[:, ::-1]  # s_1, ..., s_n
     keys, count = np.unique(np.column_stack((sums[:, -1], sums)), axis=0, return_counts=True)
-
-    def labels(index: np.ndarray) -> list[tuple[int, tuple[int, ...], GZPattern]]:
-        return [(key[0], tuple(key[1:]), GZPattern(rows=pattern, n=n, p=p)) for key, pattern in
-                zip(keys[index].tolist(), hook_patterns(keys[index, 1:]))]
-
-    return LevelClasses(keys=keys, multiplicity=count.astype(np.int64), labels=labels)
+    return LevelClasses(keys=keys, multiplicity=count.astype(np.int64))
 
 
 def osp_levels(n: int, p: float, freqs: Iterable[ModeFrequencies],
@@ -280,10 +271,13 @@ def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int) -> list[S
     are correct even when two energies are numerically close); MERGE_TOL
     additionally merges lines whose energies cross at special couplings.
     Line labels are (height, signature, pattern) with the first pattern
-    of the class in enumeration order.
+    of the class in enumeration order, its hook pattern (see ``hook_patterns``).
     """
     classes, (merged,) = osp_levels(n, p, [freqs], k_max)
-    return spectrum_lines(classes, merged)
+    keys = classes.keys[merged.head]
+    return spectrum_lines(merged, [
+        (key[0], tuple(key[1:]), GZPattern(rows=pattern, n=n, p=p))
+        for key, pattern in zip(keys.tolist(), hook_patterns(keys[:, 1:]))])
 
 
 def distinct_count_at_height(n: int, k: int) -> int:

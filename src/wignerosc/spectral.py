@@ -93,7 +93,6 @@ class InteractionModel:
     c: float
     kind: str
     mass: float = 1.0
-    hbar: float = 1.0
     ptilde: float | None = None
     matrix: np.ndarray | None = None
 
@@ -103,8 +102,8 @@ class InteractionModel:
         omega_squared(self.omega)
         if not 0 <= self.c < math.inf:
             raise ValueError("coupling strength c must be non-negative and finite")
-        if not (0 < self.mass < math.inf and 0 < self.hbar < math.inf):
-            raise ValueError("mass and hbar must be positive and finite")
+        if not 0 < self.mass < math.inf:
+            raise ValueError("mass must be positive and finite")
         if self.kind == "krawtchouk":
             if self.ptilde is None or not 0.0 < self.ptilde < 1.0:
                 raise ValueError("krawtchouk coupling needs ptilde in (0,1)")
@@ -183,7 +182,7 @@ class ModeFrequencies:
     """Squared normal-mode frequencies mu_j = omega^2 + c*lambda_j and their roots."""
 
     mu: np.ndarray
-    sqrt_mu: np.ndarray = field(default=None)  # type: ignore[assignment]
+    sqrt_mu: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         mu = np.asarray(self.mu, dtype=float)
@@ -192,7 +191,7 @@ class ModeFrequencies:
         if np.any(mu <= 0):
             bad = int(np.argmax(mu <= 0))
             raise PositiveDefinitenessError(
-                f"interaction matrix not positive definite: mu[{bad}] = {mu[bad]!r}")
+                f"interaction matrix not positive definite: mu[{bad}] = {float(mu[bad])}")
         object.__setattr__(self, "mu", _freeze(mu))
         object.__setattr__(self, "sqrt_mu", _freeze(np.sqrt(mu)))
 

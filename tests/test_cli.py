@@ -201,7 +201,43 @@ def test_file_model_positive_definiteness_failure(tmp_path, capsys):
     code = main(["spectrum", "--algebra", "osp", "--model", "file", "--path", str(path),
                  "--p", "1", "--c", "2.0"])
     assert code == 3
-    assert "positive definite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "positive definite" in err
+    assert "mu[0] = -1.0" in err and "np.float64" not in err
+
+
+def test_indefinite_file_matrix_has_its_critical_coupling(tmp_path, capsys):
+    # lambda = (-0.6, 0, 1): the smallest weight vanishes at c = 1.25 < 1/0.6
+    path = tmp_path / "m.txt"
+    path.write_text("3\n-0.6 0 0\n0 0 0\n0 0 1\n")
+    assert main(["bounds", "--model", "file", "--path", str(path)]) == 0
+    assert capsys.readouterr().out.split("\n")[1].split() == ["3", "1.25000"]
+    assert main(["sweep", "--algebra", "gl", "--model", "file", "--path", str(path),
+                 "--p", "1", "--cmin", "0", "--cmax", "1.4", "--steps", "3"]) == 4
+    assert "critical coupling" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "--n", "0"], "--n must be positive"),
+    (["bounds"], "--n is required"),
+    (["bounds", "--n", "5..4"], "--n selected no sizes"),
+    (["decompose", "--model", "file"], "--model file needs --path"),
+])
+def test_usage_errors_name_the_flag(argv, message, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"error: {message}" in out.err
+
+
+def test_gl_sweep_without_a_critical_coupling(capsys):
+    # Krawtchouk n = 2: the smallest weight is identically omega
+    assert main(["sweep", "--algebra", "gl", "--model", "krawtchouk", "--n", "2", "--p", "1",
+                 "--cmin", "0", "--cmax", "5", "--steps", "3"]) == 0
+    per_c = {}
+    for row in capsys.readouterr().out.strip().split("\n")[1:]:
+        c, _, m, _ = row.split(",")
+        per_c[c] = per_c.get(c, 0) + int(m)
+    assert per_c == {"0.0": 3, "2.5": 3, "5.0": 3}  # dim V(1) = 3 at each coupling
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wignerosc import (ModeFrequencies, NoCriticalCouplingError, constant_decomposition,
                        critical_coupling, critical_coupling_table, gl_weights,
                        mode_frequencies, sqrt_sum_bound_holds, weak_coupling_bound)
-from wignerosc.coupling import table_to_csv, table_to_text
+from wignerosc.cli import main
 
 # printed reference values for the Krawtchouk eigenvalue law (5 decimals)
 TABLE = {
@@ -111,6 +111,21 @@ def test_critical_coupling_no_root_cases():
         critical_coupling(np.array([2.0, 2.0, 2.0]))
 
 
+@pytest.mark.parametrize("lambdas, root", [([-0.6, 0.0, 1.0], 1.25),
+                                           ([-2.0, -1.0, 0.0], 2 * math.sqrt(3) - 3)])
+def test_critical_coupling_with_a_negative_eigenvalue(lambdas, root):
+    # the root lies below omega^2 / -lambda_min, where positive definiteness ends
+    c = critical_coupling(np.array(lambdas))
+    assert c == pytest.approx(root, rel=1e-12)
+    assert gl_weights(ModeFrequencies(mu=1.0 + c * np.array(lambdas))).all_positive
+
+
+def test_critical_coupling_stops_where_positive_definiteness_ends():
+    # the smallest weight sqrt(1 - c)/2 only vanishes where mu_1 does, at c = 1
+    with pytest.raises(NoCriticalCouplingError, match="positive up to c = 1, where"):
+        critical_coupling(np.array([-1.0, 1.0, 1.0]))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_critical_coupling_rejects_non_finite_input(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -176,11 +191,12 @@ def test_table_scales_with_omega():
     assert row1.c_bound == pytest.approx(row2.c_bound, rel=1e-12)
 
 
-def test_table_renderings():
-    rows = critical_coupling_table([4, 5])
-    text = table_to_text(rows)
+def test_table_renderings(capsys):
+    assert main(["bounds", "--n", "4,5"]) == 0
+    text = capsys.readouterr().out
     assert "0.41667" in text and "1.27357" in text and "0.32717" in text
-    csv = table_to_csv(rows)
+    assert main(["bounds", "--n", "4,5", "--format", "csv"]) == 0
+    csv = capsys.readouterr().out
     lines = csv.strip().split("\n")
     assert lines[0] == "n,c_tilde_over_omega2,c_n_over_omega2,ratio"
     assert len(lines) == 3

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -95,17 +94,6 @@ def test_compatibility_cutoff_independent():
     for cutoff in (4, 6, 8):
         report = verify_compatibility(build_fock_operators(2, freqs, cutoff))
         assert report.max_residual < 1e-10
-
-
-def test_report_json_schema():
-    freqs = _kraw_freqs(2, 0.2)
-    report = verify_compatibility(build_fock_operators(2, freqs, 4))
-    payload = json.loads(report.to_json())
-    assert payload["cutoff"] == 4
-    assert payload["interior_dimension"] == 9
-    assert len(payload["identities"]) == 4
-    entry = payload["identities"][0]
-    assert set(entry) == {"identity", "mode", "sign", "residual"}
 
 
 def test_mode_number_conserved():

@@ -27,9 +27,9 @@ SIZES = [(n, k) for n in range(1, 9) for k in range(2, 257) if k ** n <= 256]
 UNITS = [(1.0, 1.0), (1.7, 2.5), (0.6, 0.45)]  # (hbar, mass)
 
 
-def _setup(kind, n, hbar, mass, c=0.37):
+def _setup(kind, n, mass, c=0.37):
     make = InteractionModel.constant if kind == "constant" else InteractionModel.krawtchouk
-    model = make(n, omega=1.3, c=c, mass=mass, hbar=hbar)
+    model = make(n, omega=1.3, c=c, mass=mass)
     decomp = decompose(model)
     return model, decomp, mode_frequencies(decomp, model.omega, model.c)
 
@@ -43,7 +43,7 @@ def _max_diff(a, b):
 def test_structured_model_matches_dense_oracle(n, kind):
     for k_index, cutoff in enumerate(k for m, k in SIZES if m == n):
         hbar, mass = UNITS[(n + k_index) % len(UNITS)]
-        model, decomp, freqs = _setup(kind, n, hbar, mass)
+        model, decomp, freqs = _setup(kind, n, mass)
         ops = build_fock_operators(n, freqs, cutoff, hbar=hbar)
         oracle = dense_operators(n, freqs, cutoff, hbar)
         dense = densify(ops)
@@ -73,7 +73,7 @@ def test_structured_model_matches_dense_oracle(n, kind):
 
 def test_compatibility_beyond_dense_reach():
     # 10**5 states: one dense matrix here would take 80 GB
-    model, decomp, freqs = _setup("krawtchouk", 5, 1.0, 1.0, c=0.3)
+    model, decomp, freqs = _setup("krawtchouk", 5, 1.0, c=0.3)
     ops = build_fock_operators(5, freqs, 10)
     assert ops.dim == 10 ** 5
     report = verify_compatibility(ops)
@@ -101,7 +101,7 @@ def test_over_budget_size_is_refused_before_allocating():
 @pytest.mark.parametrize("n, cutoff", [(1, 2000), (2, 120), (3, 25), (4, 10), (6, 5),
                                        (8, 3)])
 def test_byte_guard_bounds_the_allocations(n, cutoff):
-    model, decomp, freqs = _setup("krawtchouk", n, 1.0, 1.0, c=0.3)
+    model, decomp, freqs = _setup("krawtchouk", n, 1.0, c=0.3)
     tracemalloc.start()
     try:
         ops = build_fock_operators(n, freqs, cutoff)
