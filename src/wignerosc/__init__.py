@@ -10,7 +10,7 @@ multiplicities) in the V(p) representations of both superalgebras, with
 the ordinary boson Fock space recovered as the osp(1|2n) p = 1 case.
 """
 
-from .coupling import (CriticalCoupling, GlWeights, critical_coupling,
+from .coupling import (CriticalCoupling, critical_coupling,
                        critical_coupling_table, gl_weights, sqrt_sum_bound_holds,
                        weak_coupling_bound)
 from .errors import (NoCriticalCouplingError, NumericError,
@@ -35,7 +35,7 @@ __all__ = [
     "InteractionModel", "SpectralDecomposition", "ModeFrequencies",
     "build_constant_matrix", "constant_decomposition", "build_krawtchouk_matrix",
     "krawtchouk_decomposition", "decompose", "mode_frequencies", "load_matrix",
-    "GlWeights", "CriticalCoupling", "gl_weights", "weak_coupling_bound",
+    "CriticalCoupling", "gl_weights", "weak_coupling_bound",
     "critical_coupling", "critical_coupling_table", "sqrt_sum_bound_holds",
     "SpectrumLine", "GlBasisVector", "gl_dimension", "gl_spectrum",
     "Partition", "GZPattern", "partitions_of", "conjugate", "generalized_binomial",

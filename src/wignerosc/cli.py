@@ -22,9 +22,9 @@ import sys
 
 from .coupling import CriticalCoupling, critical_coupling, krawtchouk_coupling_row
 from .errors import NumericError, ResourceLimitError, UnirrepError, UnitarityError
-from .gl_spectrum import gl_levels
+from .gl_spectrum import gl_classes, gl_levels
 from .levels import LevelClasses, MergedLevels
-from .osp_spectrum import hook_patterns, osp_levels
+from .osp_spectrum import hook_patterns, osp_classes, osp_levels
 from .spectral import InteractionModel, decompose, load_matrix, mode_frequencies
 
 __all__ = ["main"]
@@ -199,19 +199,26 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _levels(args, decomp, couplings) -> tuple[LevelClasses, list[MergedLevels]]:
-    """Level classes of the requested representation and its merged lines at each coupling."""
-    freqs = (mode_frequencies(decomp, args.omega, c) for c in couplings)
+def _classes(args, n: int) -> LevelClasses:
+    """Level classes of the requested representation of an n-mode chain."""
     if args.algebra == "gl":
         if args.p < 0 or not float(args.p).is_integer():
             raise ValueError("gl spectra need a non-negative integer --p")
-        return gl_levels(decomp.n, int(args.p), freqs, allow_nonunitary=args.allow_strong)
-    return osp_levels(decomp.n, args.p, freqs, k_max=args.kmax)
+        return gl_classes(n, int(args.p))
+    return osp_classes(n, args.p, args.kmax)
+
+
+def _levels(args, classes: LevelClasses, freqs) -> MergedLevels:
+    """The merged lines of ``classes`` at every coupling of ``freqs``."""
+    if args.algebra == "gl":
+        return gl_levels(classes, int(args.p), freqs, allow_nonunitary=args.allow_strong)
+    return osp_levels(classes, args.p, freqs)
 
 
 def _cmd_spectrum(args) -> int:
     model = _model_from_flags(args, c=args.c)
-    classes, (merged,) = _levels(args, decompose(model), [model.c])
+    decomp, classes = decompose(model), _classes(args, model.n)
+    merged = _levels(args, classes, mode_frequencies(decomp, args.omega, model.c))
     # each line's head class key: theta, r_1..r_n for gl; height, s_1..s_n for osp
     first, rest, rest_json = ("theta", "r", "r") if args.algebra == "gl" \
         else ("height", "s", "signature")
@@ -242,8 +249,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--cmax must be at least --cmin")
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
-    model0 = _model_from_flags(args, c=args.cmin)
-    decomp = decompose(model0)
+    decomp = decompose(_model_from_flags(args, c=args.cmin))
+    classes = _classes(args, decomp.n)
     if args.algebra == "gl" and not args.allow_strong:
         try:
             c_n = critical_coupling(decomp.lambdas, omega=args.omega)
@@ -256,14 +263,11 @@ def _cmd_sweep(args) -> int:
 
     couplings = [args.cmin + (args.cmax - args.cmin) * i / (args.steps - 1)
                  for i in range(args.steps)]
-    classes, merged = _levels(args, decomp, couplings)
+    merged = _levels(args, classes, mode_frequencies(decomp, args.omega, couplings))
     # theta/r_1-...-r_n for gl, height/s_1-...-s_n for osp: one string per class
     labels = [f"{key[0]}/" + "-".join(map(str, key[1:])) for key in classes.keys.tolist()]
-    records = [(c, e, m, labels[h])
-               for c, lines in zip(couplings, merged)
-               for e, m, h in zip(lines.energy.tolist(), lines.multiplicity.tolist(),
-                                  lines.head.tolist())]
-
+    records = zip([couplings[i] for i in merged.coupling.tolist()], merged.energy.tolist(),
+                  merged.multiplicity.tolist(), [labels[h] for h in merged.head.tolist()])
     if args.format == "json":
         payload = [{"c": c, "energy": e, "multiplicity": m, "label": lab}
                    for c, e, m, lab in records]

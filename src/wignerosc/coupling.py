@@ -26,7 +26,6 @@ from .errors import NoCriticalCouplingError
 from .spectral import ModeFrequencies, omega_squared
 
 __all__ = [
-    "GlWeights",
     "CriticalCoupling",
     "gl_weights",
     "weak_coupling_bound",
@@ -39,40 +38,6 @@ __all__ = [
 _MAX_BRACKET_DOUBLINGS = 200
 _MAX_BISECTIONS = 200
 _BISECTION_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GlWeights:
-    """The weights beta_j of the diagonal gl(1|n) Hamiltonian.
-
-    Everything else is derived from ``beta``: ``beta_sum`` equals
-    (1/(n-1)) sum_k sqrt(mu_k), ``signs`` records sign(beta_j) (the
-    signature of the star condition), and ``all_positive`` marks the
-    weak-coupling regime.
-    """
-
-    beta: np.ndarray
-
-    def __post_init__(self) -> None:
-        beta = np.asarray(self.beta, dtype=float)
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-
-    @property
-    def n(self) -> int:
-        return self.beta.shape[0]
-
-    @property
-    def beta_sum(self) -> float:
-        return float(self.beta.sum())
-
-    @property
-    def all_positive(self) -> bool:
-        return bool(np.all(self.beta > 0))
-
-    @property
-    def signs(self) -> np.ndarray:
-        return np.sign(self.beta).astype(int)
 
 
 @dataclass(frozen=True)
@@ -90,17 +55,18 @@ class CriticalCoupling:
         return self.c_bound / self.c_critical
 
 
-def gl_weights(freqs: ModeFrequencies) -> GlWeights:
-    """Weights beta_j = -sqrt(mu_j) + mean-like sum over sqrt(mu_k)/(n-1).
+def gl_weights(freqs: ModeFrequencies) -> np.ndarray:
+    """Read-only weights beta_j = -sqrt(mu_j) + sum_k sqrt(mu_k)/(n-1), shaped like ``freqs.mu``.
 
-    Undefined for a single oscillator (the formula divides by n - 1).
+    All beta_j > 0 marks weak coupling; sign(beta_j) is the signature of the
+    star condition. Undefined for one oscillator (the formula divides by n - 1).
     """
-    n = freqs.n
-    if n < 2:
+    if freqs.n < 2:
         raise ValueError("gl(1|n) weights need at least two oscillators")
     sq = freqs.sqrt_mu
-    total = float(sq.sum()) / (n - 1)
-    return GlWeights(beta=total - sq)
+    beta = sq.sum(axis=-1, keepdims=True) / (freqs.n - 1) - sq
+    beta.setflags(write=False)
+    return beta
 
 
 def weak_coupling_bound(n: int, omega: float = 1.0) -> float:
@@ -128,7 +94,8 @@ def critical_coupling(lambdas, omega: float = 1.0) -> float:
     negative, then the bracket is halved to relative width 1e-12. The
     returned point lies on the positive side of the root. With a
     negative lambda_min the bracket stops at omega^2 / -lambda_min,
-    where mu_min reaches zero. Raises NoCriticalCouplingError when no
+    where mu_min reaches zero, and it never grows past the point where
+    the largest mu_j overflows. Raises NoCriticalCouplingError when no
     sign change exists before that (e.g. all lambda_j equal, or the
     Krawtchouk chain with n = 2 where the smallest weight is
     identically omega).
@@ -150,9 +117,14 @@ def critical_coupling(lambdas, omega: float = 1.0) -> float:
 
     # strict < 0 below: for couplings with no finite root the computed weight
     # decays to exactly 0.0 once c dwarfs omega^2, which is not a sign change
+    top = float(lambdas.max())
     lo, hi = 0.0, omega2
     for _ in range(_MAX_BRACKET_DOUBLINGS):
         hi = min(hi, limit)
+        if not omega2 + hi * top < math.inf:  # hi, or the largest mu_j there, overflows
+            raise NoCriticalCouplingError(
+                f"smallest weight stays positive up to c = {lo:.6g}; the next "
+                "bracket overflows")
         if _smallest_weight(hi, lambdas, omega) < 0.0:
             break
         if hi == limit < math.inf:

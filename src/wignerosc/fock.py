@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .levels import BYTE_BUDGET, SpectrumLine, grow_compositions, merge_classes, spectrum_lines
+from .levels import SpectrumLine, check_bytes, grow_compositions, merge_classes, spectrum_lines
 from .osp_spectrum import GZPattern
 from .spectral import InteractionModel, ModeFrequencies, SpectralDecomposition, mode_frequencies
 
@@ -130,10 +129,7 @@ def build_fock_operators(n: int, freqs: ModeFrequencies, cutoff: int,
         raise ValueError("mode count disagrees with n")
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    if _peak_bytes(n, cutoff) > BYTE_BUDGET:
-        raise ResourceLimitError(
-            f"cutoff**n = {cutoff ** n} states need {_peak_bytes(n, cutoff)} bytes, "
-            f"beyond the {BYTE_BUDGET}-byte guard")
+    check_bytes(_peak_bytes(n, cutoff), f"cutoff**n = {cutoff ** n} states")
 
     occ = np.indices((cutoff,) * n).reshape(n, -1)  # occ[j, i]: k_j of state i
     a_minus = np.sqrt(occ)
@@ -216,7 +212,7 @@ def fock_spectrum(n: int, freqs: ModeFrequencies, hbar: float = 1.0,
     reps = occ[first]
     e0 = 0.5 * float(freqs.sqrt_mu.sum())
     energy = hbar * (e0 + np.vecdot(reps.astype(float), freqs.sqrt_mu))
-    (merged,) = merge_classes(energy[None, :], counts, merge_tol=0.0)
+    merged = merge_classes(energy[None, :], counts, merge_tol=0.0)
     return spectrum_lines(merged, list(map(tuple, reps[merged.head].tolist())))
 
 

@@ -16,14 +16,13 @@ as c approaches the critical coupling.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import gl_weights
-from .errors import ResourceLimitError, UnitarityError
-from .levels import (BYTE_BUDGET, MERGE_TOL, LevelClasses, MergedLevels, SpectrumLine,
+from .errors import UnitarityError
+from .levels import (MERGE_TOL, LevelClasses, MergedLevels, SpectrumLine, check_bytes,
                      grow_compositions, merge_classes, spectrum_lines)
 from .spectral import ModeFrequencies
 
@@ -74,53 +73,44 @@ def gl_classes(n: int, p: int) -> LevelClasses:
     ResourceLimitError before anything is allocated.
     """
     dim = gl_dimension(n, p)
-    need = 24 * (n + 1) * dim  # grow_compositions' peak: three int64 copies of the keys
-    if need > BYTE_BUDGET:
-        raise ResourceLimitError(
-            f"V({p}) of gl(1|{n}) has {dim} basis vectors that need {need} bytes, "
-            f"beyond the {BYTE_BUDGET}-byte guard")
+    # grow_compositions' peak: three int64 copies of the keys
+    check_bytes(24 * (n + 1) * dim, f"V({p}) of gl(1|{n}) has {dim} basis vectors that")
     theta = np.arange(min(p, 1) + 1)
     keys = grow_compositions(theta[:, None], p - theta, n)
     return LevelClasses(keys=keys, multiplicity=np.ones(len(keys), dtype=np.int64))
 
 
-def gl_levels(n: int, p: int, freqs: Iterable[ModeFrequencies],
-              allow_nonunitary: bool = False) -> tuple[LevelClasses, list[MergedLevels]]:
-    """The V(p) spectrum at every coupling of ``freqs``, on one basis.
+def gl_levels(classes: LevelClasses, p: int, freqs: ModeFrequencies,
+              allow_nonunitary: bool = False) -> MergedLevels:
+    """Lines of ``gl_classes(n, p)`` at every coupling of ``freqs``, merged at MERGE_TOL.
 
-    Each coupling gets the unitarity gate (mixed-sign weights raise
-    UnitarityError unless ``allow_nonunitary``), a cross-check of every
-    energy against the equivalent form beta*theta + sum_j beta_j r_j,
-    and the dim V(p) total. Levels closer than MERGE_TOL merge.
+    Mixed-sign weights at any coupling raise UnitarityError unless
+    ``allow_nonunitary``. Every energy is cross-checked against the
+    equivalent form beta*theta + sum_j beta_j r_j, and every coupling's
+    lines against the dim V(p) total.
     """
-    classes = gl_classes(n, p)
-    sqrt_mu, beta, beta_sum = [], [], []
-    for f in freqs:
-        weights = gl_weights(f)
-        if not allow_nonunitary and not weights.all_positive:
-            raise UnitarityError(
-                "weights change sign at this coupling; pass allow_nonunitary to proceed")
-        if weights.n != n:
-            raise ValueError("weights, frequencies and basis vector sizes disagree")
-        sqrt_mu.append(f.sqrt_mu)
-        beta.append(weights.beta)
-        beta_sum.append(weights.beta_sum)
+    beta = np.atleast_2d(gl_weights(freqs))
+    if not allow_nonunitary and not (beta > 0).all():
+        raise UnitarityError(
+            "weights change sign at this coupling; pass allow_nonunitary to proceed")
+    if freqs.n != classes.keys.shape[1] - 1:
+        raise ValueError("weights, frequencies and basis vector sizes disagree")
     theta, r = classes.keys[:, 0], classes.keys[:, 1:].astype(float)
-    beta_sum = np.array(beta_sum)[:, None]
+    beta_sum = beta.sum(axis=-1, keepdims=True)
     # vecdot takes each r . sqrt_mu as a dot product of two vectors; at a single
     # coupling r @ sqrt_mu runs a matrix-vector kernel that sums in another order
     # and moves energies by an ulp
-    energy = beta_sum * p - np.vecdot(r, np.array(sqrt_mu)[:, None, :])
-    alt = beta_sum * theta + np.vecdot(r, np.array(beta)[:, None, :])
+    energy = beta_sum * p - np.vecdot(r, np.atleast_2d(freqs.sqrt_mu)[:, None, :])
+    alt = beta_sum * theta + np.vecdot(r, beta[:, None, :])
     bad = np.abs(energy - alt) > _FORM_AGREEMENT_TOL * (1.0 + np.abs(energy))
     if bad.any():
         at = tuple(np.argwhere(bad)[0])
         raise AssertionError(
             f"eigenvalue forms disagree: {float(energy[at])!r} vs {float(alt[at])!r}")
     merged = merge_classes(energy, classes.multiplicity, MERGE_TOL)
-    dim = gl_dimension(n, p)
-    assert all(int(lines.multiplicity.sum()) == dim for lines in merged)
-    return classes, merged
+    totals = np.bincount(merged.coupling, weights=merged.multiplicity, minlength=len(energy))
+    assert (totals == gl_dimension(freqs.n, p)).all()
+    return merged
 
 
 def gl_spectrum(n: int, p: int, freqs: ModeFrequencies,
@@ -131,6 +121,7 @@ def gl_spectrum(n: int, p: int, freqs: ModeFrequencies,
     reported as one line whose label is the lexicographically first
     member of the class.
     """
-    classes, (merged,) = gl_levels(n, p, [freqs], allow_nonunitary)
+    classes = gl_classes(n, p)
+    merged = gl_levels(classes, p, freqs, allow_nonunitary)
     theta, *r = classes.keys[merged.head].T.tolist()
     return spectrum_lines(merged, [GlBasisVector(theta=t, r=v) for t, v in zip(theta, zip(*r))])

@@ -4,7 +4,7 @@ Every gl(1|n) and osp(1|2n) level is an integer weight class with an
 exact multiplicity whose energy depends on the coupling only through
 sqrt(mu_j). ``LevelClasses`` holds such a class set, built once per
 representation; ``merge_classes`` turns a (couplings x classes) energy
-grid into spectrum lines for every coupling at once.
+grid into one table of spectrum lines, every coupling at once.
 """
 
 from __future__ import annotations
@@ -14,14 +14,22 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 __all__ = ["SpectrumLine", "LevelClasses", "MergedLevels", "MERGE_TOL", "BYTE_BUDGET",
-           "merge_classes", "spectrum_lines", "branch", "grow_compositions"]
+           "check_bytes", "merge_classes", "spectrum_lines", "branch", "grow_compositions"]
 
 #: energies closer than this (units of hbar) print as one gl or osp line
 MERGE_TOL = 1e-9
 
-#: bytes a gl basis or Fock model build may hold; a larger one raises ResourceLimitError
+#: bytes a gl or osp basis or a Fock model build may hold; a larger one raises ResourceLimitError
 BYTE_BUDGET = 2 ** 29
+
+
+def check_bytes(need: int, what: str) -> None:
+    """Raise ResourceLimitError if ``what`` needs more than BYTE_BUDGET bytes."""
+    if need > BYTE_BUDGET:
+        raise ResourceLimitError(f"{what} need {need} bytes, beyond the {BYTE_BUDGET}-byte guard")
 
 
 @dataclass(frozen=True)
@@ -54,8 +62,9 @@ class LevelClasses(NamedTuple):
 
 
 class MergedLevels(NamedTuple):
-    """The lines at one coupling: head class, energy and summed multiplicity of each."""
+    """Lines of a coupling grid: coupling index, head class, energy and summed multiplicity."""
 
+    coupling: np.ndarray
     head: np.ndarray
     energy: np.ndarray
     multiplicity: np.ndarray
@@ -89,8 +98,8 @@ def grow_compositions(keys: np.ndarray, left: np.ndarray, parts: int) -> np.ndar
 
 
 def merge_classes(energies: np.ndarray, multiplicity: np.ndarray,
-                  merge_tol: float) -> list[MergedLevels]:
-    """Spectrum lines of every row of a (couplings, classes) energy grid.
+                  merge_tol: float) -> MergedLevels:
+    """Spectrum lines of every row of a (couplings, classes) energy grid, as one table.
 
     Classes must be in label order (see ``LevelClasses``). Each row is
     sorted on (energy, multiplicity, class index) and split wherever
@@ -108,14 +117,14 @@ def merge_classes(energies: np.ndarray, multiplicity: np.ndarray,
     start = np.ones(ordered.shape, dtype=bool)
     start[:, 1:] = np.diff(ordered, axis=-1) > merge_tol
     first = np.flatnonzero(start)
-    sums = np.add.reduceat(multiplicity[order].ravel(), first)
-    bounds = np.cumsum(start.sum(axis=-1))[:-1]
-    return [MergedLevels(head=h, energy=e, multiplicity=m) for h, e, m in zip(
-        np.split(order.ravel()[first], bounds), np.split(ordered.ravel()[first], bounds),
-        np.split(sums, bounds))]
+    return MergedLevels(coupling=first // energies.shape[1], head=order.ravel()[first],
+                        energy=ordered.ravel()[first],
+                        multiplicity=np.add.reduceat(multiplicity[order].ravel(), first))
 
 
 def spectrum_lines(merged: MergedLevels, labels: list) -> list[SpectrumLine]:
-    """The merged lines at one coupling as SpectrumLine records, ``labels`` one per line."""
+    """The lines of a one-coupling table as SpectrumLine records, ``labels`` one per line."""
+    if merged.coupling.any():
+        raise ValueError("spectrum_lines takes the lines of one coupling")
     return [SpectrumLine(energy=e, multiplicity=m, label=label)
             for e, m, label in zip(merged.energy.tolist(), merged.multiplicity.tolist(), labels)]

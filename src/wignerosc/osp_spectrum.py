@@ -24,7 +24,6 @@ rational arithmetic; floating point enters only in the final energy.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .errors import UnirrepError
 from .levels import (MERGE_TOL, LevelClasses, MergedLevels, SpectrumLine, branch,
-                     merge_classes, spectrum_lines)
+                     check_bytes, merge_classes, spectrum_lines)
 from .spectral import ModeFrequencies
 
 __all__ = [
@@ -204,11 +203,15 @@ def _gz_rows(n: int, p: float, k_max: int) -> np.ndarray:
             f"V(p) of osp(1|{2 * n}) needs p in {{1..{n - 1}}} or p > {n - 1}; got p = {p}")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
+    what = f"the V({p}) patterns of osp(1|{2 * n}) up to height {k_max}"
     rows = np.array([nu.parts + (0,) * (n - nu.length) for k in range(k_max + 1)
                      for nu in partitions_of(k, math.ceil(p), max_slots=n)], dtype=np.int64)
     for above, length in zip(_row_starts(n), range(n - 1, 0, -1)):
         for i in range(above, above + length):
-            parent, rank = branch(rows[:, i] - rows[:, i + 1] + 1)
+            branches = rows[:, i] - rows[:, i + 1] + 1
+            # the step's peak: three int64 copies of the grown array, and one more column
+            check_bytes(8 * int(branches.sum()) * (3 * rows.shape[1] + 4), what)
+            parent, rank = branch(branches)
             rows = np.column_stack((rows[parent], rows[parent, i] - rank))
     return rows
 
@@ -238,30 +241,29 @@ def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
     """Row-sum signature classes up to top-row weight k_max, keyed (height, s_1, ..., s_n).
 
     Patterns are grown once as one integer array and grouped on their
-    keys; each class's multiplicity is its exact pattern count.
+    keys; each class's multiplicity is its exact pattern count. A growth
+    step or grouping over BYTE_BUDGET raises ResourceLimitError first.
     """
     rows = _gz_rows(n, p, k_max)
+    # grouping holds the patterns, three int64 copies of the keys and the sort order
+    check_bytes(rows.nbytes + 8 * len(rows) * (3 * n + 8),
+                f"the V({p}) patterns of osp(1|{2 * n}) up to height {k_max}")
     sums = np.add.reduceat(rows, _row_starts(n), axis=1)[:, ::-1]  # s_1, ..., s_n
     keys, count = np.unique(np.column_stack((sums[:, -1], sums)), axis=0, return_counts=True)
     return LevelClasses(keys=keys, multiplicity=count.astype(np.int64))
 
 
-def osp_levels(n: int, p: float, freqs: Iterable[ModeFrequencies],
-               k_max: int) -> tuple[LevelClasses, list[MergedLevels]]:
-    """Lines up to top-row weight k_max at every coupling of ``freqs``, merged at MERGE_TOL."""
-    classes = osp_classes(n, p, k_max)
-    sqrt_mu = []
-    for f in freqs:
-        if f.n != n:
-            raise ValueError("mode count disagrees with n")
-        sqrt_mu.append(f.sqrt_mu)
-    sqrt_mu = np.array(sqrt_mu)
+def osp_levels(classes: LevelClasses, p: float, freqs: ModeFrequencies) -> MergedLevels:
+    """Lines of ``osp_classes(n, p, k_max)`` at every coupling of ``freqs``, merged at MERGE_TOL."""
+    if freqs.n != classes.keys.shape[1] - 1:
+        raise ValueError("mode count disagrees with n")
+    sqrt_mu = np.atleast_2d(freqs.sqrt_mu)
     shift = p / 2.0 + np.diff(classes.keys[:, 1:], axis=1, prepend=0)
     # summed term by term in j, so energies match a per-pattern sum bit for bit
     energy = np.zeros((len(sqrt_mu), len(shift)))
-    for j in range(n):
+    for j in range(freqs.n):
         energy += sqrt_mu[:, j, None] * shift[:, j]
-    return classes, merge_classes(energy, classes.multiplicity, MERGE_TOL)
+    return merge_classes(energy, classes.multiplicity, MERGE_TOL)
 
 
 def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int) -> list[SpectrumLine]:
@@ -273,7 +275,8 @@ def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int) -> list[S
     Line labels are (height, signature, pattern) with the first pattern
     of the class in enumeration order, its hook pattern (see ``hook_patterns``).
     """
-    classes, (merged,) = osp_levels(n, p, [freqs], k_max)
+    classes = osp_classes(n, p, k_max)
+    merged = osp_levels(classes, p, freqs)
     keys = classes.keys[merged.head]
     return spectrum_lines(merged, [
         (key[0], tuple(key[1:]), GZPattern(rows=pattern, n=n, p=p))

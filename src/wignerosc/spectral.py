@@ -179,25 +179,32 @@ class SpectralDecomposition:
 
 @dataclass(frozen=True)
 class ModeFrequencies:
-    """Squared normal-mode frequencies mu_j = omega^2 + c*lambda_j and their roots."""
+    """Squared normal-mode frequencies mu_j = omega^2 + c*lambda_j and their roots.
+
+    ``mu`` holds the n values at one coupling, or one row of them per
+    coupling of a grid, shape (couplings, n).
+    """
 
     mu: np.ndarray
     sqrt_mu: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         mu = np.asarray(self.mu, dtype=float)
-        if not np.all(np.isfinite(mu)):
+        rows = np.atleast_2d(mu)
+        # the first failing row decides (row 0 if none fails); non-finite before not positive
+        row = rows[np.argmax(~np.isfinite(rows).all(axis=-1) | (rows <= 0).any(axis=-1))]
+        if not np.all(np.isfinite(row)):
             raise ValueError("squared mode frequencies must be finite")
-        if np.any(mu <= 0):
-            bad = int(np.argmax(mu <= 0))
+        if np.any(row <= 0):
+            bad = int(np.argmax(row <= 0))
             raise PositiveDefinitenessError(
-                f"interaction matrix not positive definite: mu[{bad}] = {float(mu[bad])}")
+                f"interaction matrix not positive definite: mu[{bad}] = {float(row[bad])}")
         object.__setattr__(self, "mu", _freeze(mu))
         object.__setattr__(self, "sqrt_mu", _freeze(np.sqrt(mu)))
 
     @property
     def n(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-1]
 
 
 def _fix_column_signs(u: np.ndarray) -> np.ndarray:
@@ -285,14 +292,16 @@ def decompose(model: InteractionModel) -> SpectralDecomposition:
     return replace(decomp, orthonormality=orth, reconstruction=recon)
 
 
-def mode_frequencies(decomp: SpectralDecomposition, omega: float, c: float) -> ModeFrequencies:
+def mode_frequencies(decomp: SpectralDecomposition, omega: float, c) -> ModeFrequencies:
     """Squared normal-mode frequencies mu_j = omega^2 + c*lambda_j, in eigenvalue order.
 
-    Raises PositiveDefinitenessError (naming the offending index) if any
-    mu_j fails to be strictly positive, and ValueError if one is not finite.
+    ``c`` is one coupling, or a 1-D array of couplings giving one row of
+    mu each. Raises PositiveDefinitenessError (naming the offending index
+    within its row) if any mu_j fails to be strictly positive, and
+    ValueError if one is not finite; a grid raises its first failing row's.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # ModeFrequencies rejects non-finite mu
-        mu = omega_squared(omega) + c * decomp.lambdas
+        mu = omega_squared(omega) + np.multiply.outer(c, decomp.lambdas)
     return ModeFrequencies(mu=mu)
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from wignerosc import (GlBasisVector, GlWeights, GZPattern, ModeFrequencies, SpectrumLine,
+import numpy as np
+
+from wignerosc import (GlBasisVector, GZPattern, ModeFrequencies, SpectrumLine,
                        UnitarityError)
 
 _FORM_AGREEMENT_TOL = 1e-10
@@ -38,26 +40,28 @@ def enumerate_gl_basis(n: int, p: int) -> list[GlBasisVector]:
     return out
 
 
-def gl_eigenvalue(v: GlBasisVector, weights: GlWeights, freqs: ModeFrequencies,
+def gl_eigenvalue(v: GlBasisVector, beta: np.ndarray, freqs: ModeFrequencies,
                   p: int, allow_nonunitary: bool = False) -> float:
     """Energy (units of hbar) of one basis vector.
 
     Evaluates beta*p - sum_j sqrt(mu_j) r_j and cross-checks it against
-    the equivalent form beta*theta + sum_j beta_j r_j; disagreement
-    beyond rounding means inconsistent inputs. Mixed-sign weights are
+    the equivalent form beta*theta + sum_j beta_j r_j, ``beta`` being
+    ``gl_weights(freqs)``; disagreement beyond rounding means
+    inconsistent inputs. Mixed-sign weights are
     refused unless ``allow_nonunitary`` (the eigenvalue formula itself
     is sign-agnostic, but the unitary real form is lost).
     """
     n = freqs.n
-    if weights.n != n or len(v.r) != n:
+    if beta.shape[-1] != n or len(v.r) != n:
         raise ValueError("weights, frequencies and basis vector sizes disagree")
     if v.p != p:
         raise ValueError(f"basis vector belongs to V({v.p}), not V({p})")
-    if not allow_nonunitary and not weights.all_positive:
+    if not allow_nonunitary and not (beta > 0).all():
         raise UnitarityError(
             "weights change sign at this coupling; pass allow_nonunitary to proceed")
-    energy = weights.beta_sum * p - float(freqs.sqrt_mu @ v.r)
-    alt = weights.beta_sum * v.theta + float(weights.beta @ v.r)
+    beta_sum = float(beta.sum())
+    energy = beta_sum * p - float(freqs.sqrt_mu @ v.r)
+    alt = beta_sum * v.theta + float(beta @ v.r)
     scale = 1.0 + abs(energy)
     if abs(energy - alt) > _FORM_AGREEMENT_TOL * scale:
         raise AssertionError(

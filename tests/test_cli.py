@@ -79,6 +79,16 @@ def test_bounds_usage_and_numeric_failures(capsys):
     capsys.readouterr()
 
 
+def test_bounds_at_an_omega_whose_bracket_overflows(capsys):
+    # doubling the bracket from omega^2 = 1e260 overflows before any sign change
+    assert main(["bounds", "--n", "2", "--omega", "1e130"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: smallest weight stays positive up to c = ")
+    assert "RuntimeWarning" not in err and err.count("\n") == 1
+    assert main(["bounds", "--n", "4", "--omega", "1e130"]) == 0
+    assert "1.27357" in capsys.readouterr().out
+
+
 def test_spectrum_gl_uncoupled(capsys):
     assert main(["spectrum", "--algebra", "gl", "--model", "krawtchouk",
                  "--n", "4", "--p", "2", "--c", "0"]) == 0
@@ -153,6 +163,21 @@ def test_sweep_gl_respects_critical_coupling(tmp_path, capsys):
     assert main(["sweep", "--algebra", "gl", "--model", "krawtchouk", "--n", "4",
                  "--p", "2", "--cmin", "0", "--cmax", "2.0", "--steps", "3",
                  "--allow-strong", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("flags,message", [
+    ("--n 4 --p 2.5", "gl spectra need a non-negative integer --p"),
+    ("--n 4 --p -1", "gl spectra need a non-negative integer --p"),
+    ("--n 20 --p 10", "26936910 basis vectors"),
+])
+def test_sweep_checks_the_basis_before_the_critical_coupling(flags, message, capsys):
+    # --cmax 2 lies past c_4 = 1.27 and c_20 = 0.0126, so the pre-check would exit 4
+    argv = ["sweep", "--algebra", "gl", "--model", "krawtchouk", *flags.split(),
+            "--cmin", "0", "--cmax", "2", "--steps", "3"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err and "critical coupling" not in out.err
 
 
 def test_sweep_degenerate_grid(tmp_path):

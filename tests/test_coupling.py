@@ -32,21 +32,21 @@ def _kraw_freqs(n, c, omega=1.0):
 def test_weights_uncoupled():
     for n in (2, 3, 5, 9):
         w = gl_weights(_kraw_freqs(n, 0.0))
-        assert np.allclose(w.beta, 1.0 / (n - 1), atol=1e-15)
-        assert w.all_positive
+        assert np.allclose(w, 1.0 / (n - 1), atol=1e-15)
+        assert (w > 0).all()
 
 
 def test_weights_two_modes_example():
     w = gl_weights(ModeFrequencies(mu=np.array([1.0, 1.21])))
-    assert np.allclose(w.beta, [1.1, 1.0], atol=1e-12)
-    assert w.beta_sum == pytest.approx(2.1, abs=1e-12)
-    assert w.signs.tolist() == [1, 1]
+    assert np.allclose(w, [1.1, 1.0], atol=1e-12)
+    assert w.sum() == pytest.approx(2.1, abs=1e-12)
+    assert np.sign(w).tolist() == [1, 1]
 
 
 def test_weights_near_root_monotone():
     c4 = critical_coupling(np.arange(4.0))
     w = gl_weights(_kraw_freqs(4, c4 * (1 - 1e-9)))
-    beta = w.beta
+    beta = w
     assert beta[-1] > 0
     assert beta[-1] < 1e-8
     assert all(beta[i] > beta[i + 1] for i in range(3))
@@ -64,8 +64,8 @@ def test_weight_sum_identity(mus):
     w = gl_weights(freqs)
     n = len(mus)
     expected = freqs.sqrt_mu.sum() / (n - 1)
-    assert w.beta_sum == pytest.approx(expected, rel=1e-12)
-    assert w.beta_sum == pytest.approx(float(w.beta.sum()), rel=1e-12, abs=1e-12)
+    assert w.sum() == pytest.approx(expected, rel=1e-12)
+    assert w.sum(axis=-1) == pytest.approx(float(w.sum()), rel=1e-12, abs=1e-12)
 
 
 def test_weights_decrease_with_increasing_mu():
@@ -75,7 +75,7 @@ def test_weights_decrease_with_increasing_mu():
         mu = np.sort(rng.uniform(0.1, 5.0, size=n))
         mu += np.arange(n) * 1e-6  # force strict increase
         w = gl_weights(ModeFrequencies(mu=mu))
-        assert np.all(np.diff(w.beta) < 0)
+        assert np.all(np.diff(w) < 0)
 
 
 def test_bound_closed_form_values():
@@ -98,8 +98,8 @@ def test_critical_coupling_positive_side_and_small_residual():
         lambdas = np.arange(float(n))
         c_n = critical_coupling(lambdas)
         w = gl_weights(_kraw_freqs(n, c_n))
-        assert w.beta[-1] >= 0
-        assert abs(w.beta[-1]) <= 1e-10
+        assert w[-1] >= 0
+        assert abs(w[-1]) <= 1e-10
 
 
 def test_critical_coupling_no_root_cases():
@@ -117,7 +117,18 @@ def test_critical_coupling_with_a_negative_eigenvalue(lambdas, root):
     # the root lies below omega^2 / -lambda_min, where positive definiteness ends
     c = critical_coupling(np.array(lambdas))
     assert c == pytest.approx(root, rel=1e-12)
-    assert gl_weights(ModeFrequencies(mu=1.0 + c * np.array(lambdas))).all_positive
+    assert (gl_weights(ModeFrequencies(mu=1.0 + c * np.array(lambdas))) > 0).all()
+
+
+def test_critical_coupling_stops_before_its_bracket_overflows():
+    # no sign change for n = 2; from omega^2 = 1e260 the doubled bracket overflows
+    with pytest.raises(NoCriticalCouplingError, match="bracket overflows"):
+        critical_coupling([0.0, 1.0], omega=1e130)
+    # a large lambda_max overflows mu before the bracket does
+    with pytest.raises(NoCriticalCouplingError, match="bracket overflows"):
+        critical_coupling([0.0, 1e300])
+    assert critical_coupling(np.arange(4.0), omega=1e130) / 1e260 == pytest.approx(
+        TABLE[4][1], abs=5e-6)
 
 
 def test_critical_coupling_stops_where_positive_definiteness_ends():
@@ -144,15 +155,15 @@ def test_critical_coupling_constant_chain():
     d = constant_decomposition(5)
     c5 = critical_coupling(d.lambdas)
     w = gl_weights(mode_frequencies(d, 1.0, c5 * 0.999))
-    assert w.all_positive
+    assert (w > 0).all()
     w = gl_weights(mode_frequencies(d, 1.0, c5 * 1.001))
-    assert not w.all_positive
+    assert not (w > 0).all()
 
 
 def test_smallest_weight_monotone_in_coupling():
     lambdas = np.arange(6.0)
     c6 = critical_coupling(lambdas)
-    values = [gl_weights(_kraw_freqs(6, c)).beta[-1]
+    values = [gl_weights(_kraw_freqs(6, c))[-1]
               for c in np.linspace(0, 2 * c6, 80)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -161,7 +172,7 @@ def test_bound_is_safe_for_small_sizes():
     for n in range(4, 22):
         c = weak_coupling_bound(n)
         w = gl_weights(_kraw_freqs(n, c))
-        assert w.beta[-1] >= -1e-12
+        assert w[-1] >= -1e-12
 
 
 def test_weak_coupling_iff_below_critical():
@@ -169,7 +180,7 @@ def test_weak_coupling_iff_below_critical():
     for d in np.linspace(-0.5, 0.5, 100):
         c = c4 * (1 + d)
         w = gl_weights(_kraw_freqs(4, c))
-        assert w.all_positive == (c < c4)
+        assert (w > 0).all() == (c < c4)
 
 
 def test_table_reference_rows():

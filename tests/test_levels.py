@@ -37,11 +37,13 @@ def test_merge_classes_matches_merge_lines_row_by_row():
         energies = base + rng.choice([0.0, 0.4e-9, 0.9e-9, 3e-9], size=(steps, count))
         mult = rng.integers(1, 4, size=count)
         merged = merge_classes(energies, mult, tol)
-        assert len(merged) == steps
-        for row, lines in zip(energies, merged):
+        assert np.all(np.diff(merged.coupling) >= 0)
+        assert set(merged.coupling.tolist()) == set(range(steps))
+        for c, row in enumerate(energies):
             expected = merge_lines([(e, int(m), i) for i, (e, m) in
                                     enumerate(zip(row.tolist(), mult))], tol)
+            at = merged.coupling == c
             got = [SpectrumLine(e, m, h) for e, m, h in
-                   zip(lines.energy.tolist(), lines.multiplicity.tolist(),
-                       lines.head.tolist())]
+                   zip(merged.energy[at].tolist(), merged.multiplicity[at].tolist(),
+                       merged.head[at].tolist())]
             assert got == expected

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerosc import (GZPattern, ModeFrequencies, Partition, UnirrepError, conjugate,
-                       distinct_count_at_height, enumerate_gz, generalized_binomial,
-                       is_unirrep, multiplicity_at_height, osp_spectrum, partitions_of)
+from wignerosc import (GZPattern, ModeFrequencies, Partition, ResourceLimitError,
+                       UnirrepError, conjugate, distinct_count_at_height, enumerate_gz,
+                       generalized_binomial, is_unirrep, levels, multiplicity_at_height,
+                       osp_spectrum, partitions_of)
 from wignerosc.cli import main
 from wignerosc.osp_spectrum import hook_patterns
 from oracles import osp_eigenvalue, row_sum_signature
@@ -359,3 +361,24 @@ def test_json_pattern_is_the_first_pattern_of_its_class(capsys):
         assert record["pattern"] == [list(row) for row in expected.rows]
     # several nonzero rows: (s_1, ..., s_4) = (1, 2, 3, 3) gives [[3,0,0,0],[3,0,0],[2,0],[1]]
     assert any(sum(row[0] > 0 for row in record["pattern"]) >= 3 for record in payload)
+
+
+def test_osp_build_over_the_byte_budget_is_refused_before_allocating(monkeypatch, capsys):
+    # n = 6, p = 8, k <= 6: 8,114 patterns of 21 int64 entries, 1.36 MB at the end
+    assert sum(multiplicity_at_height(6, 8, k) for k in range(7)) == 8114
+    monkeypatch.setattr(levels, "BYTE_BUDGET", 2 ** 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=r"osp\(1\|12\) up to height 6 need"):
+            osp_spectrum(6, 8, _kraw_freqs(6, 0.1), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    argv = "spectrum --algebra osp --model krawtchouk --n 6 --p 8 --c 0.1 --kmax 6"
+    assert main(argv.split()) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and " bytes, beyond the 1048576-byte guard" in out.err
+    # the largest build below the budget still runs
+    assert sum(line.multiplicity for line in osp_spectrum(6, 8, _kraw_freqs(6, 0.1), 4)) == \
+        sum(multiplicity_at_height(6, 8, k) for k in range(5))
