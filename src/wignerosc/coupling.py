@@ -108,7 +108,7 @@ def critical_coupling(lambdas, omega: float = 1.0) -> float:
         raise ValueError("coupling eigenvalues must be finite")
     omega2 = omega_squared(omega)
 
-    smallest = float(lambdas.min())
+    smallest, top = float(lambdas.min()), float(lambdas.max())
     limit = math.inf
     if smallest < 0.0:  # mu_min = omega^2 + c * lambda_min reaches zero at c = limit
         limit = omega2 / -smallest
@@ -117,7 +117,6 @@ def critical_coupling(lambdas, omega: float = 1.0) -> float:
 
     # strict < 0 below: for couplings with no finite root the computed weight
     # decays to exactly 0.0 once c dwarfs omega^2, which is not a sign change
-    top = float(lambdas.max())
     lo, hi = 0.0, omega2
     for _ in range(_MAX_BRACKET_DOUBLINGS):
         hi = min(hi, limit)
