@@ -22,8 +22,8 @@ from .fock import (CompatibilityReport, FockBasisState, ReconstructedObservables
 from .gl_spectrum import GlBasisVector, gl_dimension, gl_spectrum
 from .levels import SpectrumLine
 from .osp_spectrum import (GZPattern, Partition, conjugate, distinct_count_at_height,
-                           enumerate_gz, generalized_binomial, is_unirrep,
-                           multiplicity_at_height, osp_spectrum, partitions_of)
+                           generalized_binomial, is_unirrep, multiplicity_at_height,
+                           osp_spectrum, partitions_of)
 from .spectral import (InteractionModel, ModeFrequencies, SpectralDecomposition,
                        build_constant_matrix, build_krawtchouk_matrix,
                        constant_decomposition, decompose, krawtchouk_decomposition,
@@ -39,7 +39,7 @@ __all__ = [
     "critical_coupling", "critical_coupling_table", "sqrt_sum_bound_holds",
     "SpectrumLine", "GlBasisVector", "gl_dimension", "gl_spectrum",
     "Partition", "GZPattern", "partitions_of", "conjugate", "generalized_binomial",
-    "multiplicity_at_height", "enumerate_gz", "osp_spectrum", "distinct_count_at_height",
+    "multiplicity_at_height", "osp_spectrum", "distinct_count_at_height",
     "is_unirrep",
     "FockBasisState", "TruncatedOperatorSet", "CompatibilityReport",
     "ReconstructedObservables", "build_fock_operators", "verify_compatibility",

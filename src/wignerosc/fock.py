@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levels import SpectrumLine, check_bytes, grow_compositions, merge_classes, spectrum_lines
+from .levels import SpectrumLine, check_bytes, merge_classes, spectrum_lines, weight_lattice
 from .osp_spectrum import GZPattern
 from .spectral import InteractionModel, ModeFrequencies, SpectralDecomposition, mode_frequencies
 
@@ -190,20 +190,18 @@ def fock_spectrum(n: int, freqs: ModeFrequencies, hbar: float = 1.0,
                   k_total_max: int = 3) -> list[SpectrumLine]:
     """Levels hbar (E_0 + sum_j k_j sqrt(mu_j)) over occupations with sum k_j <= k_total_max.
 
-    E_0 = (1/2) sum_j sqrt(mu_j). Multiplicities are exact: occupation
-    vectors are grouped by their total occupation per run of equal mode
-    frequencies, so coinciding frequencies (e.g. zero coupling) merge
-    without any floating comparison; a class is labelled by its
-    lexicographically first occupation. With hbar = 1 the energies match
-    the units-of-hbar convention of the algebraic spectra.
+    E_0 = (1/2) sum_j sqrt(mu_j). The occupations are ``levels.weight_lattice``,
+    behind its byte guard. Multiplicities are exact: occupations are grouped
+    by their total per run of equal mode frequencies, so coinciding
+    frequencies (e.g. zero coupling) merge without any floating comparison;
+    a class is labelled by its lexicographically first occupation. With
+    hbar = 1 the energies match the units-of-hbar convention of the
+    algebraic spectra.
     """
     if freqs.n != n:
         raise ValueError("mode count disagrees with n")
-    if k_total_max < 0:
-        raise ValueError("k_total_max must be non-negative")
-    # occupations (k_1..k_n), lexicographic, grown with the unused budget as slot n + 1
-    occ = grow_compositions(np.empty((1, 0), dtype=np.int64), np.array([k_total_max]), n + 1)
-    occ = occ[:, :n]
+    # occupations (k_1..k_n) by total, then lexicographic
+    occ = weight_lattice(n, k_total_max, f"occupations of {n} modes up to {k_total_max}")[:, 1:]
     # modes sharing a frequency are interchangeable: key on per-run totals
     runs = np.flatnonzero(np.diff(freqs.mu, prepend=np.nan))
     # keys ascend, and so do their first members (0.., t_1, 0.., t_2, ..): label order

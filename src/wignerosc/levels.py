@@ -9,6 +9,7 @@ grid into one table of spectrum lines, every coupling at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ResourceLimitError
 
 __all__ = ["SpectrumLine", "LevelClasses", "MergedLevels", "MERGE_TOL", "BYTE_BUDGET",
-           "check_bytes", "merge_classes", "spectrum_lines", "branch", "grow_compositions"]
+           "check_bytes", "merge_classes", "spectrum_lines", "grow_compositions", "weight_lattice"]
 
 #: energies closer than this (units of hbar) print as one gl or osp line
 MERGE_TOL = 1e-9
@@ -70,17 +71,6 @@ class MergedLevels(NamedTuple):
     multiplicity: np.ndarray
 
 
-def branch(branches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parent row and rank among its siblings of each child, row i having branches[i] children.
-
-    Children of a row stay in its place, so growing an array by
-    ``keys[parent]`` keeps the parents' order.
-    """
-    parent = np.repeat(np.arange(len(branches)), branches)
-    rank = np.arange(len(parent)) - np.repeat(np.cumsum(branches) - branches, branches)
-    return parent, rank
-
-
 def grow_compositions(keys: np.ndarray, left: np.ndarray, parts: int) -> np.ndarray:
     """Extend each row of ``keys`` by ``parts`` slots holding its ``left`` units in every way.
 
@@ -91,10 +81,24 @@ def grow_compositions(keys: np.ndarray, left: np.ndarray, parts: int) -> np.ndar
     # a row with ``left`` still to place branches, in order, into left + 1
     # rows that put 0..left in the next slot
     for _ in range(parts - 1):
-        parent, taken = branch(left + 1)
+        parent = np.repeat(np.arange(len(left)), left + 1)
+        taken = np.arange(len(parent)) - np.repeat(np.cumsum(left + 1) - (left + 1), left + 1)
         keys = np.column_stack((keys[parent], taken))
         left = left[parent] - taken
     return np.column_stack((keys, left))
+
+
+def weight_lattice(n: int, k_max: int, what: str) -> np.ndarray:
+    """Every weight w in N^n with sum(w) <= k_max as a row (sum(w), w), rows ascending.
+
+    A lattice whose osp classes or Fock lines exceed BYTE_BUDGET raises ResourceLimitError first.
+    """
+    if k_max < 0:
+        raise ValueError("k_max must be non-negative")
+    # traced peak per row: osp_classes 6 int64 copies, fock_spectrum 5.6 and a line (<= 260 B)
+    check_bytes(8 * (7 * n + 49) * math.comb(k_max + n, n), what)
+    heights = np.arange(k_max + 1)
+    return grow_compositions(heights[:, None], heights, n)
 
 
 def merge_classes(energies: np.ndarray, multiplicity: np.ndarray,

@@ -10,28 +10,26 @@ Each pattern is an eigenvector; with s_j the sum of the length-j row,
 
     E = sum_j sqrt(mu_j) * (p/2 + s_j - s_{j-1}),    s_0 = 0,
 
-in units of hbar. Patterns sharing the row-sum vector (s_1, ..., s_n)
-share the eigenvalue for every coupling. All patterns up to a top-row
-weight are grown as one integer array, and their (height, s_1, ..., s_n)
-keys are grouped with ``np.unique``, which gives exact multiplicities;
-merging by floating tolerance is applied only on top, to catch level
-crossings at special couplings.
-
-All combinatorial quantities (hook products, multiplicities) use exact
-rational arithmetic; floating point enters only in the final energy.
+in units of hbar, so a level depends only on the weight w = (s_1, s_2 - s_1,
+..., s_n - s_{n-1}). Each weight up to a top-row weight is a class; its exact
+multiplicity, the number of patterns of weight w, is a sum of Kostka numbers
+counted by the branching rule, and no pattern is built. Floating tolerance
+merges only level crossings at special couplings.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import UnirrepError
-from .levels import (MERGE_TOL, LevelClasses, MergedLevels, SpectrumLine, branch,
-                     check_bytes, merge_classes, spectrum_lines)
+from .levels import (MERGE_TOL, LevelClasses, MergedLevels, SpectrumLine, merge_classes,
+                     spectrum_lines, weight_lattice)
 from .spectral import ModeFrequencies
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "conjugate",
     "generalized_binomial",
     "multiplicity_at_height",
-    "enumerate_gz",
     "hook_patterns",
     "osp_classes",
     "osp_levels",
@@ -86,7 +83,8 @@ def partitions_of(k: int, max_parts: int, max_slots: int | None = None) -> list[
             return
         if slots == 0:
             return
-        for first in range(min(rest, cap), 0, -1):
+        # the first part is the largest, so at least ceil(rest / slots)
+        for first in range(min(rest, cap), -(-rest // slots) - 1, -1):
             for tail in gen(rest - first, first, slots - 1):
                 yield (first,) + tail
 
@@ -183,55 +181,42 @@ class GZPattern:
         return sum(self.rows[0])
 
 
-def _row_starts(n: int) -> list[int]:
-    """Column of each pattern row's first entry in a flattened pattern, top row first."""
-    return [i * n - i * (i - 1) // 2 for i in range(n)]
+def _strips(row: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
+    """Rows kappa_1 >= row_1 >= kappa_2 >= ... >= row_l >= kappa_{l+1} >= 0, zeros dropped,
+    with ``size`` more in their sum: ``row`` plus each horizontal strip of ``size`` cells."""
+    below = row[1:] + (0,)
+    tails = itertools.product(*(range(b, min(a, b + size) + 1) for a, b in zip(row, below)))
+    return [tuple(x for x in (sum(row) + size - sum(t), *t) if x)
+            for t in tails if sum(t) - sum(below) <= size]
 
 
-def _gz_rows(n: int, p: float, k_max: int) -> np.ndarray:
-    """Every pattern with top-row weight at most k_max, one flattened pattern per row.
+def _pattern_counts(weights: np.ndarray, parts: int) -> np.ndarray:
+    """Patterns of each weight (row) whose top row has at most ``parts`` nonzero entries.
 
-    Columns hold the pattern rows top first (see ``_row_starts``). Top
-    rows run over heights 0..k_max, partitions in reverse-lexicographic
-    order; then each lower-row entry, left to right, takes the values
-    between its two upper neighbours in descending order. Children keep
-    their parent's place, so rows come in the depth-first order of
-    filling the pattern row by row.
+    Kostka numbers are symmetric in the weight, so each weight sorted
+    descending is counted once, by the branching rule: ``tops[j]`` counts the
+    patterns of each top row over its first j entries, and entry j + 1 adds its strips.
     """
-    if not is_unirrep(n, p):
-        raise UnirrepError(
-            f"V(p) of osp(1|{2 * n}) needs p in {{1..{n - 1}}} or p > {n - 1}; got p = {p}")
-    if k_max < 0:
-        raise ValueError("k_max must be non-negative")
-    what = f"the V({p}) patterns of osp(1|{2 * n}) up to height {k_max}"
-    rows = np.array([nu.parts + (0,) * (n - nu.length) for k in range(k_max + 1)
-                     for nu in partitions_of(k, math.ceil(p), max_slots=n)], dtype=np.int64)
-    for above, length in zip(_row_starts(n), range(n - 1, 0, -1)):
-        for i in range(above, above + length):
-            branches = rows[:, i] - rows[:, i + 1] + 1
-            # the step's peak: three int64 copies of the grown array, and one more column
-            check_bytes(8 * int(branches.sum()) * (3 * rows.shape[1] + 4), what)
-            parent, rank = branch(branches)
-            rows = np.column_stack((rows[parent], rows[parent, i] - rank))
-    return rows
-
-
-def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:
-    """All patterns with top-row weight at most k_max, in the order of ``_gz_rows``.
-
-    The count at each height equals multiplicity_at_height(n, p, k).
-    """
-    slices = [slice(a, a + n - i) for i, a in enumerate(_row_starts(n))]
-    return [GZPattern(rows=[flat[s] for s in slices], n=n, p=p)
-            for flat in _gz_rows(n, p, k_max).tolist()]
+    weights, inverse = np.unique(np.sort(weights, axis=1)[:, ::-1], axis=0, return_inverse=True)
+    count = np.empty(len(weights), dtype=np.int64)
+    # rows ascend, so tops[:start + 1] of the row before hold up to the first differing entry
+    shared = np.argmax(np.diff(weights, axis=0, prepend=-1) != 0, axis=1)
+    tops = [Counter({(): 1})]
+    for i, (row, start) in enumerate(zip(weights, shared)):
+        del tops[start + 1:]
+        for size in filter(None, row[start:].tolist()):
+            tops.append(Counter())
+            for below, c in tops[-2].items():
+                for top in _strips(below, size):
+                    tops[-1][top] += c
+        count[i] = sum(c for top, c in tops[-1].items() if len(top) <= parts)
+    return count[inverse.ravel()]
 
 
 def hook_patterns(signatures: np.ndarray) -> list[list[list[int]]]:
-    """The first enumerated pattern of each row-sum class, rows top (length n) first.
+    """The lexicographically greatest pattern of each row-sum class, rows top (length n) first.
 
-    Row i of ``signatures`` holds s_1..s_n; the length-j row of its
-    pattern is (s_j, 0, ..., 0). No other class member has the top row
-    (s_n, 0, ..., 0), the first partition of its height.
+    Row i of ``signatures`` holds s_1..s_n; its pattern's length-j row is (s_j, 0, ..., 0).
     """
     return [[[s[j - 1]] + [0] * (j - 1) for j in range(len(s), 0, -1)]
             for s in signatures.tolist()]
@@ -240,17 +225,17 @@ def hook_patterns(signatures: np.ndarray) -> list[list[list[int]]]:
 def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
     """Row-sum signature classes up to top-row weight k_max, keyed (height, s_1, ..., s_n).
 
-    Patterns are grown once as one integer array and grouped on their
-    keys; each class's multiplicity is its exact pattern count. A growth
-    step or grouping over BYTE_BUDGET raises ResourceLimitError first.
+    Every weight w = diff(s) with sum(w) <= k_max is a class (the top row
+    (sum(w)) is admissible), of multiplicity sum_lambda K_{lambda, w} over
+    top rows of at most ceil(p) parts. A lattice over BYTE_BUDGET raises first.
     """
-    rows = _gz_rows(n, p, k_max)
-    # grouping holds the patterns, three int64 copies of the keys and the sort order
-    check_bytes(rows.nbytes + 8 * len(rows) * (3 * n + 8),
-                f"the V({p}) patterns of osp(1|{2 * n}) up to height {k_max}")
-    sums = np.add.reduceat(rows, _row_starts(n), axis=1)[:, ::-1]  # s_1, ..., s_n
-    keys, count = np.unique(np.column_stack((sums[:, -1], sums)), axis=0, return_counts=True)
-    return LevelClasses(keys=keys, multiplicity=count.astype(np.int64))
+    if not is_unirrep(n, p):
+        raise UnirrepError(
+            f"V(p) of osp(1|{2 * n}) needs p in {{1..{n - 1}}} or p > {n - 1}; got p = {p}")
+    lattice = weight_lattice(n, k_max,
+                             f"the V({p}) classes of osp(1|{2 * n}) up to height {k_max}")
+    keys = np.column_stack((lattice[:, 0], np.cumsum(lattice[:, 1:], axis=1)))
+    return LevelClasses(keys=keys, multiplicity=_pattern_counts(lattice[:, 1:], math.ceil(p)))
 
 
 def osp_levels(classes: LevelClasses, p: float, freqs: ModeFrequencies) -> MergedLevels:
@@ -269,11 +254,11 @@ def osp_levels(classes: LevelClasses, p: float, freqs: ModeFrequencies) -> Merge
 def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int) -> list[SpectrumLine]:
     """Spectrum lines up to top-row weight k_max, sorted ascending.
 
-    Multiplicities come from exact row-sum-signature grouping (so they
-    are correct even when two energies are numerically close); MERGE_TOL
-    additionally merges lines whose energies cross at special couplings.
-    Line labels are (height, signature, pattern) with the first pattern
-    of the class in enumeration order, its hook pattern (see ``hook_patterns``).
+    Multiplicities are the exact pattern counts of ``osp_classes`` (so
+    they are correct even when two energies are numerically close);
+    MERGE_TOL additionally merges lines whose energies cross at special
+    couplings. Line labels are (height, signature, pattern), the pattern
+    being the class's hook pattern (see ``hook_patterns``).
     """
     classes = osp_classes(n, p, k_max)
     merged = osp_levels(classes, p, freqs)

@@ -1,19 +1,22 @@
 """Per-vector spectrum oracles for the level-class kernel.
 
 The library builds integer class arrays once and evaluates and merges
-every class at once. These functions take the long way: every gl(1|n)
-basis vector or osp(1|2n) Gelfand-Zetlin pattern as an object, one
-energy each, merged by ``merge_lines``. Tests compare the two paths.
+every class at once; osp(1|2n) classes are counted from their weights,
+and no pattern is built. These functions take the long way: every
+gl(1|n) basis vector or osp(1|2n) Gelfand-Zetlin pattern as an object,
+one energy each, merged by ``merge_lines``. Tests compare the two paths.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Any
 
 import numpy as np
 
 from wignerosc import (GlBasisVector, GZPattern, ModeFrequencies, SpectrumLine,
-                       UnitarityError)
+                       UnirrepError, UnitarityError, is_unirrep, partitions_of)
 
 _FORM_AGREEMENT_TOL = 1e-10
 
@@ -67,6 +70,38 @@ def gl_eigenvalue(v: GlBasisVector, beta: np.ndarray, freqs: ModeFrequencies,
         raise AssertionError(
             f"eigenvalue forms disagree: {energy!r} vs {alt!r}")
     return energy
+
+
+def _lower_rows(rows: tuple[tuple[int, ...], ...]):
+    """Every completion of a pattern's upper ``rows``, depth first.
+
+    Each entry of the next row, left to right, takes the values between
+    its two upper neighbours in descending order.
+    """
+    upper = rows[-1]
+    if len(upper) == 1:
+        yield rows
+        return
+    for lower in itertools.product(*(range(a, b - 1, -1) for a, b in zip(upper, upper[1:]))):
+        yield from _lower_rows(rows + (lower,))
+
+
+def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:
+    """All V(p) patterns with top-row weight at most k_max.
+
+    Heights ascend; within a height, top rows run over the partitions in
+    reverse-lexicographic order, and the lower rows follow ``_lower_rows``.
+    So the flattened patterns of a height descend lexicographically. The
+    count at each height equals multiplicity_at_height(n, p, k).
+    """
+    if not is_unirrep(n, p):
+        raise UnirrepError(
+            f"V(p) of osp(1|{2 * n}) needs p in {{1..{n - 1}}} or p > {n - 1}; got p = {p}")
+    if k_max < 0:
+        raise ValueError("k_max must be non-negative")
+    return [GZPattern(rows=rows, n=n, p=p) for k in range(k_max + 1)
+            for nu in partitions_of(k, math.ceil(p), max_slots=n)
+            for rows in _lower_rows((nu.parts + (0,) * (n - nu.length),))]
 
 
 def row_sum_signature(pattern: GZPattern) -> tuple[int, ...]:

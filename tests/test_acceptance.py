@@ -20,8 +20,7 @@ from wignerosc import (InteractionModel, ModeFrequencies, build_constant_matrix,
                        krawtchouk_decomposition, mode_frequencies,
                        multiplicity_at_height, osp_spectrum, partitions_of,
                        reconstruct_observables, verify_compatibility, weak_coupling_bound)
-from wignerosc.osp_spectrum import enumerate_gz
-from oracles import row_sum_signature
+from oracles import enumerate_gz, row_sum_signature
 from spectral_oracles import jacobi_decomposition
 
 TABLE_ROWS = {

@@ -5,11 +5,11 @@ import pytest
 
 from wignerosc import (GZPattern, InteractionModel, ModeFrequencies,
                        ResourceLimitError, build_fock_operators, decompose,
-                       enumerate_gz, fock_spectrum, gz_to_fock, mode_frequencies,
+                       fock_spectrum, gz_to_fock, mode_frequencies,
                        osp_spectrum, reconstruct_observables, verify_compatibility)
 
 from fock_dense import dense_q, densify
-from oracles import osp_eigenvalue
+from oracles import enumerate_gz, osp_eigenvalue
 
 
 def _kraw_freqs(n, c, omega=1.0):

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerosc import (GZPattern, ModeFrequencies, Partition, ResourceLimitError,
-                       UnirrepError, conjugate, distinct_count_at_height, enumerate_gz,
+                       UnirrepError, conjugate, distinct_count_at_height,
                        generalized_binomial, is_unirrep, levels, multiplicity_at_height,
                        osp_spectrum, partitions_of)
 from wignerosc.cli import main
 from wignerosc.osp_spectrum import hook_patterns
-from oracles import osp_eigenvalue, row_sum_signature
+from oracles import enumerate_gz, osp_eigenvalue, row_sum_signature
 
 # the two four-row patterns displayed as an equal-energy pair
 PATTERN_A = GZPattern(rows=((5, 0, 0, 0), (4, 0, 0), (2, 0), (1,)), n=4, p=5)
@@ -364,21 +364,21 @@ def test_json_pattern_is_the_first_pattern_of_its_class(capsys):
 
 
 def test_osp_build_over_the_byte_budget_is_refused_before_allocating(monkeypatch, capsys):
-    # n = 6, p = 8, k <= 6: 8,114 patterns of 21 int64 entries, 1.36 MB at the end
-    assert sum(multiplicity_at_height(6, 8, k) for k in range(7)) == 8114
+    # n = 6, k <= 7: 1,716 classes, and the lattice guard counts 8 * (7n + 49) bytes a class
+    assert math.comb(7 + 6, 6) * 8 * 91 == 1249248
     monkeypatch.setattr(levels, "BYTE_BUDGET", 2 ** 20)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match=r"osp\(1\|12\) up to height 6 need"):
-            osp_spectrum(6, 8, _kraw_freqs(6, 0.1), 6)
+        with pytest.raises(ResourceLimitError, match=r"osp\(1\|12\) up to height 7 need 1249248 "):
+            osp_spectrum(6, 8, _kraw_freqs(6, 0.1), 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    argv = "spectrum --algebra osp --model krawtchouk --n 6 --p 8 --c 0.1 --kmax 6"
+    argv = "spectrum --algebra osp --model krawtchouk --n 6 --p 8 --c 0.1 --kmax 7"
     assert main(argv.split()) == 2
     out = capsys.readouterr()
     assert out.out == "" and " bytes, beyond the 1048576-byte guard" in out.err
     # the largest build below the budget still runs
-    assert sum(line.multiplicity for line in osp_spectrum(6, 8, _kraw_freqs(6, 0.1), 4)) == \
-        sum(multiplicity_at_height(6, 8, k) for k in range(5))
+    assert sum(line.multiplicity for line in osp_spectrum(6, 8, _kraw_freqs(6, 0.1), 6)) == \
+        sum(multiplicity_at_height(6, 8, k) for k in range(7))
