@@ -10,9 +10,7 @@ multiplicities) in the V(p) representations of both superalgebras, with
 the ordinary boson Fock space recovered as the osp(1|2n) p = 1 case.
 """
 
-from .coupling import (CriticalCoupling, critical_coupling,
-                       critical_coupling_table, gl_weights, sqrt_sum_bound_holds,
-                       weak_coupling_bound)
+from .coupling import CriticalCoupling, critical_coupling, gl_weights, weak_coupling_bound
 from .errors import (NoCriticalCouplingError, NumericError,
                      PositiveDefinitenessError, ResourceLimitError, UnirrepError,
                      UnitarityError)
@@ -21,26 +19,19 @@ from .fock import (CompatibilityReport, FockBasisState, ReconstructedObservables
                    gz_to_fock, reconstruct_observables, verify_compatibility)
 from .gl_spectrum import GlBasisVector, gl_dimension, gl_spectrum
 from .levels import SpectrumLine
-from .osp_spectrum import (GZPattern, Partition, conjugate, distinct_count_at_height,
-                           generalized_binomial, is_unirrep, multiplicity_at_height,
-                           osp_spectrum, partitions_of)
+from .osp_spectrum import GZPattern, is_unirrep, osp_spectrum
 from .spectral import (InteractionModel, ModeFrequencies, SpectralDecomposition,
-                       build_constant_matrix, build_krawtchouk_matrix,
-                       constant_decomposition, decompose, krawtchouk_decomposition,
+                       build_constant_matrix, build_krawtchouk_matrix, decompose,
                        load_matrix, mode_frequencies)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "InteractionModel", "SpectralDecomposition", "ModeFrequencies",
-    "build_constant_matrix", "constant_decomposition", "build_krawtchouk_matrix",
-    "krawtchouk_decomposition", "decompose", "mode_frequencies", "load_matrix",
-    "CriticalCoupling", "gl_weights", "weak_coupling_bound",
-    "critical_coupling", "critical_coupling_table", "sqrt_sum_bound_holds",
+    "InteractionModel", "SpectralDecomposition", "ModeFrequencies", "build_constant_matrix",
+    "build_krawtchouk_matrix", "decompose", "mode_frequencies", "load_matrix",
+    "CriticalCoupling", "gl_weights", "weak_coupling_bound", "critical_coupling",
     "SpectrumLine", "GlBasisVector", "gl_dimension", "gl_spectrum",
-    "Partition", "GZPattern", "partitions_of", "conjugate", "generalized_binomial",
-    "multiplicity_at_height", "osp_spectrum", "distinct_count_at_height",
-    "is_unirrep",
+    "GZPattern", "osp_spectrum", "is_unirrep",
     "FockBasisState", "TruncatedOperatorSet", "CompatibilityReport",
     "ReconstructedObservables", "build_fock_operators", "verify_compatibility",
     "fock_spectrum", "gz_to_fock", "reconstruct_observables",

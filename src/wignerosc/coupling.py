@@ -12,7 +12,8 @@ eigenvalue law lambda_j = j - 1 a closed-form sufficient bound exists:
 
     c < 2 (2n-3) omega^2 / ((n-1) (n^2 - 3n + 4)),
 
-of order 4/n^2 for large n.
+of order 4/n^2 for large n. The tests check the lemma behind it,
+sum_{j=0..n} sqrt(C+j) > (n+1) sqrt(C + n/2 - 1) for C > (n-4)^2/16.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ __all__ = [
     "weak_coupling_bound",
     "critical_coupling",
     "krawtchouk_coupling_row",
-    "critical_coupling_table",
-    "sqrt_sum_bound_holds",
 ]
 
 _MAX_BRACKET_DOUBLINGS = 200
@@ -157,30 +156,3 @@ def krawtchouk_coupling_row(n: int, omega: float = 1.0) -> CriticalCoupling:
     return CriticalCoupling(n=n,
                             c_critical=critical_coupling(lambdas, omega=omega) / omega ** 2,
                             c_bound=weak_coupling_bound(n, omega=omega) / omega ** 2)
-
-
-def critical_coupling_table(n_list, omega: float = 1.0) -> list[CriticalCoupling]:
-    """Critical couplings and closed-form bounds for the Krawtchouk eigenvalue law.
-
-    One row per requested n (each >= 4), all values divided by omega^2.
-    """
-    rows = []
-    for n in n_list:
-        if n < 4:
-            raise ValueError("table rows start at n = 4")
-        rows.append(krawtchouk_coupling_row(n, omega=omega))
-    return rows
-
-
-def sqrt_sum_bound_holds(big_c: float, n: int) -> bool:
-    """Truth of sum_{j=0..n} sqrt(C+j) > (n+1) sqrt(C + n/2 - 1).
-
-    Only defined for C > (n-4)^2 / 16 (where the inequality is provably
-    true); outside that region a ValueError is raised.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not big_c > (n - 4) ** 2 / 16.0:
-        raise ValueError("precondition C > (n-4)^2/16 violated")
-    lhs = sum(math.sqrt(big_c + j) for j in range(n + 1))
-    return lhs > (n + 1) * math.sqrt(big_c + n / 2.0 - 1.0)

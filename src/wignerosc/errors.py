@@ -2,7 +2,8 @@
 
 The CLI maps these onto exit codes: numeric failures (a decomposition
 that misses its residual bounds or whose LAPACK call fails, loss of
-positive definiteness, missing critical coupling) exit with 3,
+positive definiteness, missing critical coupling, gl energies whose two
+forms disagree) exit with 3,
 representation-validity failures (unirrep violation, non-unitary
 weights) with 4, a build over the byte budget with 2 (usage).
 """

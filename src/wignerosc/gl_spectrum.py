@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import gl_weights
-from .errors import UnitarityError
+from .errors import NumericError, UnitarityError
 from .levels import (MERGE_TOL, LevelClasses, MergedLevels, SpectrumLine, check_bytes,
                      grow_compositions, merge_classes, spectrum_lines)
 from .spectral import ModeFrequencies
@@ -86,8 +86,9 @@ def gl_levels(classes: LevelClasses, p: int, freqs: ModeFrequencies,
 
     Mixed-sign weights at any coupling raise UnitarityError unless
     ``allow_nonunitary``. Every energy is cross-checked against the
-    equivalent form beta*theta + sum_j beta_j r_j, and every coupling's
-    lines against the dim V(p) total.
+    equivalent form beta*theta + sum_j beta_j r_j (NumericError names the first
+    coupling where digits cancelled), and every coupling's lines against the
+    dim V(p) total.
     """
     beta = np.atleast_2d(gl_weights(freqs))
     if not allow_nonunitary and not (beta > 0).all():
@@ -105,8 +106,9 @@ def gl_levels(classes: LevelClasses, p: int, freqs: ModeFrequencies,
     bad = np.abs(energy - alt) > _FORM_AGREEMENT_TOL * (1.0 + np.abs(energy))
     if bad.any():
         at = tuple(np.argwhere(bad)[0])
-        raise AssertionError(
-            f"eigenvalue forms disagree: {float(energy[at])!r} vs {float(alt[at])!r}")
+        raise NumericError(
+            f"eigenvalue forms disagree at coupling index {at[0]}: {float(energy[at])!r} vs "
+            f"{float(alt[at])!r}, beyond the relative bound {_FORM_AGREEMENT_TOL:.0e}")
     merged = merge_classes(energy, classes.multiplicity, MERGE_TOL)
     totals = np.bincount(merged.coupling, weights=merged.multiplicity, minlength=len(energy))
     assert (totals == gl_dimension(freqs.n, p)).all()

@@ -15,6 +15,9 @@ in units of hbar, so a level depends only on the weight w = (s_1, s_2 - s_1,
 multiplicity, the number of patterns of weight w, is a sum of Kostka numbers
 counted by the branching rule, and no pattern is built. Floating tolerance
 merges only level crossings at special couplings.
+
+The paper's closed forms per height (hook-content multiplicities, C(n+k-1,
+n-1) distinct levels at generic coupling) are test oracles, not library code.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,87 +35,13 @@ from .levels import (MERGE_TOL, LevelClasses, MergedLevels, SpectrumLine, merge_
 from .spectral import ModeFrequencies
 
 __all__ = [
-    "Partition",
     "GZPattern",
-    "partitions_of",
-    "conjugate",
-    "generalized_binomial",
-    "multiplicity_at_height",
     "hook_patterns",
     "osp_classes",
     "osp_levels",
     "osp_spectrum",
-    "distinct_count_at_height",
     "is_unirrep",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class Partition:
-    """A weakly decreasing tuple of positive integers."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        parts = tuple(int(x) for x in self.parts)
-        if any(x <= 0 for x in parts):
-            raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError("parts must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-
-def partitions_of(k: int, max_parts: int, max_slots: int | None = None) -> list[Partition]:
-    """Partitions of k into at most min(max_parts, max_slots) parts, reverse-lexicographic."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    limit = max_parts if max_slots is None else min(max_parts, max_slots)
-
-    def gen(rest: int, cap: int, slots: int):
-        if rest == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        # the first part is the largest, so at least ceil(rest / slots)
-        for first in range(min(rest, cap), -(-rest // slots) - 1, -1):
-            for tail in gen(rest - first, first, slots - 1):
-                yield (first,) + tail
-
-    return [Partition(p) for p in gen(k, k, limit)]
-
-
-def conjugate(nu: Partition) -> Partition:
-    """Transpose of the Young diagram; an involution."""
-    parts = nu.parts
-    if not parts:
-        return Partition(())
-    return Partition(tuple(sum(1 for x in parts if x > j) for j in range(parts[0])))
-
-
-def generalized_binomial(x: int, nu: Partition) -> Fraction:
-    """Hook-content product prod_{(i,j) in nu} (x - (j - i)) / h(i, j).
-
-    h(i, j) = nu_i + nu'_j - i - j + 1 is the hook length (1-based cell
-    coordinates). Exact rational arithmetic; the result is integral for
-    integral x, and vanishes automatically when the diagram does not fit
-    into x rows.
-    """
-    nup = conjugate(nu).parts
-    out = Fraction(1)
-    for i, row in enumerate(nu.parts, start=1):
-        for j in range(1, row + 1):
-            hook = row + nup[j - 1] - i - j + 1
-            out *= Fraction(x - (j - i), hook)
-    return out
 
 
 def is_unirrep(n: int, p: float) -> bool:
@@ -123,22 +51,6 @@ def is_unirrep(n: int, p: float) -> bool:
     if p > n - 1:
         return True
     return float(p).is_integer() and 1 <= p <= n - 1
-
-
-def multiplicity_at_height(n: int, p: float, k: int) -> int:
-    """Number of patterns whose top row has weight k: the zero-coupling degeneracy.
-
-    Sums the gl(n) dimensions of all admissible top rows,
-    sum over partitions nu of k with at most ceil(p) parts of
-    generalized_binomial(n, conjugate(nu)).
-    """
-    if k < 0:
-        raise ValueError("height must be non-negative")
-    total = Fraction(0)
-    for nu in partitions_of(k, math.ceil(p)):
-        total += generalized_binomial(n, conjugate(nu))
-    assert total.denominator == 1
-    return int(total)
 
 
 @dataclass(frozen=True, order=True)
@@ -227,8 +139,11 @@ def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
 
     Every weight w = diff(s) with sum(w) <= k_max is a class (the top row
     (sum(w)) is admissible), of multiplicity sum_lambda K_{lambda, w} over
-    top rows of at most ceil(p) parts. A lattice over BYTE_BUDGET raises first.
+    top rows of at most ceil(p) parts. A non-finite p raises ValueError, and a
+    lattice over BYTE_BUDGET raises before it is built.
     """
+    if not math.isfinite(p):
+        raise ValueError(f"the V(p) label must be finite; got p = {p}")
     if not is_unirrep(n, p):
         raise UnirrepError(
             f"V(p) of osp(1|{2 * n}) needs p in {{1..{n - 1}}} or p > {n - 1}; got p = {p}")
@@ -266,10 +181,3 @@ def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int) -> list[S
     return spectrum_lines(merged, [
         (key[0], tuple(key[1:]), GZPattern(rows=pattern, n=n, p=p))
         for key, pattern in zip(keys.tolist(), hook_patterns(keys[:, 1:]))])
-
-
-def distinct_count_at_height(n: int, k: int) -> int:
-    """Distinct energies at height k for generic coupling: C(n+k-1, n-1)."""
-    if n < 1 or k < 0:
-        raise ValueError("need n >= 1 and k >= 0")
-    return math.comb(n + k - 1, n - 1)

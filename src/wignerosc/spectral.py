@@ -33,9 +33,7 @@ __all__ = [
     "SpectralDecomposition",
     "ModeFrequencies",
     "build_constant_matrix",
-    "constant_decomposition",
     "build_krawtchouk_matrix",
-    "krawtchouk_decomposition",
     "decompose",
     "mode_frequencies",
     "omega_squared",
@@ -222,11 +220,6 @@ def build_constant_matrix(n: int) -> np.ndarray:
     return m
 
 
-def constant_decomposition(n: int) -> SpectralDecomposition:
-    """Closed-form eigensystem of the constant-coupling chain (see ``decompose``)."""
-    return decompose(InteractionModel.constant(n))
-
-
 def build_krawtchouk_matrix(n: int, ptilde: float) -> np.ndarray:
     """Tridiagonal Krawtchouk coupling matrix.
 
@@ -242,11 +235,6 @@ def build_krawtchouk_matrix(n: int, ptilde: float) -> np.ndarray:
     e = np.sqrt(ptilde * (1.0 - ptilde)) * np.sqrt(r[1:] * (n - r[1:]))
     m.flat[1::n + 1] = m.flat[n::n + 1] = -e  # super- and subdiagonal
     return m
-
-
-def krawtchouk_decomposition(n: int, ptilde: float) -> SpectralDecomposition:
-    """Eigensystem of the Krawtchouk matrix: lambda_j = j - 1 and LAPACK eigenvectors."""
-    return decompose(InteractionModel.krawtchouk(n, ptilde=ptilde))
 
 
 def decompose(model: InteractionModel) -> SpectralDecomposition:

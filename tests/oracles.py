@@ -1,22 +1,30 @@
-"""Per-vector spectrum oracles for the level-class kernel.
+"""Per-vector spectrum oracles for the level-class kernel, and the paper's closed forms.
 
 The library builds integer class arrays once and evaluates and merges
 every class at once; osp(1|2n) classes are counted from their weights,
 and no pattern is built. These functions take the long way: every
 gl(1|n) basis vector or osp(1|2n) Gelfand-Zetlin pattern as an object,
 one energy each, merged by ``merge_lines``. Tests compare the two paths.
+
+The paper's closed forms live here too, in exact ``Fraction`` arithmetic:
+the hook-content multiplicity of each osp(1|2n) height
+(``multiplicity_at_height``), the C(n+k-1, n-1) distinct levels at generic
+coupling (``distinct_count_at_height``), and the square-root-sum lemma
+behind the Krawtchouk coupling bound (``sqrt_sum_bound_holds``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any
 
 import numpy as np
 
 from wignerosc import (GlBasisVector, GZPattern, ModeFrequencies, SpectrumLine,
-                       UnirrepError, UnitarityError, is_unirrep, partitions_of)
+                       UnirrepError, UnitarityError, is_unirrep)
 
 _FORM_AGREEMENT_TOL = 1e-10
 
@@ -84,6 +92,111 @@ def _lower_rows(rows: tuple[tuple[int, ...], ...]):
         return
     for lower in itertools.product(*(range(a, b - 1, -1) for a, b in zip(upper, upper[1:]))):
         yield from _lower_rows(rows + (lower,))
+
+
+@dataclass(frozen=True, order=True)
+class Partition:
+    """A weakly decreasing tuple of positive integers."""
+
+    parts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        parts = tuple(int(x) for x in self.parts)
+        if any(x <= 0 for x in parts):
+            raise ValueError("parts must be positive")
+        if any(a < b for a, b in zip(parts, parts[1:])):
+            raise ValueError("parts must be weakly decreasing")
+        object.__setattr__(self, "parts", parts)
+
+    @property
+    def weight(self) -> int:
+        return sum(self.parts)
+
+    @property
+    def length(self) -> int:
+        return len(self.parts)
+
+
+def partitions_of(k: int, max_parts: int, max_slots: int | None = None) -> list[Partition]:
+    """Partitions of k into at most min(max_parts, max_slots) parts, reverse-lexicographic."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    limit = max_parts if max_slots is None else min(max_parts, max_slots)
+
+    def gen(rest: int, cap: int, slots: int):
+        if rest == 0:
+            yield ()
+            return
+        if slots == 0:
+            return
+        # the first part is the largest, so at least ceil(rest / slots)
+        for first in range(min(rest, cap), -(-rest // slots) - 1, -1):
+            for tail in gen(rest - first, first, slots - 1):
+                yield (first,) + tail
+
+    return [Partition(p) for p in gen(k, k, limit)]
+
+
+def conjugate(nu: Partition) -> Partition:
+    """Transpose of the Young diagram; an involution."""
+    parts = nu.parts
+    if not parts:
+        return Partition(())
+    return Partition(tuple(sum(1 for x in parts if x > j) for j in range(parts[0])))
+
+
+def generalized_binomial(x: int, nu: Partition) -> Fraction:
+    """Hook-content product prod_{(i,j) in nu} (x - (j - i)) / h(i, j).
+
+    h(i, j) = nu_i + nu'_j - i - j + 1 is the hook length (1-based cell
+    coordinates). Exact rational arithmetic; the result is integral for
+    integral x, and vanishes automatically when the diagram does not fit
+    into x rows.
+    """
+    nup = conjugate(nu).parts
+    out = Fraction(1)
+    for i, row in enumerate(nu.parts, start=1):
+        for j in range(1, row + 1):
+            hook = row + nup[j - 1] - i - j + 1
+            out *= Fraction(x - (j - i), hook)
+    return out
+
+
+def multiplicity_at_height(n: int, p: float, k: int) -> int:
+    """Number of patterns whose top row has weight k: the zero-coupling degeneracy.
+
+    Sums the gl(n) dimensions of all admissible top rows,
+    sum over partitions nu of k with at most ceil(p) parts of
+    generalized_binomial(n, conjugate(nu)).
+    """
+    if k < 0:
+        raise ValueError("height must be non-negative")
+    total = Fraction(0)
+    for nu in partitions_of(k, math.ceil(p)):
+        total += generalized_binomial(n, conjugate(nu))
+    assert total.denominator == 1
+    return int(total)
+
+
+def distinct_count_at_height(n: int, k: int) -> int:
+    """Distinct energies at height k for generic coupling: C(n+k-1, n-1)."""
+    if n < 1 or k < 0:
+        raise ValueError("need n >= 1 and k >= 0")
+    return math.comb(n + k - 1, n - 1)
+
+
+def sqrt_sum_bound_holds(big_c: float, n: int) -> bool:
+    """Truth of sum_{j=0..n} sqrt(C+j) > (n+1) sqrt(C + n/2 - 1).
+
+    Only defined for C > (n-4)^2 / 16 (where the inequality is provably
+    true); outside that region a ValueError is raised.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if not big_c > (n - 4) ** 2 / 16.0:
+        raise ValueError("precondition C > (n-4)^2/16 violated")
+    lhs = sum(math.sqrt(big_c + j) for j in range(n + 1))
+    return lhs > (n + 1) * math.sqrt(big_c + n / 2.0 - 1.0)
 
 
 def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:

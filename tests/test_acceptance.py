@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 
 from wignerosc import (InteractionModel, ModeFrequencies, build_constant_matrix,
-                       build_fock_operators, build_krawtchouk_matrix,
-                       constant_decomposition, critical_coupling,
-                       critical_coupling_table, decompose, fock_spectrum, gl_spectrum,
-                       krawtchouk_decomposition, mode_frequencies,
-                       multiplicity_at_height, osp_spectrum, partitions_of,
-                       reconstruct_observables, verify_compatibility, weak_coupling_bound)
-from oracles import enumerate_gz, row_sum_signature
+                       build_fock_operators, build_krawtchouk_matrix, critical_coupling,
+                       decompose, fock_spectrum, gl_spectrum, mode_frequencies,
+                       osp_spectrum, reconstruct_observables, verify_compatibility,
+                       weak_coupling_bound)
+from wignerosc.coupling import krawtchouk_coupling_row
+from oracles import enumerate_gz, multiplicity_at_height, partitions_of, row_sum_signature
 from spectral_oracles import jacobi_decomposition
 
 TABLE_ROWS = {
@@ -50,7 +49,7 @@ def _kraw_freqs(n, c, omega=1.0):
 def test_criterion_1_table_regression():
     with criterion(1, "critical-coupling table regression"):
         start = time.perf_counter()
-        rows = critical_coupling_table(sorted(TABLE_ROWS))
+        rows = [krawtchouk_coupling_row(n) for n in sorted(TABLE_ROWS)]
         checked = 0
         for row in rows:
             c_tilde, c_n = TABLE_ROWS[row.n]
@@ -186,11 +185,11 @@ def test_criterion_8_operator_identities():
 def test_criterion_9_spectral_core_numerics():
     with criterion(9, "analytic vs Jacobi numerics"):
         for n in range(1, 13):
-            ana = constant_decomposition(n)
+            ana = decompose(InteractionModel.constant(n))
             num = jacobi_decomposition(build_constant_matrix(n))
             assert np.abs(ana.lambdas - num.lambdas).max() <= 1e-9
             for pt in (0.2, 0.5, 0.8):
-                ana = krawtchouk_decomposition(n, pt)
+                ana = decompose(InteractionModel.krawtchouk(n, ptilde=pt))
                 num = jacobi_decomposition(build_krawtchouk_matrix(n, pt))
                 assert np.abs(ana.lambdas - num.lambdas).max() <= 1e-9
         rng = np.random.default_rng(1234)

@@ -298,6 +298,19 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.startswith("lambda,")
 
 
+@pytest.mark.parametrize("grid", [["spectrum", "--c", "1e15"],
+                                  ["sweep", "--cmin", "0", "--cmax", "1e15", "--steps", "3"]])
+def test_gl_energy_forms_that_disagree_exit_3_without_a_traceback(grid):
+    import subprocess
+    import sys
+    proc = subprocess.run([sys.executable, "-m", "wignerosc", *grid, "--algebra", "gl",
+                           "--model", "krawtchouk", "--n", "3", "--p", "2", "--allow-strong"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: eigenvalue forms disagree at coupling index ")
+    assert "Traceback" not in proc.stderr
+
+
 ROUND_TRIP = {
     "gl": ["--algebra", "gl", "--model", "constant", "--n", "4", "--p", "3"],
     "osp": ["--algebra", "osp", "--model", "krawtchouk", "--n", "3", "--p", "2.5",
@@ -371,6 +384,12 @@ def test_sweep_output_parses_back_to_library_values(algebra, fmt, capsys):
     ["sweep", "--algebra", "osp", "--n", "3", "--p", "1", "--cmin", "0", "--cmax", "1e308",
      "--steps", "3"],
     ["bounds", "--n", "4", "--omega", "nan"],
+    ["spectrum", "--algebra", "osp", "--n", "3", "--p", "inf", "--kmax", "2", "--c", "0.1"],
+    ["spectrum", "--algebra", "osp", "--n", "3", "--p", "nan", "--kmax", "2", "--c", "0.1"],
+    ["sweep", "--algebra", "osp", "--n", "3", "--p", "inf", "--kmax", "2", "--cmin", "0",
+     "--cmax", "0.1", "--steps", "3"],
+    ["sweep", "--algebra", "osp", "--n", "3", "--p", "nan", "--kmax", "2", "--cmin", "0",
+     "--cmax", "0.1", "--steps", "3"],
 ])
 def test_non_finite_input_is_a_usage_error(argv, capsys):
     assert main(argv) == 2

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerosc import (ModeFrequencies, NoCriticalCouplingError, constant_decomposition,
-                       critical_coupling, critical_coupling_table, gl_weights,
-                       mode_frequencies, sqrt_sum_bound_holds, weak_coupling_bound)
+from wignerosc import (InteractionModel, ModeFrequencies, NoCriticalCouplingError,
+                       critical_coupling, decompose, gl_weights, mode_frequencies,
+                       weak_coupling_bound)
 from wignerosc.cli import main
+from wignerosc.coupling import krawtchouk_coupling_row
+from oracles import sqrt_sum_bound_holds
 
 # printed reference values for the Krawtchouk eigenvalue law (5 decimals)
 TABLE = {
@@ -152,7 +154,7 @@ def test_critical_coupling_three_modes_exact():
 
 
 def test_critical_coupling_constant_chain():
-    d = constant_decomposition(5)
+    d = decompose(InteractionModel.constant(5))
     c5 = critical_coupling(d.lambdas)
     w = gl_weights(mode_frequencies(d, 1.0, c5 * 0.999))
     assert (w > 0).all()
@@ -184,20 +186,18 @@ def test_weak_coupling_iff_below_critical():
 
 
 def test_table_reference_rows():
-    rows = critical_coupling_table([8, 20, 5])
+    rows = [krawtchouk_coupling_row(n) for n in (8, 20, 5)]
     for row in rows:
         ct, cn, ratio = TABLE[row.n]
         assert row.c_bound == pytest.approx(ct, abs=5e-6)
         assert row.c_critical == pytest.approx(cn, abs=5e-6)
         assert row.ratio == pytest.approx(ratio, abs=5e-6)
         assert row.c_bound <= row.c_critical  # the closed form is a safe bound
-    with pytest.raises(ValueError):
-        critical_coupling_table([3])
 
 
 def test_table_scales_with_omega():
-    row1 = critical_coupling_table([6])[0]
-    row2 = critical_coupling_table([6], omega=2.0)[0]
+    row1 = krawtchouk_coupling_row(6)
+    row2 = krawtchouk_coupling_row(6, omega=2.0)
     assert row1.c_critical == pytest.approx(row2.c_critical, rel=1e-9)
     assert row1.c_bound == pytest.approx(row2.c_bound, rel=1e-12)
 
@@ -236,4 +236,4 @@ def test_omega_whose_square_overflows_is_rejected():
     with pytest.raises(ValueError, match="finite"):
         weak_coupling_bound(4, omega=1e200)
     with pytest.raises(ValueError, match="finite"):
-        critical_coupling_table([4, 5], omega=1e200)
+        krawtchouk_coupling_row(4, omega=1e200)

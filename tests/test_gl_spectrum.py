@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from wignerosc import (GlBasisVector, ModeFrequencies, UnitarityError,
-                       constant_decomposition, critical_coupling, gl_dimension, gl_spectrum,
+from wignerosc import (GlBasisVector, InteractionModel, ModeFrequencies, NumericError,
+                       UnitarityError, critical_coupling, decompose, gl_dimension, gl_spectrum,
                        gl_weights, mode_frequencies)
 from wignerosc.cli import main
+from wignerosc.gl_spectrum import gl_classes, gl_levels
 from oracles import enumerate_gl_basis, gl_eigenvalue
 
 
@@ -159,8 +160,16 @@ def test_spectrum_refuses_strong_coupling():
     assert sum(line.multiplicity for line in lines) == 14
 
 
+
+def test_two_forms_that_disagree_are_a_numeric_error():
+    # at c = 1e15 the two energy forms of V(2) of gl(1|3) share only 8 digits
+    grid = mode_frequencies(decompose(InteractionModel.krawtchouk(3)), 1.0,
+                            np.array([0.0, 5e14, 1e15]))
+    with pytest.raises(NumericError, match="at coupling index 2: .* beyond the relative bound"):
+        gl_levels(gl_classes(3, 2), 2, grid, allow_nonunitary=True)
+
 def test_constant_chain_spectrum():
-    d = constant_decomposition(4)
+    d = decompose(InteractionModel.constant(4))
     freqs = mode_frequencies(d, 1.0, 0.25)
     lines = gl_spectrum(4, 2, freqs)
     assert sum(line.multiplicity for line in lines) == 14

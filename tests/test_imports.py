@@ -1,16 +1,24 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every public name has a user.
 
 ``__init__.py`` is skipped, since re-exporting is its job, and so are
 ``from __future__`` imports. A name counts as used when it is read
 anywhere in the module, annotations included, or listed in ``__all__``.
+
+A public top-level function or class is used when the rest of its own
+module, another module of the package, a ``perfbench`` file other than
+the tracer (which names functions only to wrap them) or the README's
+``python`` example reads it. Tests are not users: a formula that only
+tests call belongs in ``tests/``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "wignerosc"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "wignerosc"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -46,3 +54,32 @@ def test_an_unused_import_is_found():
                      "__all__ = ['branch']\n"
                      "def f(x: tau) -> None:\n    return os.path.join(x)\n")
     assert _unused_imports(tree) == ["json", "PI"]
+
+
+def _read_names(nodes) -> set[str]:
+    """Names and attribute names read anywhere under ``nodes``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for top in nodes for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _unused_public_names() -> list[str]:
+    trees = {m: ast.parse((PACKAGE / m).read_text(), filename=m) for m in MODULES}
+    readme = (ROOT / "README.md").read_text()
+    elsewhere = _read_names([ast.parse(code) for code in
+                             re.findall(r"```python\n(.*?)```", readme, re.S)])
+    elsewhere |= _read_names(ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py")
+                             if p.name != "tracing.py")
+    unused = []
+    for module, tree in trees.items():
+        others = elsewhere | _read_names(t for m, t in trees.items() if m != module)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in others
+                    and node.name not in _read_names(n for n in tree.body if n is not node)):
+                unused.append(f"{module}:{node.name}")
+    return unused
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    assert _unused_public_names() == []

@@ -14,12 +14,11 @@ from wignerosc import (InteractionModel, ModeFrequencies, NoCriticalCouplingErro
                        critical_coupling, decompose, gl_spectrum, gl_weights,
                        is_unirrep, mode_frequencies, osp_spectrum)
 from wignerosc.cli import main
-from wignerosc.spectral import constant_decomposition
 from oracles import (enumerate_gl_basis, enumerate_gz, gl_eigenvalue, merge_lines,
                      osp_eigenvalue, row_sum_signature)
 
 MODELS = {"krawtchouk": lambda n: np.arange(n, dtype=float),
-          "constant": lambda n: constant_decomposition(n).lambdas}
+          "constant": lambda n: decompose(InteractionModel.constant(n)).lambdas}
 
 
 def _couplings(lambdas):

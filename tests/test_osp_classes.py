@@ -17,10 +17,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wignerosc import (ModeFrequencies, ResourceLimitError, distinct_count_at_height,
-                       fock_spectrum, levels, multiplicity_at_height, partitions_of)
+from wignerosc import ModeFrequencies, ResourceLimitError, fock_spectrum, levels
 from wignerosc.osp_spectrum import osp_classes
-from oracles import enumerate_gz, row_sum_signature
+from oracles import (distinct_count_at_height, enumerate_gz, multiplicity_at_height,
+                     partitions_of, row_sum_signature)
 
 
 def _guard_bytes(n, k_max):
@@ -84,6 +84,12 @@ def test_single_mode_classes_and_one_part_partitions_take_linear_time():
         [(k,) if k else () for k in range(20_001)]
     assert time.perf_counter() - start < 10.0
 
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_a_non_finite_label_is_refused(p):
+    with pytest.raises(ValueError, match="must be finite"):
+        osp_classes(3, p, 2)
 
 def test_fock_lattice_over_the_byte_budget_is_refused_before_allocating(monkeypatch):
     freqs = ModeFrequencies(mu=1.0 + 0.3 * np.arange(6))

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerosc import (GZPattern, ModeFrequencies, Partition, ResourceLimitError,
-                       UnirrepError, conjugate, distinct_count_at_height,
-                       generalized_binomial, is_unirrep, levels, multiplicity_at_height,
-                       osp_spectrum, partitions_of)
+from wignerosc import (GZPattern, ModeFrequencies, ResourceLimitError, UnirrepError,
+                       is_unirrep, levels, osp_spectrum)
 from wignerosc.cli import main
 from wignerosc.osp_spectrum import hook_patterns
-from oracles import enumerate_gz, osp_eigenvalue, row_sum_signature
+from oracles import (Partition, conjugate, distinct_count_at_height, enumerate_gz,
+                     generalized_binomial, multiplicity_at_height, osp_eigenvalue,
+                     partitions_of, row_sum_signature)
 
 # the two four-row patterns displayed as an equal-energy pair
 PATTERN_A = GZPattern(rows=((5, 0, 0, 0), (4, 0, 0), (2, 0), (1,)), n=4, p=5)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from wignerosc import (InteractionModel, ModeFrequencies, NumericError,
                        PositiveDefinitenessError, build_constant_matrix,
-                       build_krawtchouk_matrix, constant_decomposition, decompose,
-                       krawtchouk_decomposition, load_matrix, mode_frequencies)
+                       build_krawtchouk_matrix, decompose, load_matrix,
+                       mode_frequencies)
 from wignerosc.cli import main
 from spectral_oracles import (fix_column_signs, jacobi_decomposition, krawtchouk_eval,
                               krawtchouk_exact)
@@ -29,16 +29,16 @@ def test_constant_matrix_n2_eigenvalues():
 
 
 def test_constant_decomposition_closed_form():
-    d = constant_decomposition(3)
+    d = decompose(InteractionModel.constant(3))
     assert np.allclose(d.lambdas, [2 - math.sqrt(2), 2.0, 2 + math.sqrt(2)], atol=1e-12)
 
-    d1 = constant_decomposition(1)
+    d1 = decompose(InteractionModel.constant(1))
     assert d1.lambdas[0] == pytest.approx(2.0, abs=1e-12)
     assert d1.u.tolist() == [[1.0]]
 
 
 def test_constant_decomposition_residuals():
-    d = constant_decomposition(4)
+    d = decompose(InteractionModel.constant(4))
     m = build_constant_matrix(4)
     for j in range(4):
         res = np.abs(m @ d.u[:, j] - d.lambdas[j] * d.u[:, j]).max()
@@ -87,13 +87,13 @@ def test_krawtchouk_matrix_half_parameter_diagonal():
 
 
 def test_krawtchouk_decomposition():
-    d = krawtchouk_decomposition(4, 0.5)
+    d = decompose(InteractionModel.krawtchouk(4, ptilde=0.5))
     assert np.allclose(d.lambdas, [0, 1, 2, 3], atol=1e-12)
 
-    d = krawtchouk_decomposition(4, 0.3)
+    d = decompose(InteractionModel.krawtchouk(4, ptilde=0.3))
     assert d.orthonormality_residual() < 1e-10
 
-    d = krawtchouk_decomposition(5, 0.5)
+    d = decompose(InteractionModel.krawtchouk(5, ptilde=0.5))
     m = build_krawtchouk_matrix(5, 0.5)
     assert d.reconstruction_residual(m) < 1e-10
 
@@ -106,7 +106,7 @@ def test_jacobi_identity_matrix():
 
 def test_jacobi_matches_constant_closed_form():
     d_num = jacobi_decomposition(build_constant_matrix(6))
-    d_ana = constant_decomposition(6)
+    d_ana = decompose(InteractionModel.constant(6))
     assert np.abs(d_num.lambdas - d_ana.lambdas).max() < 1e-10
 
 
@@ -136,11 +136,11 @@ def test_jacobi_random_matrices_residuals():
 
 def test_analytic_numeric_agreement_both_models():
     for n in range(1, 13):
-        cst = constant_decomposition(n)
+        cst = decompose(InteractionModel.constant(n))
         num = jacobi_decomposition(build_constant_matrix(n))
         assert np.abs(cst.lambdas - num.lambdas).max() < 1e-9
         for pt in (0.2, 0.5, 0.8):
-            kra = krawtchouk_decomposition(n, pt)
+            kra = decompose(InteractionModel.krawtchouk(n, ptilde=pt))
             num = jacobi_decomposition(build_krawtchouk_matrix(n, pt))
             assert np.abs(kra.lambdas - num.lambdas).max() < 1e-9
             assert np.abs(num.lambdas - np.arange(n)).max() < 1e-9
@@ -165,8 +165,8 @@ def test_jacobi_degenerate_eigenspace_projector():
 
 def test_eigenvector_sign_convention():
     for d in (jacobi_decomposition(build_constant_matrix(5)),
-              krawtchouk_decomposition(5, 0.4),
-              constant_decomposition(5)):
+              decompose(InteractionModel.krawtchouk(5, ptilde=0.4)),
+              decompose(InteractionModel.constant(5))):
         for j in range(d.n):
             col = d.u[:, j]
             first = col[np.abs(col) > 1e-12][0]
@@ -174,7 +174,7 @@ def test_eigenvector_sign_convention():
 
 
 def test_mode_frequencies_values():
-    d = krawtchouk_decomposition(3, 0.5)
+    d = decompose(InteractionModel.krawtchouk(3, ptilde=0.5))
     f = mode_frequencies(d, 1.0, 0.0)
     assert np.allclose(f.mu, 1.0)
 
@@ -185,7 +185,7 @@ def test_mode_frequencies_values():
 
 def test_mode_frequencies_constant_closed_form():
     n, c = 6, 0.7
-    d = constant_decomposition(n)
+    d = decompose(InteractionModel.constant(n))
     f = mode_frequencies(d, 1.0, c)
     expected = [1 + 4 * c * math.sin(j * math.pi / (2 * (n + 1))) ** 2
                 for j in range(1, n + 1)]
@@ -221,7 +221,7 @@ def test_non_finite_inputs_rejected(bad, tmp_path):
         ModeFrequencies(mu=np.array([1.0, bad]))
     # c * lambda overflowing is caught on mu, not silently turned into inf energies
     with pytest.raises(ValueError, match="finite"):
-        mode_frequencies(constant_decomposition(3), 1.0, 1e308)
+        mode_frequencies(decompose(InteractionModel.constant(3)), 1.0, 1e308)
     path = tmp_path / "m.txt"
     path.write_text(f"2\n1 0\n0 {bad!r}\n")
     with pytest.raises(ValueError, match="finite"):
@@ -262,7 +262,7 @@ def test_load_matrix_errors(tmp_path):
        st.floats(min_value=0.0, max_value=3.0))
 def test_trace_preserved_krawtchouk(n, pt, c):
     m = build_krawtchouk_matrix(n, pt)
-    d = krawtchouk_decomposition(n, pt)
+    d = decompose(InteractionModel.krawtchouk(n, ptilde=pt))
     assert d.lambdas.sum() == pytest.approx(np.trace(m), rel=1e-10, abs=1e-12)
 
 
@@ -271,7 +271,7 @@ def test_omega_whose_square_overflows_is_rejected():
     with pytest.raises(ValueError, match="finite"):
         InteractionModel.krawtchouk(4, omega=1e200)
     with pytest.raises(ValueError, match="finite"):
-        mode_frequencies(constant_decomposition(3), 1e200, 0.1)
+        mode_frequencies(decompose(InteractionModel.constant(3)), 1e200, 0.1)
     # the largest omega whose square still fits is accepted
     omega = math.sqrt(np.finfo(float).max) * (1 - 1e-15)
     assert InteractionModel.constant(2, omega=omega).omega == omega

@@ -13,8 +13,9 @@ with one example argv per group. The exit code is 1 when any run differs.
 The corpus covers decompose, bounds, spectrum and sweep, both algebras,
 the constant, Krawtchouk and file models (positive definite, indefinite,
 asymmetric and non-finite matrices), csv and json, with and without
-``--out``, and edge cases: --omega 1e130, --cmax 1e308, fractional and
-negative --p, oversize bases, --n lists with n < 2 and --allow-strong.
+``--out``, and edge cases: --omega 1e130, --c and --cmax 1e15 (where gl
+energies lose digits) and 1e308, fractional, negative and non-finite --p,
+oversize bases, --n lists with n < 2 and --allow-strong.
 Matrix files live in one directory that both trees read; each worker
 writes ``--out`` files in its own directory under the same relative name.
 A revision without an osp byte guard (before 66b9143) tries to allocate
@@ -94,7 +95,7 @@ def _basis(rng: random.Random, algebra: str) -> list[str]:
         return rng.choice(OVERSIZE_OSP).split()
     n = rng.randint(1, 6)
     p = rng.choice([str(p) for p in range(1, n)]
-                   + [f"{n - 0.5}", f"{n + 0.25}", f"{n + 3}", "1.5", "0.5", "0", "-1", "inf"])
+                   + [f"{n - 0.5}", f"{n + 0.25}", f"{n + 3}", "1.5", "0.5", "0", "-1", "inf", "nan"])
     return ["--n", str(n), "--p", p, "--kmax", str(rng.randint(0, 5 if n < 6 else 4))]
 
 
@@ -118,12 +119,12 @@ def corpus(seed: int, runs: int, files: list[str]) -> list[list[str]]:
         # a matrix file sets n itself
         argv += _basis(rng, algebra)[2 if "--path" in argv else 0:]
         if command == "spectrum":
-            argv += ["--c", rng.choice(("0", "0.1", "0.3", "0.37", "1", "5", "-0.2", "1e308",
-                                        "nan"))]
+            argv += ["--c", rng.choice(("0", "0.1", "0.3", "0.37", "1", "5", "-0.2", "1e15",
+                                        "1e308", "nan"))]
         else:
             argv += ["--cmin", rng.choice(("0", "0", "0", "0.1", "0.1", "-1")),
-                     "--cmax", rng.choice(("0.2", "0.5", "0.5", "1.2", "1.2", "2", "1e308",
-                                           "inf")),
+                     "--cmax", rng.choice(("0.2", "0.5", "0.5", "1.2", "1.2", "2", "1e15",
+                                           "1e308", "inf")),
                      "--steps", rng.choice(("2", "3", "3", "6", "11", "11", "1"))]
         if rng.random() < 0.2:
             argv.append("--allow-strong")
