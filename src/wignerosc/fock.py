@@ -191,27 +191,21 @@ def fock_spectrum(n: int, freqs: ModeFrequencies, hbar: float = 1.0,
     """Levels hbar (E_0 + sum_j k_j sqrt(mu_j)) over occupations with sum k_j <= k_total_max.
 
     E_0 = (1/2) sum_j sqrt(mu_j). The occupations are ``levels.weight_lattice``,
-    behind its byte guard. Multiplicities are exact: occupations are grouped
-    by their total per run of equal mode frequencies, so coinciding
-    frequencies (e.g. zero coupling) merge without any floating comparison;
-    a class is labelled by its lexicographically first occupation. With
-    hbar = 1 the energies match the units-of-hbar convention of the
+    behind its byte guard, each of multiplicity 1, merged by the one rule of
+    ``levels.merge_classes``; a line is labelled by its lowest-energy
+    occupation, ties broken by lattice order (total, then lexicographic).
+    With hbar = 1 the energies match the units-of-hbar convention of the
     algebraic spectra.
     """
     if freqs.n != n:
         raise ValueError("mode count disagrees with n")
     # occupations (k_1..k_n) by total, then lexicographic
     occ = weight_lattice(n, k_total_max, f"occupations of {n} modes up to {k_total_max}")[:, 1:]
-    # modes sharing a frequency are interchangeable: key on per-run totals
-    runs = np.flatnonzero(np.diff(freqs.mu, prepend=np.nan))
-    # keys ascend, and so do their first members (0.., t_1, 0.., t_2, ..): label order
-    _, first, counts = np.unique(np.add.reduceat(occ, runs, axis=1), axis=0,
-                                 return_index=True, return_counts=True)
-    reps = occ[first]
     e0 = 0.5 * float(freqs.sqrt_mu.sum())
-    energy = hbar * (e0 + np.vecdot(reps.astype(float), freqs.sqrt_mu))
-    merged = merge_classes(energy[None, :], counts, merge_tol=0.0)
-    return spectrum_lines(merged, list(map(tuple, reps[merged.head].tolist())))
+    energy = e0 + np.vecdot(occ.astype(float), freqs.sqrt_mu)
+    merged = merge_classes(energy[None, :], np.ones(len(occ), dtype=np.int64), freqs)
+    return spectrum_lines(merged._replace(energy=hbar * merged.energy),
+                          list(map(tuple, occ[merged.head].tolist())))
 
 
 def gz_to_fock(pattern: GZPattern) -> FockBasisState:

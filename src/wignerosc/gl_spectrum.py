@@ -22,8 +22,8 @@ import numpy as np
 
 from .coupling import gl_weights
 from .errors import NumericError, UnitarityError
-from .levels import (MERGE_TOL, LevelClasses, MergedLevels, SpectrumLine, check_bytes,
-                     grow_compositions, merge_classes, spectrum_lines)
+from .levels import (LevelClasses, MergedLevels, SpectrumLine, check_bytes, grow_compositions,
+                     merge_classes, spectrum_lines)
 from .spectral import ModeFrequencies
 
 __all__ = [
@@ -109,7 +109,7 @@ def gl_levels(classes: LevelClasses, p: int, freqs: ModeFrequencies,
         raise NumericError(
             f"eigenvalue forms disagree at coupling index {at[0]}: {float(energy[at])!r} vs "
             f"{float(alt[at])!r}, beyond the relative bound {_FORM_AGREEMENT_TOL:.0e}")
-    merged = merge_classes(energy, classes.multiplicity, MERGE_TOL)
+    merged = merge_classes(energy, classes.multiplicity, freqs)
     totals = np.bincount(merged.coupling, weights=merged.multiplicity, minlength=len(energy))
     assert (totals == gl_dimension(freqs.n, p)).all()
     return merged
@@ -119,9 +119,9 @@ def gl_spectrum(n: int, p: int, freqs: ModeFrequencies,
                 allow_nonunitary: bool = False) -> list[SpectrumLine]:
     """The complete V(p) spectrum, sorted ascending with exact multiplicities.
 
-    Levels closer than MERGE_TOL (absolute, units of hbar*omega) are
-    reported as one line whose label is the lexicographically first
-    member of the class.
+    Levels closer than MERGE_TOL (absolute, units of the smallest mode
+    quantum, hbar*omega at c = 0) are reported as one line whose label is
+    the lexicographically first member of the class.
     """
     classes = gl_classes(n, p)
     merged = gl_levels(classes, p, freqs, allow_nonunitary)

@@ -16,11 +16,12 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import ResourceLimitError
+from .spectral import ModeFrequencies
 
 __all__ = ["SpectrumLine", "LevelClasses", "MergedLevels", "MERGE_TOL", "BYTE_BUDGET",
            "check_bytes", "merge_classes", "spectrum_lines", "grow_compositions", "weight_lattice"]
 
-#: energies closer than this (units of hbar) print as one gl or osp line
+#: energies closer than this many smallest mode quanta hbar min_j sqrt(mu_j) print as one line
 MERGE_TOL = 1e-9
 
 #: bytes a gl or osp basis or a Fock model build may hold; a larger one raises ResourceLimitError
@@ -95,31 +96,31 @@ def weight_lattice(n: int, k_max: int, what: str) -> np.ndarray:
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    # traced peak per row: osp_classes 6 int64 copies, fock_spectrum 5.6 and a line (<= 260 B)
+    # traced peak per row: osp_classes 6 int64 copies, fock_spectrum fewer plus a line (<= 260 B)
     check_bytes(8 * (7 * n + 49) * math.comb(k_max + n, n), what)
     heights = np.arange(k_max + 1)
     return grow_compositions(heights[:, None], heights, n)
 
 
 def merge_classes(energies: np.ndarray, multiplicity: np.ndarray,
-                  merge_tol: float) -> MergedLevels:
+                  freqs: ModeFrequencies) -> MergedLevels:
     """Spectrum lines of every row of a (couplings, classes) energy grid, as one table.
 
-    Classes must be in label order (see ``LevelClasses``). Each row is
-    sorted on (energy, multiplicity, class index) and split wherever
-    consecutive energies differ by more than ``merge_tol``; splits chain,
-    so one line may span more. A line takes its first member's energy
-    and class as head, and the summed multiplicity.
+    Row i holds energies (units of hbar) at coupling i of ``freqs``, classes
+    in label order (see ``LevelClasses``); it is sorted on (energy,
+    multiplicity, class index) and split wherever consecutive energies
+    differ by more than MERGE_TOL min_j sqrt(mu_j) at that coupling; splits
+    chain, so one line may span more. A line takes its first member's
+    energy and class as head, and the summed multiplicity.
     """
-    if not merge_tol >= 0:
-        raise ValueError("merge_tol must be non-negative")
     energies = np.asarray(energies, dtype=float)
     mult = np.broadcast_to(multiplicity, energies.shape)
     rank = np.broadcast_to(np.arange(energies.shape[1]), energies.shape)
     order = np.lexsort((rank, mult, energies), axis=-1)
     ordered = np.take_along_axis(energies, order, axis=-1)
     start = np.ones(ordered.shape, dtype=bool)
-    start[:, 1:] = np.diff(ordered, axis=-1) > merge_tol
+    tol = MERGE_TOL * np.atleast_2d(freqs.sqrt_mu).min(axis=-1, keepdims=True)
+    start[:, 1:] = np.diff(ordered, axis=-1) > tol
     first = np.flatnonzero(start)
     return MergedLevels(coupling=first // energies.shape[1], head=order.ravel()[first],
                         energy=ordered.ravel()[first],

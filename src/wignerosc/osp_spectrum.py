@@ -13,8 +13,8 @@ Each pattern is an eigenvector; with s_j the sum of the length-j row,
 in units of hbar, so a level depends only on the weight w = (s_1, s_2 - s_1,
 ..., s_n - s_{n-1}). Each weight up to a top-row weight is a class; its exact
 multiplicity, the number of patterns of weight w, is a sum of Kostka numbers
-counted by the branching rule, and no pattern is built. Floating tolerance
-merges only level crossings at special couplings.
+counted by the branching rule, and no pattern is built. The merge joins each
+height at c = 0, and level crossings at special couplings.
 
 The paper's closed forms per height (hook-content multiplicities, C(n+k-1,
 n-1) distinct levels at generic coupling) are test oracles, not library code.
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnirrepError
-from .levels import (MERGE_TOL, LevelClasses, MergedLevels, SpectrumLine, merge_classes,
-                     spectrum_lines, weight_lattice)
+from .levels import (LevelClasses, MergedLevels, SpectrumLine, merge_classes, spectrum_lines,
+                     weight_lattice)
 from .spectral import ModeFrequencies
 
 __all__ = [
@@ -163,16 +163,16 @@ def osp_levels(classes: LevelClasses, p: float, freqs: ModeFrequencies) -> Merge
     energy = np.zeros((len(sqrt_mu), len(shift)))
     for j in range(freqs.n):
         energy += sqrt_mu[:, j, None] * shift[:, j]
-    return merge_classes(energy, classes.multiplicity, MERGE_TOL)
+    return merge_classes(energy, classes.multiplicity, freqs)
 
 
 def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int) -> list[SpectrumLine]:
     """Spectrum lines up to top-row weight k_max, sorted ascending.
 
     Multiplicities are the exact pattern counts of ``osp_classes`` (so
-    they are correct even when two energies are numerically close);
-    MERGE_TOL additionally merges lines whose energies cross at special
-    couplings. Line labels are (height, signature, pattern), the pattern
+    they are correct even when two energies are numerically close); lines
+    within MERGE_TOL smallest mode quanta merge, so c = 0 gives one line per
+    height at every omega. Line labels are (height, signature, pattern), the pattern
     being the class's hook pattern (see ``hook_patterns``).
     """
     classes = osp_classes(n, p, k_max)

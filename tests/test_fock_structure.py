@@ -10,6 +10,7 @@ every size up to 256 states.
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from wignerosc import (InteractionModel, ModeFrequencies, ResourceLimitError,
                        build_fock_operators, decompose, fock_spectrum, mode_frequencies,
                        reconstruct_observables, verify_compatibility)
 from wignerosc.fock import _peak_bytes
-from wignerosc.levels import BYTE_BUDGET
+from wignerosc.levels import BYTE_BUDGET, MERGE_TOL
 from fock_dense import (dense_compatibility, dense_observables, dense_operators, dense_q,
                         dense_w, densify)
 from oracles import merge_lines
@@ -117,19 +118,13 @@ def test_byte_guard_bounds_the_allocations(n, cutoff):
 
 
 def _spectrum_oracle(n, freqs, hbar, k_total_max):
-    """Every occupation vector one by one, classed per run of equal frequencies."""
-    runs = [[i for i, _ in grp] for _, grp in
-            itertools.groupby(enumerate(freqs.mu), key=lambda t: t[1])]
-    classes = {}
-    for occ in itertools.product(range(k_total_max + 1), repeat=n):
-        if sum(occ) > k_total_max:
-            continue
-        key = tuple(sum(occ[i] for i in run) for run in runs)
-        count, rep = classes.get(key, (0, occ))
-        classes[key] = (count + 1, rep)
-    e0 = 0.5 * float(freqs.sqrt_mu.sum())
-    return merge_lines([(hbar * (e0 + float(np.dot(rep, freqs.sqrt_mu))), count, rep)
-                        for count, rep in classes.values()], merge_tol=0.0)
+    """Every occupation vector one by one, merged at hbar MERGE_TOL min_j sqrt(mu_j)."""
+    raw = [(hbar * (0.5 * float(freqs.sqrt_mu.sum()) + float(np.dot(occ, freqs.sqrt_mu))), 1,
+            (sum(occ), occ))  # ties go to the lower total, then the lexicographically first
+           for occ in itertools.product(range(k_total_max + 1), repeat=n)
+           if sum(occ) <= k_total_max]
+    lines = merge_lines(raw, merge_tol=hbar * MERGE_TOL * float(freqs.sqrt_mu.min()))
+    return [replace(line, label=line.label[1]) for line in lines]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -138,7 +133,10 @@ def test_fock_spectrum_matches_brute_force(n):
                "constant": decompose(InteractionModel.constant(n)).lambdas}
     mus = [np.ones(n)] + [1.0 + c * lam for lam in lambdas.values() for c in (0.0, 0.3719)]
     mus.append(np.repeat([0.7, 1.3, 2.2], 3)[:n])  # runs of coinciding frequencies
-    for mu, hbar, k_total_max in itertools.product(mus, (1.0, 1.6), range(5)):
+    cases = list(itertools.product(mus, (1.0, 1.6), range(5)))
+    if n == 5:  # sqrt(mu) = 1, sqrt 2, sqrt 3, 2, sqrt 5: (2,2,1,0,0) ties (0,2,1,1,0)
+        cases += [(1.0 + lambdas["krawtchouk"], hbar, 5) for hbar in (1.0, 1.6)]
+    for mu, hbar, k_total_max in cases:
         freqs = ModeFrequencies(mu=mu)
         lines = fock_spectrum(n, freqs, hbar=hbar, k_total_max=k_total_max)
         assert lines == _spectrum_oracle(n, freqs, hbar, k_total_max)

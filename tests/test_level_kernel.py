@@ -14,6 +14,7 @@ from wignerosc import (InteractionModel, ModeFrequencies, NoCriticalCouplingErro
                        critical_coupling, decompose, gl_spectrum, gl_weights,
                        is_unirrep, mode_frequencies, osp_spectrum)
 from wignerosc.cli import main
+from wignerosc.levels import MERGE_TOL
 from oracles import (enumerate_gl_basis, enumerate_gz, gl_eigenvalue, merge_lines,
                      osp_eigenvalue, row_sum_signature)
 
@@ -36,20 +37,25 @@ def _freqs(lambdas, c):
     return ModeFrequencies(mu=1.0 + c * lambdas)
 
 
-def gl_oracle(n, p, freqs, merge_tol=1e-9):
+def _merge_tol(freqs):
+    """MERGE_TOL in units of the smallest mode quantum, as ``merge_classes`` applies it."""
+    return MERGE_TOL * float(freqs.sqrt_mu.min())
+
+
+def gl_oracle(n, p, freqs):
     weights = gl_weights(freqs)
     return merge_lines([(gl_eigenvalue(v, weights, freqs, p, allow_nonunitary=True), 1, v)
-                        for v in enumerate_gl_basis(n, p)], merge_tol)
+                        for v in enumerate_gl_basis(n, p)], _merge_tol(freqs))
 
 
-def osp_oracle(n, p, freqs, k_max, merge_tol=1e-9):
+def osp_oracle(n, p, freqs, k_max):
     classes = {}
     for pattern in enumerate_gz(n, p, k_max):
         sig = row_sum_signature(pattern)
         count, rep = classes.get(sig, (0, pattern))
         classes[sig] = (count + 1, rep)
     return merge_lines([(osp_eigenvalue(rep, freqs, p), count, (rep.height, sig, rep))
-                        for sig, (count, rep) in classes.items()], merge_tol)
+                        for sig, (count, rep) in classes.items()], _merge_tol(freqs))
 
 
 def _assert_same(lines, expected):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wignerosc import ModeFrequencies
 from wignerosc.levels import SpectrumLine, merge_classes
 from oracles import merge_lines
 
@@ -23,8 +24,6 @@ def test_merge_lines_chains_clusters_past_the_tolerance():
 def test_merge_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError):
         merge_lines([(0.0, 1, 0)], tol)
-    with pytest.raises(ValueError):
-        merge_classes(np.zeros((1, 1)), np.ones(1, dtype=np.int64), tol)
 
 
 def test_merge_classes_matches_merge_lines_row_by_row():
@@ -36,7 +35,8 @@ def test_merge_classes_matches_merge_lines_row_by_row():
         base = rng.choice([0.0, 1.0, 1.5, 2.0], size=(steps, count))
         energies = base + rng.choice([0.0, 0.4e-9, 0.9e-9, 3e-9], size=(steps, count))
         mult = rng.integers(1, 4, size=count)
-        merged = merge_classes(energies, mult, tol)
+        # one mode of frequency 1: the merge unit min_j sqrt(mu_j) is 1
+        merged = merge_classes(energies, mult, ModeFrequencies(mu=np.ones((steps, 1))))
         assert np.all(np.diff(merged.coupling) >= 0)
         assert set(merged.coupling.tolist()) == set(range(steps))
         for c, row in enumerate(energies):

@@ -13,9 +13,10 @@ with one example argv per group. The exit code is 1 when any run differs.
 The corpus covers decompose, bounds, spectrum and sweep, both algebras,
 the constant, Krawtchouk and file models (positive definite, indefinite,
 asymmetric and non-finite matrices), csv and json, with and without
-``--out``, and edge cases: --omega 1e130, --c and --cmax 1e15 (where gl
-energies lose digits) and 1e308, fractional, negative and non-finite --p,
-oversize bases, --n lists with n < 2 and --allow-strong.
+``--out``, and edge cases: --omega 1e130, 3141592.65 and 1e-9 (where a merge
+tolerance that did not scale with omega would split or fuse levels), --c and
+--cmax 1e15 (where gl energies lose digits) and 1e308, fractional, negative
+and non-finite --p, oversize bases, --n lists with n < 2 and --allow-strong.
 Matrix files live in one directory that both trees read; each worker
 writes ``--out`` files in its own directory under the same relative name.
 A revision without an osp byte guard (before 66b9143) tries to allocate
@@ -75,7 +76,8 @@ def _model(rng: random.Random, files: list[str], sizes: list[str]) -> list[str]:
     if model == "krawtchouk" and rng.random() < 0.2:
         flags += ["--ptilde", rng.choice(("0.3", "0.8", "1.5"))]
     if rng.random() < 0.15:
-        flags += ["--omega", rng.choice(("0.5", "2", "2", "1e130", "nan", "-1"))]
+        flags += ["--omega", rng.choice(("0.5", "2", "2", "1e130", "3141592.65", "1e-9", "nan",
+                                         "-1"))]
     return flags
 
 
