@@ -17,7 +17,7 @@ from .errors import (NoCriticalCouplingError, NumericError,
 from .fock import (CompatibilityReport, FockBasisState, ReconstructedObservables,
                    TruncatedOperatorSet, build_fock_operators, fock_spectrum,
                    gz_to_fock, reconstruct_observables, verify_compatibility)
-from .gl_spectrum import GlBasisVector, gl_dimension, gl_spectrum
+from .gl_spectrum import gl_dimension, gl_spectrum
 from .levels import SpectrumLine
 from .osp_spectrum import GZPattern, is_unirrep, osp_spectrum
 from .spectral import (InteractionModel, ModeFrequencies, SpectralDecomposition,
@@ -30,7 +30,7 @@ __all__ = [
     "InteractionModel", "SpectralDecomposition", "ModeFrequencies", "build_constant_matrix",
     "build_krawtchouk_matrix", "decompose", "mode_frequencies", "load_matrix",
     "CriticalCoupling", "gl_weights", "weak_coupling_bound", "critical_coupling",
-    "SpectrumLine", "GlBasisVector", "gl_dimension", "gl_spectrum",
+    "SpectrumLine", "gl_dimension", "gl_spectrum",
     "GZPattern", "osp_spectrum", "is_unirrep",
     "FockBasisState", "TruncatedOperatorSet", "CompatibilityReport",
     "ReconstructedObservables", "build_fock_operators", "verify_compatibility",

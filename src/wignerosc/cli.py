@@ -211,8 +211,8 @@ def _classes(args, n: int) -> LevelClasses:
 def _levels(args, classes: LevelClasses, freqs) -> MergedLevels:
     """The merged lines of ``classes`` at every coupling of ``freqs``."""
     if args.algebra == "gl":
-        return gl_levels(classes, int(args.p), freqs, allow_nonunitary=args.allow_strong)
-    return osp_levels(classes, args.p, freqs)
+        return gl_levels(classes, freqs, allow_nonunitary=args.allow_strong)
+    return osp_levels(classes, freqs)
 
 
 def _cmd_spectrum(args) -> int:

@@ -16,7 +16,6 @@ as c approaches the critical coupling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .levels import (LevelClasses, MergedLevels, SpectrumLine, check_bytes, grow
 from .spectral import ModeFrequencies
 
 __all__ = [
-    "GlBasisVector",
     "gl_dimension",
     "gl_classes",
     "gl_levels",
@@ -35,24 +33,6 @@ __all__ = [
 ]
 
 _FORM_AGREEMENT_TOL = 1e-10
-
-
-@dataclass(frozen=True, order=True)
-class GlBasisVector:
-    """Label (theta; r) of one V(p) basis vector; theta + sum(r) = p."""
-
-    theta: int
-    r: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.theta not in (0, 1):
-            raise ValueError("theta must be 0 or 1")
-        if any(x < 0 for x in self.r):
-            raise ValueError("occupation labels must be non-negative")
-
-    @property
-    def p(self) -> int:
-        return self.theta + sum(self.r)
 
 
 def gl_dimension(n: int, p: int) -> int:
@@ -68,19 +48,19 @@ def gl_dimension(n: int, p: int) -> int:
 def gl_classes(n: int, p: int) -> LevelClasses:
     """The V(p) basis as int64 class keys (theta, r_1, ..., r_n), each of multiplicity 1.
 
-    Rows ascend lexicographically (theta = 0 first, then r), the order of
-    their ``GlBasisVector`` labels. A build over BYTE_BUDGET raises
-    ResourceLimitError before anything is allocated.
+    Row (theta, r) is the basis vector v(theta; r); rows ascend
+    lexicographically (theta = 0 first, then r). A build over BYTE_BUDGET
+    raises ResourceLimitError before anything is allocated.
     """
     dim = gl_dimension(n, p)
     # grow_compositions' peak: three int64 copies of the keys
     check_bytes(24 * (n + 1) * dim, f"V({p}) of gl(1|{n}) has {dim} basis vectors that")
     theta = np.arange(min(p, 1) + 1)
     keys = grow_compositions(theta[:, None], p - theta, n)
-    return LevelClasses(keys=keys, multiplicity=np.ones(len(keys), dtype=np.int64))
+    return LevelClasses(keys=keys, multiplicity=np.ones(len(keys), dtype=np.int64), p=p)
 
 
-def gl_levels(classes: LevelClasses, p: int, freqs: ModeFrequencies,
+def gl_levels(classes: LevelClasses, freqs: ModeFrequencies,
               allow_nonunitary: bool = False) -> MergedLevels:
     """Lines of ``gl_classes(n, p)`` at every coupling of ``freqs``, merged at MERGE_TOL.
 
@@ -101,7 +81,7 @@ def gl_levels(classes: LevelClasses, p: int, freqs: ModeFrequencies,
     # vecdot takes each r . sqrt_mu as a dot product of two vectors; at a single
     # coupling r @ sqrt_mu runs a matrix-vector kernel that sums in another order
     # and moves energies by an ulp
-    energy = beta_sum * p - np.vecdot(r, np.atleast_2d(freqs.sqrt_mu)[:, None, :])
+    energy = beta_sum * classes.p - np.vecdot(r, np.atleast_2d(freqs.sqrt_mu)[:, None, :])
     alt = beta_sum * theta + np.vecdot(r, beta[:, None, :])
     bad = np.abs(energy - alt) > _FORM_AGREEMENT_TOL * (1.0 + np.abs(energy))
     if bad.any():
@@ -111,7 +91,7 @@ def gl_levels(classes: LevelClasses, p: int, freqs: ModeFrequencies,
             f"{float(alt[at])!r}, beyond the relative bound {_FORM_AGREEMENT_TOL:.0e}")
     merged = merge_classes(energy, classes.multiplicity, freqs)
     totals = np.bincount(merged.coupling, weights=merged.multiplicity, minlength=len(energy))
-    assert (totals == gl_dimension(freqs.n, p)).all()
+    assert (totals == gl_dimension(freqs.n, classes.p)).all()
     return merged
 
 
@@ -120,10 +100,11 @@ def gl_spectrum(n: int, p: int, freqs: ModeFrequencies,
     """The complete V(p) spectrum, sorted ascending with exact multiplicities.
 
     Levels closer than MERGE_TOL (absolute, units of the smallest mode
-    quantum, hbar*omega at c = 0) are reported as one line whose label is
-    the lexicographically first member of the class.
+    quantum, hbar*omega at c = 0) are reported as one line, labelled
+    (theta, r) by the lexicographically first basis vector v(theta; r) of
+    the class, in plain ints.
     """
     classes = gl_classes(n, p)
-    merged = gl_levels(classes, p, freqs, allow_nonunitary)
-    theta, *r = classes.keys[merged.head].T.tolist()
-    return spectrum_lines(merged, [GlBasisVector(theta=t, r=v) for t, v in zip(theta, zip(*r))])
+    merged = gl_levels(classes, freqs, allow_nonunitary)
+    return spectrum_lines(merged, [(key[0], tuple(key[1:]))
+                                   for key in classes.keys[merged.head].tolist()])

@@ -38,10 +38,9 @@ def check_bytes(need: int, what: str) -> None:
 class SpectrumLine:
     """One energy level: eigenvalue (units of hbar), exact multiplicity, class label.
 
-    ``label`` is the canonical representative of the merged class and is
-    representation-specific: a basis vector for gl(1|n), a
-    (height, signature, pattern) triple for osp(1|2n), an occupation
-    tuple for the boson Fock space.
+    ``label`` is the head class of the merged line as plain ints:
+    (theta, r) for gl(1|n), (height, signature) for osp(1|2n), an
+    occupation tuple for the boson Fock space.
     """
 
     energy: float
@@ -50,17 +49,18 @@ class SpectrumLine:
 
 
 class LevelClasses(NamedTuple):
-    """Integer weight classes of one representation, in label order.
+    """Integer weight classes of the representation V(p), in label order.
 
     Row i of ``keys`` is the integer key of class i (gl(1|n): theta,
     r_1..r_n; osp(1|2n): height, s_1..s_n). Rows ascend
-    lexicographically, which is also the order of the library labels
-    built from them, so class indices rank labels. ``multiplicity``
-    holds the exact int64 class sizes.
+    lexicographically, so class indices rank the line labels built from
+    them. ``multiplicity`` holds the exact int64 class sizes, and ``p`` the
+    V(p) label the classes were built for.
     """
 
     keys: np.ndarray
     multiplicity: np.ndarray
+    p: float
 
 
 class MergedLevels(NamedTuple):

@@ -93,10 +93,11 @@ class GZPattern:
         return sum(self.rows[0])
 
 
-def _strips(row: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
+def _strips(row: tuple[int, ...], size: int, parts: int) -> list[tuple[int, ...]]:
     """Rows kappa_1 >= row_1 >= kappa_2 >= ... >= row_l >= kappa_{l+1} >= 0, zeros dropped,
-    with ``size`` more in their sum: ``row`` plus each horizontal strip of ``size`` cells."""
-    below = row[1:] + (0,)
+    with ``size`` more in their sum: ``row`` plus each horizontal strip of ``size`` cells.
+    A strip adds at most one part, kappa_{l+1}, which stays 0 once ``row`` has ``parts``."""
+    below = row[1:] + (0,) * (len(row) < parts)
     tails = itertools.product(*(range(b, min(a, b + size) + 1) for a, b in zip(row, below)))
     return [tuple(x for x in (sum(row) + size - sum(t), *t) if x)
             for t in tails if sum(t) - sum(below) <= size]
@@ -108,6 +109,8 @@ def _pattern_counts(weights: np.ndarray, parts: int) -> np.ndarray:
     Kostka numbers are symmetric in the weight, so each weight sorted
     descending is counted once, by the branching rule: ``tops[j]`` counts the
     patterns of each top row over its first j entries, and entry j + 1 adds its strips.
+    A strip never shortens a row, so a row of more than ``parts`` entries can never
+    become an admissible top row, and ``_strips`` builds none.
     """
     weights, inverse = np.unique(np.sort(weights, axis=1)[:, ::-1], axis=0, return_inverse=True)
     count = np.empty(len(weights), dtype=np.int64)
@@ -119,9 +122,9 @@ def _pattern_counts(weights: np.ndarray, parts: int) -> np.ndarray:
         for size in filter(None, row[start:].tolist()):
             tops.append(Counter())
             for below, c in tops[-2].items():
-                for top in _strips(below, size):
+                for top in _strips(below, size, parts):
                     tops[-1][top] += c
-        count[i] = sum(c for top, c in tops[-1].items() if len(top) <= parts)
+        count[i] = sum(tops[-1].values())
     return count[inverse.ravel()]
 
 
@@ -150,15 +153,16 @@ def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
     lattice = weight_lattice(n, k_max,
                              f"the V({p}) classes of osp(1|{2 * n}) up to height {k_max}")
     keys = np.column_stack((lattice[:, 0], np.cumsum(lattice[:, 1:], axis=1)))
-    return LevelClasses(keys=keys, multiplicity=_pattern_counts(lattice[:, 1:], math.ceil(p)))
+    return LevelClasses(keys=keys, multiplicity=_pattern_counts(lattice[:, 1:], math.ceil(p)),
+                        p=p)
 
 
-def osp_levels(classes: LevelClasses, p: float, freqs: ModeFrequencies) -> MergedLevels:
+def osp_levels(classes: LevelClasses, freqs: ModeFrequencies) -> MergedLevels:
     """Lines of ``osp_classes(n, p, k_max)`` at every coupling of ``freqs``, merged at MERGE_TOL."""
     if freqs.n != classes.keys.shape[1] - 1:
         raise ValueError("mode count disagrees with n")
     sqrt_mu = np.atleast_2d(freqs.sqrt_mu)
-    shift = p / 2.0 + np.diff(classes.keys[:, 1:], axis=1, prepend=0)
+    shift = classes.p / 2.0 + np.diff(classes.keys[:, 1:], axis=1, prepend=0)
     # summed term by term in j, so energies match a per-pattern sum bit for bit
     energy = np.zeros((len(sqrt_mu), len(shift)))
     for j in range(freqs.n):
@@ -172,12 +176,11 @@ def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int) -> list[S
     Multiplicities are the exact pattern counts of ``osp_classes`` (so
     they are correct even when two energies are numerically close); lines
     within MERGE_TOL smallest mode quanta merge, so c = 0 gives one line per
-    height at every omega. Line labels are (height, signature, pattern), the pattern
-    being the class's hook pattern (see ``hook_patterns``).
+    height at every omega. A line is labelled by its head class key,
+    (height, signature) in plain ints; ``hook_patterns`` gives that class's
+    first pattern.
     """
     classes = osp_classes(n, p, k_max)
-    merged = osp_levels(classes, p, freqs)
-    keys = classes.keys[merged.head]
-    return spectrum_lines(merged, [
-        (key[0], tuple(key[1:]), GZPattern(rows=pattern, n=n, p=p))
-        for key, pattern in zip(keys.tolist(), hook_patterns(keys[:, 1:]))])
+    merged = osp_levels(classes, freqs)
+    return spectrum_lines(merged, [(key[0], tuple(key[1:]))
+                                   for key in classes.keys[merged.head].tolist()])

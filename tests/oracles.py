@@ -19,14 +19,28 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
-from wignerosc import (GlBasisVector, GZPattern, ModeFrequencies, SpectrumLine,
-                       UnirrepError, UnitarityError, is_unirrep)
+from wignerosc import (GZPattern, ModeFrequencies, SpectrumLine, UnirrepError, UnitarityError,
+                       is_unirrep)
 
 _FORM_AGREEMENT_TOL = 1e-10
+
+
+class GlBasisVector(NamedTuple):
+    """Label (theta, r) of one V(p) basis vector v(theta; r); theta + sum(r) = p.
+
+    A tuple, so it equals and orders like the library's (theta, r) line labels.
+    """
+
+    theta: int
+    r: tuple[int, ...]
+
+    @property
+    def p(self) -> int:
+        return self.theta + sum(self.r)
 
 
 def _compositions(total: int, parts: int):

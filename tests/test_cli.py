@@ -339,9 +339,8 @@ def _parse(text, fmt):
 
 
 def _library_rows(algebra, c):
-    return [(line.energy, line.multiplicity,
-             [line.label.theta, *line.label.r] if algebra == "gl"
-             else [line.label[0], *line.label[1]]) for line in _library_lines(algebra, c)]
+    return [(line.energy, line.multiplicity, [line.label[0], *line.label[1]])
+            for line in _library_lines(algebra, c)]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

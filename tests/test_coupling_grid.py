@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from wignerosc import (InteractionModel, ModeFrequencies, PositiveDefinitenessError,
-                       critical_coupling, decompose, gl_weights, mode_frequencies)
+                       critical_coupling, decompose, gl_spectrum, gl_weights, mode_frequencies,
+                       osp_spectrum)
 from wignerosc.gl_spectrum import gl_classes, gl_levels
 from wignerosc.levels import MergedLevels
 from wignerosc.osp_spectrum import osp_classes, osp_levels
@@ -48,7 +49,7 @@ def test_gl_grid_rows_equal_single_couplings(model, n, p):
     classes = gl_classes(n, p)
     for grid in _grids(decomp):
         _assert_rows_equal_single_couplings(
-            lambda freqs: gl_levels(classes, p, freqs), decomp, grid)
+            lambda freqs: gl_levels(classes, freqs), decomp, grid)
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -58,7 +59,24 @@ def test_osp_grid_rows_equal_single_couplings(model, n, p, k_max):
     classes = osp_classes(n, p, k_max)
     for grid in _grids(decomp):
         _assert_rows_equal_single_couplings(
-            lambda freqs: osp_levels(classes, p, freqs), decomp, grid)
+            lambda freqs: osp_levels(classes, freqs), decomp, grid)
+
+
+@pytest.mark.parametrize("algebra,p", [("gl", 3), ("osp", 2), ("osp", 5.5)])
+def test_classes_carry_their_p_and_their_levels_are_the_spectrum(algebra, p):
+    decomp = decompose(InteractionModel.krawtchouk(5, ptilde=0.3))
+    freqs = mode_frequencies(decomp, 1.0, 0.4 * critical_coupling(decomp.lambdas))
+    if algebra == "gl":
+        classes = gl_classes(5, p)
+        merged, lines = gl_levels(classes, freqs), gl_spectrum(5, p, freqs)
+    else:
+        classes = osp_classes(5, p, 3)
+        merged, lines = osp_levels(classes, freqs), osp_spectrum(5, p, freqs, 3)
+    assert classes.p == p
+    keys = classes.keys[merged.head].tolist()
+    assert [(line.energy, line.multiplicity, line.label) for line in lines] == \
+        [(e, m, (key[0], tuple(key[1:]))) for e, m, key in
+         zip(merged.energy.tolist(), merged.multiplicity.tolist(), keys)]
 
 
 def test_grid_frequencies_and_weights_equal_single_couplings():

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from wignerosc import (GlBasisVector, InteractionModel, ModeFrequencies, NumericError,
-                       UnitarityError, critical_coupling, decompose, gl_dimension, gl_spectrum,
-                       gl_weights, mode_frequencies)
+from wignerosc import (InteractionModel, ModeFrequencies, NumericError, UnitarityError,
+                       critical_coupling, decompose, gl_dimension, gl_spectrum, gl_weights,
+                       mode_frequencies)
 from wignerosc.cli import main
 from wignerosc.gl_spectrum import gl_classes, gl_levels
-from oracles import enumerate_gl_basis, gl_eigenvalue
+from oracles import GlBasisVector, enumerate_gl_basis, gl_eigenvalue
 
 
 def _kraw_freqs(n, c, omega=1.0):
@@ -166,7 +166,7 @@ def test_two_forms_that_disagree_are_a_numeric_error():
     grid = mode_frequencies(decompose(InteractionModel.krawtchouk(3)), 1.0,
                             np.array([0.0, 5e14, 1e15]))
     with pytest.raises(NumericError, match="at coupling index 2: .* beyond the relative bound"):
-        gl_levels(gl_classes(3, 2), 2, grid, allow_nonunitary=True)
+        gl_levels(gl_classes(3, 2), grid, allow_nonunitary=True)
 
 def test_constant_chain_spectrum():
     d = decompose(InteractionModel.constant(4))

@@ -54,7 +54,7 @@ def osp_oracle(n, p, freqs, k_max):
         sig = row_sum_signature(pattern)
         count, rep = classes.get(sig, (0, pattern))
         classes[sig] = (count + 1, rep)
-    return merge_lines([(osp_eigenvalue(rep, freqs, p), count, (rep.height, sig, rep))
+    return merge_lines([(osp_eigenvalue(rep, freqs, p), count, (rep.height, sig))
                         for sig, (count, rep) in classes.items()], _merge_tol(freqs))
 
 
@@ -95,6 +95,14 @@ def test_osp_exact_tie_is_decided_by_multiplicity():
     # (3,3,3,3,3) at height 3 (one pattern) ties (1,1,1,2,2) at height 2 (two patterns)
     line = next(line for line in lines if line.label[1] == (3, 3, 3, 3, 3))
     assert (line.multiplicity, line.label[0]) == (3, 3)
+
+
+def test_gl_and_osp_lines_are_labelled_by_their_head_keys_in_plain_ints():
+    freqs = _freqs(MODELS["krawtchouk"](4), 0.3719)
+    for lines in (gl_spectrum(4, 3, freqs), osp_spectrum(4, 3.5, freqs, 3)):
+        assert all(type(line.label) is tuple and len(line.label) == 2
+                   and type(line.label[0]) is int and type(line.label[1]) is tuple
+                   and all(type(x) is int for x in line.label[1]) for line in lines)
 
 
 def _csv_rows(argv, capsys):

@@ -85,6 +85,13 @@ def test_single_mode_classes_and_one_part_partitions_take_linear_time():
     assert time.perf_counter() - start < 10.0
 
 
+def test_few_parts_drop_their_long_top_rows_as_they_grow():
+    # V(1) of osp(1|6) has one pattern per weight; unpruned, 60 cells took about 5.5 s
+    start = time.perf_counter()
+    classes = osp_classes(3, 1, 60)
+    assert time.perf_counter() - start < 2.0
+    assert len(classes.keys) == math.comb(63, 3) and (classes.multiplicity == 1).all()
+
 
 @pytest.mark.parametrize("p", [math.inf, math.nan])
 def test_a_non_finite_label_is_refused(p):

@@ -19,9 +19,6 @@ tolerance that did not scale with omega would split or fuse levels), --c and
 and non-finite --p, oversize bases, --n lists with n < 2 and --allow-strong.
 Matrix files live in one directory that both trees read; each worker
 writes ``--out`` files in its own directory under the same relative name.
-A revision without an osp byte guard (before 66b9143) tries to allocate
-the oversize osp builds in full, so compare such revisions on a corpus
-without OVERSIZE_OSP.
 """
 
 from __future__ import annotations
@@ -52,8 +49,8 @@ MATRICES = {
     "asymmetric2": (2, [1, 2, 0, 1]),
     "nan2": (2, [1, "nan", "nan", 1]),
 }
-# osp builds over the byte guard; a refused pattern array held up to ~0.5 GB first
-OVERSIZE_OSP = ("--n 8 --p 8 --kmax 10", "--n 20 --p 21 --kmax 20")
+# osp builds over the byte guard, refused before their weight lattice is allocated
+OVERSIZE_OSP = ("--n 12 --p 12 --kmax 12", "--n 20 --p 21 --kmax 20")
 
 
 def write_matrices(directory: Path) -> list[str]:
