@@ -10,7 +10,8 @@ multiplicities) in the V(p) representations of both superalgebras, with
 the ordinary boson Fock space recovered as the osp(1|2n) p = 1 case.
 """
 
-from .coupling import CriticalCoupling, critical_coupling, gl_weights, weak_coupling_bound
+from .coupling import (CriticalCoupling, critical_coupling, critical_couplings, gl_weights,
+                       weak_coupling_bound)
 from .errors import (NoCriticalCouplingError, NumericError,
                      PositiveDefinitenessError, ResourceLimitError, UnirrepError,
                      UnitarityError)
@@ -30,6 +31,7 @@ __all__ = [
     "InteractionModel", "SpectralDecomposition", "ModeFrequencies", "build_constant_matrix",
     "build_krawtchouk_matrix", "decompose", "mode_frequencies", "load_matrix",
     "CriticalCoupling", "gl_weights", "weak_coupling_bound", "critical_coupling",
+    "critical_couplings",
     "SpectrumLine", "gl_dimension", "gl_spectrum",
     "GZPattern", "osp_spectrum", "is_unirrep",
     "FockBasisState", "TruncatedOperatorSet", "CompatibilityReport",

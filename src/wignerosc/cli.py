@@ -20,12 +20,14 @@ import json
 import math
 import sys
 
-from .coupling import CriticalCoupling, critical_coupling, krawtchouk_coupling_row
+from .coupling import (CriticalCoupling, critical_coupling, critical_couplings,
+                       krawtchouk_coupling_rows)
 from .errors import NumericError, ResourceLimitError, UnirrepError, UnitarityError
 from .gl_spectrum import gl_classes, gl_levels
 from .levels import LevelClasses, MergedLevels
 from .osp_spectrum import hook_patterns, osp_classes, osp_levels
-from .spectral import InteractionModel, decompose, load_matrix, mode_frequencies
+from .spectral import (InteractionModel, constant_eigenvalues, decompose, load_matrix,
+                       mode_frequencies)
 
 __all__ = ["main"]
 
@@ -161,18 +163,23 @@ def _cmd_decompose(args) -> int:
 
 
 def _bounds_rows(args) -> list[CriticalCoupling]:
-    rows = []
-    for n in [None] if args.model == "file" else _parse_n_list(args.n):
-        if n is not None and n < 2:
-            raise ValueError("bounds need n >= 2")
-        if args.model == "krawtchouk":
-            rows.append(krawtchouk_coupling_row(n, omega=args.omega))
-        else:
-            model = _model_from_flags(args, n=n)
-            rows.append(CriticalCoupling(
-                n=model.n,
-                c_critical=critical_coupling(decompose(model).lambdas,
-                                             omega=args.omega) / args.omega ** 2))
+    """The table rows; the first failing size in --n order raises its error."""
+    if args.model == "file":
+        model = _model_from_flags(args)
+        return [CriticalCoupling(
+            n=model.n, c_critical=critical_coupling(decompose(model).lambdas,
+                                                    omega=args.omega) / args.omega ** 2)]
+    sizes = _parse_n_list(args.n)
+    short = next((i for i, n in enumerate(sizes) if n < 2), len(sizes))
+    if args.model == "krawtchouk":
+        rows = krawtchouk_coupling_rows(sizes[:short], omega=args.omega)
+    else:  # eigenvalues only: the constant chain's closed form, no eigenvectors
+        couplings = critical_couplings([constant_eigenvalues(n) for n in sizes[:short]],
+                                       omega=args.omega)
+        rows = [CriticalCoupling(n=n, c_critical=c_n / args.omega ** 2)
+                for n, c_n in zip(sizes, couplings)]
+    if short < len(sizes):
+        raise ValueError("bounds need n >= 2")
     return rows
 
 

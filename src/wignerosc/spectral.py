@@ -34,6 +34,7 @@ __all__ = [
     "ModeFrequencies",
     "build_constant_matrix",
     "build_krawtchouk_matrix",
+    "constant_eigenvalues",
     "decompose",
     "mode_frequencies",
     "omega_squared",
@@ -237,6 +238,12 @@ def build_krawtchouk_matrix(n: int, ptilde: float) -> np.ndarray:
     return m
 
 
+def constant_eigenvalues(n: int) -> np.ndarray:
+    """Ascending eigenvalues 2 - 2 cos(j pi / (n+1)), j = 1..n, of the constant chain's M."""
+    j = np.arange(1, n + 1)
+    return 2.0 - 2.0 * np.cos(j * np.pi / (n + 1))
+
+
 def decompose(model: InteractionModel) -> SpectralDecomposition:
     """Spectral decomposition of a model's coupling matrix M, checked against M.
 
@@ -258,7 +265,7 @@ def decompose(model: InteractionModel) -> SpectralDecomposition:
     n = model.n
     if model.kind == "constant":
         j = np.arange(1, n + 1)
-        lambdas = 2.0 - 2.0 * np.cos(j * np.pi / (n + 1))
+        lambdas = constant_eigenvalues(n)
         u = np.sqrt(2.0 / (n + 1)) * np.sin(j[:, None] * j * np.pi / (n + 1))
     else:
         try:

@@ -11,6 +11,9 @@ the hook-content multiplicity of each osp(1|2n) height
 (``multiplicity_at_height``), the C(n+k-1, n-1) distinct levels at generic
 coupling (``distinct_count_at_height``), and the square-root-sum lemma
 behind the Krawtchouk coupling bound (``sqrt_sum_bound_holds``).
+
+``scalar_critical_coupling`` is the one-row bracketed bisection that
+``critical_couplings`` runs for many rows at once.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from wignerosc import (GZPattern, ModeFrequencies, SpectrumLine, UnirrepError, UnitarityError,
-                       is_unirrep)
+from wignerosc import (GZPattern, ModeFrequencies, NoCriticalCouplingError, SpectrumLine,
+                       UnirrepError, UnitarityError, is_unirrep)
+from wignerosc.spectral import omega_squared
 
 _FORM_AGREEMENT_TOL = 1e-10
 
@@ -211,6 +215,65 @@ def sqrt_sum_bound_holds(big_c: float, n: int) -> bool:
         raise ValueError("precondition C > (n-4)^2/16 violated")
     lhs = sum(math.sqrt(big_c + j) for j in range(n + 1))
     return lhs > (n + 1) * math.sqrt(big_c + n / 2.0 - 1.0)
+
+
+def _smallest_weight(c: float, lambdas: np.ndarray, omega: float) -> float:
+    """beta value attached to the largest eigenvalue, as a function of c."""
+    sq = np.sqrt(omega ** 2 + c * lambdas)
+    return float(sq.sum() / (lambdas.shape[0] - 1) - sq.max())
+
+
+def scalar_critical_coupling(lambdas, omega: float = 1.0) -> float:
+    """c_n of one eigenvalue array by bracketed bisection, one weight at a time.
+
+    The bracket doubles from omega^2 until the smallest weight turns
+    negative, stopping at the positive-definiteness limit or before the
+    largest mu_j overflows; then it is halved to relative width 1e-12.
+    """
+    lambdas = np.asarray(lambdas, dtype=float)
+    n = lambdas.shape[0]
+    if n < 2:
+        raise ValueError("need at least two oscillators")
+    if not np.all(np.isfinite(lambdas)):
+        raise ValueError("coupling eigenvalues must be finite")
+    omega2 = omega_squared(omega)
+
+    smallest, top = float(lambdas.min()), float(lambdas.max())
+    limit = math.inf
+    if smallest < 0.0:  # mu_min = omega^2 + c * lambda_min reaches zero at c = limit
+        limit = omega2 / -smallest
+        while omega2 + limit * smallest < 0.0:  # rounded as in _smallest_weight
+            limit = math.nextafter(limit, 0.0)
+
+    lo, hi = 0.0, omega2
+    for _ in range(200):
+        hi = min(hi, limit)
+        if not omega2 + hi * top < math.inf:  # hi, or the largest mu_j there, overflows
+            raise NoCriticalCouplingError(
+                f"smallest weight stays positive up to c = {lo:.6g}; the next "
+                "bracket overflows")
+        if _smallest_weight(hi, lambdas, omega) < 0.0:
+            break
+        if hi == limit < math.inf:
+            raise NoCriticalCouplingError(
+                f"smallest weight stays positive up to c = {limit:.6g}, where the "
+                "interaction matrix stops being positive definite")
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise NoCriticalCouplingError(
+            "smallest weight stays positive for every tested coupling strength")
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if _smallest_weight(mid, lambdas, omega) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return lo
 
 
 def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:

@@ -15,6 +15,7 @@ def test_the_library_example_runs_and_its_comments_hold(capsys):
     exec(compile(blocks[0], str(README), "exec"), scope)
     assert len(capsys.readouterr().out.splitlines()) == 14
     assert scope["c4"] == pytest.approx(1.27357, abs=1e-5)
+    assert scope["c_n"] == pytest.approx([1.27357, 0.51723, 0.27857], abs=1e-5)
     assert len(scope["lines"]) == 15
     assert scope["height"] == 2 and len(scope["signature"]) == 4
     assert scope["beta"].shape == (7, 4) and (scope["beta"] > 0).all()

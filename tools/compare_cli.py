@@ -16,7 +16,9 @@ asymmetric and non-finite matrices), csv and json, with and without
 ``--out``, and edge cases: --omega 1e130, 3141592.65 and 1e-9 (where a merge
 tolerance that did not scale with omega would split or fuse levels), --c and
 --cmax 1e15 (where gl energies lose digits) and 1e308, fractional, negative
-and non-finite --p, oversize bases, --n lists with n < 2 and --allow-strong.
+and non-finite --p, oversize bases, --n lists with n < 2 before or after a
+size without a critical coupling, bounds tables up to n = 200, and
+--allow-strong.
 Matrix files live in one directory that both trees read; each worker
 writes ``--out`` files in its own directory under the same relative name.
 """
@@ -110,7 +112,8 @@ def corpus(seed: int, runs: int, files: list[str]) -> list[list[str]]:
             out.append([command] + _model(rng, files, sizes) + _output(rng, ("csv", "json")))
             continue
         if command == "bounds":
-            sizes = ["4..10", "2..6", "1", "3,5,7", "5..4", "2..30", "1..3"]
+            sizes = ["4..10", "2..6", "1", "3,5,7", "5..4", "2..30", "1..3", "4..200", "2,1",
+                     "30,2", "3..60"]
             out.append([command] + _model(rng, files, sizes) + _output(rng, (None, "csv", "json")))
             continue
         algebra = rng.choice(("gl", "osp"))
