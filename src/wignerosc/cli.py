@@ -172,6 +172,7 @@ def _bounds_rows(args) -> list[CriticalCoupling]:
     sizes = _parse_n_list(args.n)
     short = next((i for i, n in enumerate(sizes) if n < 2), len(sizes))
     if args.model == "krawtchouk":
+        InteractionModel.krawtchouk(1, ptilde=args.ptilde)  # refuses a --ptilde outside (0, 1)
         rows = krawtchouk_coupling_rows(sizes[:short], omega=args.omega)
     else:  # eigenvalues only: the constant chain's closed form, no eigenvectors
         couplings = critical_couplings([constant_eigenvalues(n) for n in sizes[:short]],

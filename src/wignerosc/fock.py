@@ -10,8 +10,8 @@ coefficient per column. The ladder identities
 pairing identities of the chain's q = U Q, p = U P are evaluated on
 these stored entries, never on a K**n x K**n matrix; a byte budget
 admits 1.2 * 10**6 states at n = 2 and 5.3 * 10**5 at n = 6. The
-closed-form spectrum hbar (E_0 + sum_j k_j sqrt(mu_j)) runs on the
-level-class kernel.
+closed-form spectrum hbar sum_j sqrt(mu_j) (1/2 + k_j) is the osp(1|2n)
+V(1) spectrum, whose weights are the occupations.
 
 Truncation corrupts exactly the top rung of each mode, so every
 identity is asserted only between "interior" states (all occupations
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levels import SpectrumLine, check_bytes, merge_classes, spectrum_lines, weight_lattice
-from .osp_spectrum import GZPattern
+from .levels import SpectrumLine, check_bytes, spectrum_lines
+from .osp_spectrum import GZPattern, osp_classes, osp_levels
 from .spectral import InteractionModel, ModeFrequencies, SpectralDecomposition, mode_frequencies
 
 __all__ = [
@@ -188,24 +188,17 @@ def verify_compatibility(ops: TruncatedOperatorSet) -> CompatibilityReport:
 
 def fock_spectrum(n: int, freqs: ModeFrequencies, hbar: float = 1.0,
                   k_total_max: int = 3) -> list[SpectrumLine]:
-    """Levels hbar (E_0 + sum_j k_j sqrt(mu_j)) over occupations with sum k_j <= k_total_max.
+    """Levels hbar sum_j sqrt(mu_j) (1/2 + k_j) over occupations with sum k_j <= k_total_max.
 
-    E_0 = (1/2) sum_j sqrt(mu_j). The occupations are ``levels.weight_lattice``,
-    behind its byte guard, each of multiplicity 1, merged by the one rule of
-    ``levels.merge_classes``; a line is labelled by its lowest-energy
-    occupation, ties broken by lattice order (total, then lexicographic).
-    With hbar = 1 the energies match the units-of-hbar convention of the
-    algebraic spectra.
+    The lines of ``osp_spectrum(n, 1, freqs, k_total_max)`` times hbar, each
+    labelled by the weight of its head class: its occupation tuple.
     """
     if freqs.n != n:
         raise ValueError("mode count disagrees with n")
-    # occupations (k_1..k_n) by total, then lexicographic
-    occ = weight_lattice(n, k_total_max, f"occupations of {n} modes up to {k_total_max}")[:, 1:]
-    e0 = 0.5 * float(freqs.sqrt_mu.sum())
-    energy = e0 + np.vecdot(occ.astype(float), freqs.sqrt_mu)
-    merged = merge_classes(energy[None, :], np.ones(len(occ), dtype=np.int64), freqs)
-    return spectrum_lines(merged._replace(energy=hbar * merged.energy),
-                          list(map(tuple, occ[merged.head].tolist())))
+    classes = osp_classes(n, 1, k_total_max)
+    merged = osp_levels(classes, freqs)
+    occ = np.diff(classes.keys[merged.head, 1:], axis=1, prepend=0).tolist()
+    return spectrum_lines(merged._replace(energy=hbar * merged.energy), list(map(tuple, occ)))
 
 
 def gz_to_fock(pattern: GZPattern) -> FockBasisState:

@@ -4,13 +4,14 @@ Basis vectors are labelled v(theta; r_1, ..., r_n) with theta in {0, 1},
 non-negative integers r_j, and theta + r_1 + ... + r_n = p. The diagonal
 generator actions make every basis vector an eigenvector with
 
-    E = beta * p - sum_j sqrt(mu_j) * r_j
+    E = sum_j sqrt(mu_j) * (p/(n-1) - r_j)       (levels.level_energies, w = -r)
       = beta * theta + sum_j beta_j * r_j         (equivalent form),
 
-in units of hbar. Without coupling the spectrum collapses to the two
-values omega (p/(n-1) + theta); for weak coupling all dim V(p) levels
-are generically distinct, and the lowest one, p * beta_n, sinks to zero
-as c approaches the critical coupling.
+in units of hbar, with beta = sum_j beta_j; every energy is checked against
+the second form, so digits cancelled at huge couplings raise. Without coupling
+the spectrum collapses to the two values omega (p/(n-1) + theta); for weak
+coupling all dim V(p) levels are generically distinct, and the lowest one,
+p * beta_n, sinks to zero as c approaches the critical coupling.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .coupling import gl_weights
 from .errors import NumericError, UnitarityError
 from .levels import (LevelClasses, MergedLevels, SpectrumLine, check_bytes, grow_compositions,
-                     merge_classes, spectrum_lines)
+                     level_energies, merge_classes, spectrum_lines)
 from .spectral import ModeFrequencies
 
 __all__ = [
@@ -76,13 +77,9 @@ def gl_levels(classes: LevelClasses, freqs: ModeFrequencies,
             "weights change sign at this coupling; pass allow_nonunitary to proceed")
     if freqs.n != classes.keys.shape[1] - 1:
         raise ValueError("weights, frequencies and basis vector sizes disagree")
-    theta, r = classes.keys[:, 0], classes.keys[:, 1:].astype(float)
-    beta_sum = beta.sum(axis=-1, keepdims=True)
-    # vecdot takes each r . sqrt_mu as a dot product of two vectors; at a single
-    # coupling r @ sqrt_mu runs a matrix-vector kernel that sums in another order
-    # and moves energies by an ulp
-    energy = beta_sum * classes.p - np.vecdot(r, np.atleast_2d(freqs.sqrt_mu)[:, None, :])
-    alt = beta_sum * theta + np.vecdot(r, beta[:, None, :])
+    theta, r = classes.keys[:, 0], classes.keys[:, 1:]
+    energy = level_energies(classes.p / (freqs.n - 1), -r, freqs)
+    alt = beta.sum(axis=-1, keepdims=True) * theta + np.vecdot(r.astype(float), beta[:, None, :])
     bad = np.abs(energy - alt) > _FORM_AGREEMENT_TOL * (1.0 + np.abs(energy))
     if bad.any():
         at = tuple(np.argwhere(bad)[0])

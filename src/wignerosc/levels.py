@@ -1,10 +1,10 @@
 """Shared spectrum-line records, integer level classes, and the merge that makes lines.
 
-Every gl(1|n) and osp(1|2n) level is an integer weight class with an
-exact multiplicity whose energy depends on the coupling only through
-sqrt(mu_j). ``LevelClasses`` holds such a class set, built once per
-representation; ``merge_classes`` turns a (couplings x classes) energy
-grid into one table of spectrum lines, every coupling at once.
+Every gl(1|n), osp(1|2n) and Fock level is an integer weight class w with an
+exact multiplicity and the energy sum_j sqrt(mu_j) (a + w_j) of ``level_energies``.
+``LevelClasses`` holds such a class set, built once per representation;
+``merge_classes`` turns a (couplings x classes) energy grid into one table
+of spectrum lines, every coupling at once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from .errors import ResourceLimitError
 from .spectral import ModeFrequencies
 
 __all__ = ["SpectrumLine", "LevelClasses", "MergedLevels", "MERGE_TOL", "BYTE_BUDGET",
-           "check_bytes", "merge_classes", "spectrum_lines", "grow_compositions", "weight_lattice"]
+           "check_bytes", "level_energies", "merge_classes", "spectrum_lines",
+           "grow_compositions", "weight_lattice"]
 
 #: energies closer than this many smallest mode quanta hbar min_j sqrt(mu_j) print as one line
 MERGE_TOL = 1e-9
@@ -92,14 +93,23 @@ def grow_compositions(keys: np.ndarray, left: np.ndarray, parts: int) -> np.ndar
 def weight_lattice(n: int, k_max: int, what: str) -> np.ndarray:
     """Every weight w in N^n with sum(w) <= k_max as a row (sum(w), w), rows ascending.
 
-    A lattice whose osp classes or Fock lines exceed BYTE_BUDGET raises ResourceLimitError first.
+    A lattice whose osp classes exceed BYTE_BUDGET raises ResourceLimitError first.
     """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    # traced peak per row: osp_classes 6 int64 copies, fock_spectrum fewer plus a line (<= 260 B)
+    # traced peak per row (osp_classes is the one caller): its 6 int64 copies, or in
+    # fock_spectrum the V(1) classes, their energies and one SpectrumLine (< 350 + 30 n B)
     check_bytes(8 * (7 * n + 49) * math.comb(k_max + n, n), what)
     heights = np.arange(k_max + 1)
     return grow_compositions(heights[:, None], heights, n)
+
+
+def level_energies(a: float, weights: np.ndarray, freqs: ModeFrequencies) -> np.ndarray:
+    """a sum_j sqrt(mu_j) + w . sqrt(mu) per weight row w (columns) and coupling (rows)."""
+    sqrt_mu = np.atleast_2d(freqs.sqrt_mu)
+    # vecdot sums every w . sqrt_mu in one order; w @ sqrt_mu changes it at one coupling
+    return (a * sqrt_mu.sum(axis=-1, keepdims=True)
+            + np.vecdot(weights.astype(float), sqrt_mu[:, None, :]))
 
 
 def merge_classes(energies: np.ndarray, multiplicity: np.ndarray,

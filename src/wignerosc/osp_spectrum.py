@@ -10,11 +10,13 @@ Each pattern is an eigenvector; with s_j the sum of the length-j row,
 
     E = sum_j sqrt(mu_j) * (p/2 + s_j - s_{j-1}),    s_0 = 0,
 
-in units of hbar, so a level depends only on the weight w = (s_1, s_2 - s_1,
-..., s_n - s_{n-1}). Each weight up to a top-row weight is a class; its exact
-multiplicity, the number of patterns of weight w, is a sum of Kostka numbers
-counted by the branching rule, and no pattern is built. The merge joins each
-height at c = 0, and level crossings at special couplings.
+in units of hbar (``levels.level_energies`` at a = p/2), so a level depends
+only on the weight w = (s_1, s_2 - s_1, ..., s_n - s_{n-1}). Each weight up to
+a top-row weight is a class; its exact multiplicity, the number of patterns of
+weight w, is a sum of Kostka numbers counted by the branching rule (1 when
+ceil(p) = 1: V(1) is the boson Fock space, w the occupations), and no pattern
+is built. The merge joins each height at c = 0, and level crossings at
+special couplings.
 
 The paper's closed forms per height (hook-content multiplicities, C(n+k-1,
 n-1) distinct levels at generic coupling) are test oracles, not library code.
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnirrepError
-from .levels import (LevelClasses, MergedLevels, SpectrumLine, merge_classes, spectrum_lines,
-                     weight_lattice)
+from .levels import (LevelClasses, MergedLevels, SpectrumLine, level_energies, merge_classes,
+                     spectrum_lines, weight_lattice)
 from .spectral import ModeFrequencies
 
 __all__ = [
@@ -142,8 +144,8 @@ def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
 
     Every weight w = diff(s) with sum(w) <= k_max is a class (the top row
     (sum(w)) is admissible), of multiplicity sum_lambda K_{lambda, w} over
-    top rows of at most ceil(p) parts. A non-finite p raises ValueError, and a
-    lattice over BYTE_BUDGET raises before it is built.
+    top rows of at most ceil(p) parts (1 if ceil(p) = 1). A non-finite p
+    raises ValueError, and a lattice over BYTE_BUDGET raises before it is built.
     """
     if not math.isfinite(p):
         raise ValueError(f"the V(p) label must be finite; got p = {p}")
@@ -153,21 +155,17 @@ def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
     lattice = weight_lattice(n, k_max,
                              f"the V({p}) classes of osp(1|{2 * n}) up to height {k_max}")
     keys = np.column_stack((lattice[:, 0], np.cumsum(lattice[:, 1:], axis=1)))
-    return LevelClasses(keys=keys, multiplicity=_pattern_counts(lattice[:, 1:], math.ceil(p)),
-                        p=p)
+    parts = math.ceil(p)
+    count = np.ones(len(keys), np.int64) if parts == 1 else _pattern_counts(lattice[:, 1:], parts)
+    return LevelClasses(keys=keys, multiplicity=count, p=p)
 
 
 def osp_levels(classes: LevelClasses, freqs: ModeFrequencies) -> MergedLevels:
     """Lines of ``osp_classes(n, p, k_max)`` at every coupling of ``freqs``, merged at MERGE_TOL."""
     if freqs.n != classes.keys.shape[1] - 1:
         raise ValueError("mode count disagrees with n")
-    sqrt_mu = np.atleast_2d(freqs.sqrt_mu)
-    shift = classes.p / 2.0 + np.diff(classes.keys[:, 1:], axis=1, prepend=0)
-    # summed term by term in j, so energies match a per-pattern sum bit for bit
-    energy = np.zeros((len(sqrt_mu), len(shift)))
-    for j in range(freqs.n):
-        energy += sqrt_mu[:, j, None] * shift[:, j]
-    return merge_classes(energy, classes.multiplicity, freqs)
+    weights = np.diff(classes.keys[:, 1:], axis=1, prepend=0)
+    return merge_classes(level_energies(classes.p / 2, weights, freqs), classes.multiplicity, freqs)
 
 
 def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int) -> list[SpectrumLine]:

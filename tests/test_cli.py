@@ -79,6 +79,17 @@ def test_bounds_usage_and_numeric_failures(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sizes", ["4..200", "2", "2,1"])
+def test_bounds_refuse_the_ptilde_that_spectrum_refuses(sizes, capsys):
+    # the Krawtchouk critical couplings do not depend on ptilde, but the model does
+    argv = ["--model", "krawtchouk", "--ptilde", "1.5"]
+    assert main(["bounds", "--n", sizes, *argv]) == 2
+    bounds_err = capsys.readouterr().err
+    assert main(["spectrum", "--algebra", "gl", "--n", "4", "--p", "2", "--c", "0.1", *argv]) == 2
+    assert bounds_err == capsys.readouterr().err == \
+        "error: krawtchouk coupling needs ptilde in (0,1)\n"
+
+
 def test_bounds_at_an_omega_whose_bracket_overflows(capsys):
     # doubling the bracket from omega^2 = 1e260 overflows before any sign change
     assert main(["bounds", "--n", "2", "--omega", "1e130"]) == 3

@@ -12,6 +12,12 @@ kernel through the per-algebra writers it then used, before the CLI
 printed spectra from the class keys. They cover a p = 0 gl module (one
 line, no theta = 1 row), negative gl energies past c_n, osp at n = 1,
 and osp at a non-integer p.
+
+Nine files were re-recorded when every energy moved to the one formula
+a sum_j sqrt(mu_j) + w . sqrt(mu): their energies moved by a few ulps (and
+cancelled gl levels by more), and at c = 0.75 in ``osp_sweep_tie.csv`` an
+exact tie of multiplicities 1 and 2 now goes to the smaller multiplicity,
+as documented, where a one-ulp difference had decided it before.
 """
 
 from pathlib import Path

@@ -3,9 +3,16 @@
 ``gl_spectrum`` and ``osp_spectrum`` build integer class arrays once and
 evaluate and merge every class at once. The oracles below take the long
 way through ``oracles``: every basis vector or Gelfand-Zetlin pattern as
-an object, one energy each, and ``merge_lines``. Both must give equal
-SpectrumLine lists, energies bit for bit.
+an object, one energy each, and ``merge_lines``. Both must give the same
+lines, multiplicities and labels. The oracles sum each energy in another
+order, so energies are held instead to the exact rational value of
+sum_j sqrt(mu_j) (a + w_j) on the float sqrt(mu_j), for the head class w of
+each line: within (n + 2) eps sum_j sqrt(mu_j) (|a| + |w_j|), the rounding
+of the library's a sum_j sqrt(mu_j) + w . sqrt(mu).
 """
+
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,10 +65,27 @@ def osp_oracle(n, p, freqs, k_max):
                         for sig, (count, rep) in classes.items()], _merge_tol(freqs))
 
 
-def _assert_same(lines, expected):
-    assert lines == expected
+def _gl_weight(label):
+    return [-r for r in label[1]]
+
+
+def _osp_weight(label):
+    return np.diff(label[1], prepend=0).tolist()
+
+
+def _assert_same(lines, expected, freqs, a, weight):
+    """Equal lines, multiplicities and labels; each energy within its bound of the exact one."""
+    assert [(line.multiplicity, line.label) for line in lines] == \
+        [(line.multiplicity, line.label) for line in expected]
     assert all(type(line.energy) is float and type(line.multiplicity) is int
                for line in lines)
+    sqrt_mu = [Fraction(x) for x in freqs.sqrt_mu.tolist()]
+    eps = Fraction(sys.float_info.epsilon)
+    for line in lines:
+        w = weight(line.label)
+        exact = sum(s * (a + x) for s, x in zip(sqrt_mu, w, strict=True))
+        bound = (len(w) + 2) * eps * sum(s * (abs(a) + abs(x)) for s, x in zip(sqrt_mu, w))
+        assert abs(Fraction(line.energy) - exact) <= bound, line
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -72,7 +96,7 @@ def test_gl_kernel_matches_per_vector_path(model, n):
         freqs = _freqs(lambdas, c)
         for p in range(5):
             _assert_same(gl_spectrum(n, p, freqs, allow_nonunitary=True),
-                         gl_oracle(n, p, freqs))
+                         gl_oracle(n, p, freqs), freqs, Fraction(p, n - 1), _gl_weight)
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -84,14 +108,15 @@ def test_osp_kernel_matches_pattern_path(model, n):
         freqs = _freqs(lambdas, c)
         for p in ps:
             for k_max in range(5):
-                _assert_same(osp_spectrum(n, p, freqs, k_max), osp_oracle(n, p, freqs, k_max))
+                _assert_same(osp_spectrum(n, p, freqs, k_max), osp_oracle(n, p, freqs, k_max),
+                             freqs, Fraction(p) / 2, _osp_weight)
 
 
 def test_osp_exact_tie_is_decided_by_multiplicity():
     model = InteractionModel.krawtchouk(5, c=1.0, ptilde=0.4)
     freqs = mode_frequencies(decompose(model), 1.0, 1.0)
     lines = osp_spectrum(5, 3, freqs, 4)
-    _assert_same(lines, osp_oracle(5, 3, freqs, 4))
+    _assert_same(lines, osp_oracle(5, 3, freqs, 4), freqs, Fraction(3, 2), _osp_weight)
     # (3,3,3,3,3) at height 3 (one pattern) ties (1,1,1,2,2) at height 2 (two patterns)
     line = next(line for line in lines if line.label[1] == (3, 3, 3, 3, 3))
     assert (line.multiplicity, line.label[0]) == (3, 3)

@@ -89,6 +89,5 @@ def test_fock_equals_osp_v1(n):
             freqs = mode_frequencies(decomp, omega, c * omega ** 2)
             fock = fock_spectrum(n, freqs, k_total_max=k)
             osp = osp_spectrum(n, 1, freqs, k_max=k)
-            assert [line.multiplicity for line in fock] == [line.multiplicity for line in osp]
-            np.testing.assert_allclose([line.energy for line in fock],
-                                       [line.energy for line in osp], rtol=1e-12, atol=0)
+            assert [(line.energy, line.multiplicity) for line in fock] == \
+                [(line.energy, line.multiplicity) for line in osp]

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from wignerosc import ModeFrequencies, ResourceLimitError, fock_spectrum, levels
-from wignerosc.osp_spectrum import osp_classes
+from wignerosc.osp_spectrum import _pattern_counts, osp_classes
 from oracles import (distinct_count_at_height, enumerate_gz, multiplicity_at_height,
                      partitions_of, row_sum_signature)
 
@@ -93,6 +93,15 @@ def test_few_parts_drop_their_long_top_rows_as_they_grow():
     assert len(classes.keys) == math.comb(63, 3) and (classes.multiplicity == 1).all()
 
 
+@pytest.mark.parametrize("n,p", [(n, 1) for n in range(1, 8)] + [(1, 0.5)])
+def test_one_part_top_rows_give_each_weight_one_pattern(n, p):
+    # osp_classes skips the branching rule at ceil(p) = 1; the rule agrees
+    for k_max in range(7):
+        classes = osp_classes(n, p, k_max)
+        weights = np.diff(classes.keys[:, 1:], axis=1, prepend=0)
+        assert classes.multiplicity.tolist() == _pattern_counts(weights, 1).tolist()
+
+
 @pytest.mark.parametrize("p", [math.inf, math.nan])
 def test_a_non_finite_label_is_refused(p):
     with pytest.raises(ValueError, match="must be finite"):
@@ -104,7 +113,8 @@ def test_fock_lattice_over_the_byte_budget_is_refused_before_allocating(monkeypa
     assert _guard_bytes(6, 7) > 2 ** 20 > _guard_bytes(6, 6)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceLimitError, match=r"occupations of 6 modes up to 7 need"):
+        with pytest.raises(ResourceLimitError,
+                           match=r"the V\(1\) classes of osp\(1\|12\) up to height 7 need"):
             fock_spectrum(6, freqs, k_total_max=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
