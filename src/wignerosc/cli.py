@@ -16,6 +16,7 @@ shortest round-trip floats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -24,8 +25,8 @@ from .coupling import (CriticalCoupling, critical_coupling, critical_couplings,
                        krawtchouk_coupling_rows)
 from .errors import NumericError, ResourceLimitError, UnirrepError, UnitarityError
 from .gl_spectrum import gl_classes, gl_levels
-from .levels import LevelClasses, MergedLevels
-from .osp_spectrum import hook_patterns, osp_classes, osp_levels
+from .levels import LevelClasses, MergedLevels, check_bytes
+from .osp_spectrum import osp_classes, osp_levels
 from .spectral import (InteractionModel, constant_eigenvalues, decompose, load_matrix,
                        mode_frequencies)
 
@@ -52,6 +53,7 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output file (default: stdout)")
 
 
+@functools.cache  # built on the first main(), not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wignerosc",
@@ -142,20 +144,31 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _json_list(item, rows, depth: int = 0) -> str:
+    """``json.dumps(items, indent=2)`` of a non-empty list nested ``depth`` lists deep.
+
+    ``item`` is the layout of every item: each "%r" or "%s" string in it is
+    a slot that a row of ``rows`` fills, a "%s" slot with text already in json
+    form. json writes ints and finite floats as their repr, so the text is
+    json's own, without its pure-Python encoder.
+    """
+    pad = "  " * (depth + 1)
+    template = json.dumps(item, indent=2).replace('"%r"', "%r").replace('"%s"', "%s")
+    template = pad + template.replace("\n", "\n" + pad)
+    return "[\n%s\n%s]" % (",\n".join(map(template.__mod__, rows)), pad[2:])
+
+
 def _cmd_decompose(args) -> int:
     model = _model_from_flags(args)
     decomp = decompose(model)
+    lambdas, u = decomp.lambdas.tolist(), decomp.u.tolist()
     if args.format == "json":
-        text = json.dumps({"source": decomp.source,
-                           "lambdas": decomp.lambdas.tolist(),
-                           "u": decomp.u.tolist()}, indent=2) + "\n"
-    else:
-        header = "lambda," + ",".join(f"v_{i}" for i in range(1, decomp.n + 1))
-        rows = [header]
-        for j in range(decomp.n):
-            rows.append(",".join([repr(float(decomp.lambdas[j]))]
-                                 + [repr(float(x)) for x in decomp.u[:, j]]))
-        text = "\n".join(rows) + "\n"
+        text = '{\n  "source": %s,\n  "lambdas": %s,\n  "u": %s\n}\n' % (
+            json.dumps(decomp.source), _json_list("%r", zip(lambdas), 1),
+            _json_list(["%r"] * decomp.n, map(tuple, u), 1))
+    else:  # row j: lambda_j, then eigenvector j
+        text = "lambda," + ",".join(f"v_{i}" for i in range(1, decomp.n + 1)) + "\n" + "".join(
+            map(("%r," * decomp.n + "%r\n").__mod__, zip(lambdas, *u)))
     _emit(text, args.out)
     print(f"orthonormality residual: {decomp.orthonormality:.3e}", file=sys.stderr)
     print(f"reconstruction residual: {decomp.reconstruction:.3e}", file=sys.stderr)
@@ -186,24 +199,25 @@ def _bounds_rows(args) -> list[CriticalCoupling]:
 
 def _cmd_bounds(args) -> int:
     rows = _bounds_rows(args)
+    names = ("n", "c_tilde_over_omega2", "c_n_over_omega2", "ratio")
+    table = [(r.n, r.c_bound, r.c_critical, r.ratio) for r in rows]
+    # the bound and ratio exist on every row or on none (Krawtchouk only), so the
+    # template writes a None as a fixed null (json) or empty (csv) field
+    slots = ["%r" if value is not None else None for value in table[0]]
+    values = [tuple(value for value in row if value is not None) for row in table]
     if args.format == "json":
-        payload = [{"n": r.n, "c_tilde_over_omega2": r.c_bound,
-                    "c_n_over_omega2": r.c_critical, "ratio": r.ratio} for r in rows]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-        return EXIT_OK
-    if args.format == "csv":
-        lines = ["n,c_tilde_over_omega2,c_n_over_omega2,ratio"]
-        for row in rows:
-            bound = "" if row.c_bound is None else repr(row.c_bound)
-            ratio = "" if row.ratio is None else repr(row.ratio)
-            lines.append(f"{row.n},{bound},{repr(row.c_critical)},{ratio}")
+        text = _json_list(dict(zip(names, slots)), values) + "\n"
+    elif args.format == "csv":
+        template = ",".join(slot or "" for slot in slots) + "\n"
+        text = ",".join(names) + "\n" + "".join(map(template.__mod__, values))
     else:  # the five-decimal table
         lines = [f"{'n':>4}  {'bound/omega^2':>13}  {'c_n/omega^2':>11}  {'bound/c_n':>9}"]
         for row in rows:
             bound = f"{row.c_bound:13.5f}" if row.c_bound is not None else " " * 13
             ratio = f"{row.ratio:9.5f}" if row.ratio is not None else " " * 9
             lines.append(f"{row.n:>4}  {bound}  {row.c_critical:11.5f}  {ratio}")
-    _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -230,20 +244,19 @@ def _cmd_spectrum(args) -> int:
     # each line's head class key: theta, r_1..r_n for gl; height, s_1..s_n for osp
     first, rest, rest_json = ("theta", "r", "r") if args.algebra == "gl" \
         else ("height", "s", "signature")
-    keys = classes.keys[merged.head]
-    rows = zip(merged.energy.tolist(), merged.multiplicity.tolist(), keys.tolist())
+    energy, multiplicity = merged.energy.tolist(), merged.multiplicity.tolist()
+    columns = classes.keys[merged.head].T.tolist()
     if args.format == "json":
-        payload = [{"energy": e, "multiplicity": m, first: key[0], rest_json: key[1:]}
-                   for e, m, key in rows]
-        if args.algebra == "osp":
-            for record, pattern in zip(payload, hook_patterns(keys[:, 1:])):
-                record["pattern"] = pattern
-        text = json.dumps(payload, indent=2) + "\n"
+        item = {"energy": "%r", "multiplicity": "%r", first: "%r", rest_json: ["%r"] * model.n}
+        if args.algebra == "osp":  # the hook pattern: length-j row (s_j, 0, ..., 0), top first
+            item["pattern"] = [["%r"] + [0] * (j - 1) for j in range(model.n, 0, -1)]
+            columns += columns[:0:-1]
+        text = _json_list(item, zip(energy, multiplicity, *columns)) + "\n"
     else:
         header = f"energy,multiplicity,{first}," + ",".join(
             f"{rest}_{j}" for j in range(1, model.n + 1))
-        text = "\n".join([header] + [f"{e!r},{m}," + ",".join(map(str, key))
-                                     for e, m, key in rows]) + "\n"
+        text = header + "\n" + "".join(map(("%r," * (model.n + 2) + "%r\n").__mod__,
+                                           zip(energy, multiplicity, *columns)))
     _emit(text, args.out)
     return EXIT_OK
 
@@ -269,21 +282,28 @@ def _cmd_sweep(args) -> int:
                 f"--cmax {args.cmax} exceeds the critical coupling {c_n:.6g}; "
                 "pass --allow-strong to sweep past it")
 
+    # a whole sweep job's traced peak per (coupling, class) pair, rendering included,
+    # was under 400 + 3 n bytes (n 1-16, either format, every pair its own line)
+    check_bytes(8 * (decomp.n + 56) * args.steps * len(classes.keys),
+                f"the {args.steps} x {len(classes.keys)} (coupling, class) pairs of the sweep")
     couplings = [args.cmin + (args.cmax - args.cmin) * i / (args.steps - 1)
                  for i in range(args.steps)]
     merged = _levels(args, classes, mode_frequencies(decomp, args.omega, couplings))
-    # theta/r_1-...-r_n for gl, height/s_1-...-s_n for osp: one string per class
-    labels = [f"{key[0]}/" + "-".join(map(str, key[1:])) for key in classes.keys.tolist()]
-    records = zip([couplings[i] for i in merged.coupling.tolist()], merged.energy.tolist(),
-                  merged.multiplicity.tolist(), [labels[h] for h in merged.head.tolist()])
+    # each coupling and each class label (theta/r_1-...-r_n for gl, height/s_1-...-s_n for
+    # osp) is formatted once, and a line takes its head class's label
+    label = "%r/" + "-".join(["%r"] * decomp.n)
     if args.format == "json":
-        payload = [{"c": c, "energy": e, "multiplicity": m, "label": lab}
-                   for c, e, m, lab in records]
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        label = f'"{label}"'
+    c_text = list(map(repr, couplings))
+    labels = list(map(label.__mod__, zip(*classes.keys.T.tolist())))
+    rows = zip([c_text[i] for i in merged.coupling.tolist()], merged.energy.tolist(),
+               merged.multiplicity.tolist(), [labels[h] for h in merged.head.tolist()])
+    if args.format == "json":
+        item = {"c": "%s", "energy": "%r", "multiplicity": "%r", "label": "%s"}
+        text = _json_list(item, rows) + "\n"
     else:
-        rows = ["c,energy,multiplicity,label"]
-        rows.extend(f"{c!r},{e!r},{m},{lab}" for c, e, m, lab in records)
-        _emit("\n".join(rows) + "\n", args.out)
+        text = "c,energy,multiplicity,label\n" + "".join(map("%s,%r,%r,%s\n".__mod__, rows))
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -38,7 +38,6 @@ from .spectral import ModeFrequencies
 
 __all__ = [
     "GZPattern",
-    "hook_patterns",
     "osp_classes",
     "osp_levels",
     "osp_spectrum",
@@ -130,15 +129,6 @@ def _pattern_counts(weights: np.ndarray, parts: int) -> np.ndarray:
     return count[inverse.ravel()]
 
 
-def hook_patterns(signatures: np.ndarray) -> list[list[list[int]]]:
-    """The lexicographically greatest pattern of each row-sum class, rows top (length n) first.
-
-    Row i of ``signatures`` holds s_1..s_n; its pattern's length-j row is (s_j, 0, ..., 0).
-    """
-    return [[[s[j - 1]] + [0] * (j - 1) for j in range(len(s), 0, -1)]
-            for s in signatures.tolist()]
-
-
 def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
     """Row-sum signature classes up to top-row weight k_max, keyed (height, s_1, ..., s_n).
 
@@ -175,8 +165,8 @@ def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int) -> list[S
     they are correct even when two energies are numerically close); lines
     within MERGE_TOL smallest mode quanta merge, so c = 0 gives one line per
     height at every omega. A line is labelled by its head class key,
-    (height, signature) in plain ints; ``hook_patterns`` gives that class's
-    first pattern.
+    (height, signature) in plain ints; that class's first pattern is the hook
+    pattern whose length-j row is (s_j, 0, ..., 0).
     """
     classes = osp_classes(n, p, k_max)
     merged = osp_levels(classes, freqs)

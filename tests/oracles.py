@@ -299,6 +299,16 @@ def row_sum_signature(pattern: GZPattern) -> tuple[int, ...]:
     return tuple(sum(pattern.row(j)) for j in range(1, pattern.n + 1))
 
 
+def hook_patterns(signatures: np.ndarray) -> list[list[list[int]]]:
+    """The lexicographically greatest pattern of each row-sum class, rows top (length n) first.
+
+    Row i of ``signatures`` holds s_1..s_n; its pattern's length-j row is
+    (s_j, 0, ..., 0). The CLI writes this as the JSON ``pattern`` field.
+    """
+    return [[[s[j - 1]] + [0] * (j - 1) for j in range(len(s), 0, -1)]
+            for s in np.asarray(signatures).tolist()]
+
+
 def osp_eigenvalue(pattern: GZPattern, freqs: ModeFrequencies, p: float) -> float:
     """Energy (units of hbar): sum_j sqrt(mu_j) (p/2 + s_j - s_{j-1})."""
     if pattern.n != freqs.n:

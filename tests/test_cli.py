@@ -1,11 +1,12 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from wignerosc import (InteractionModel, build_krawtchouk_matrix, critical_coupling,
-                       decompose, gl_spectrum, mode_frequencies, osp_spectrum)
+                       decompose, gl_spectrum, levels, mode_frequencies, osp_spectrum)
 from wignerosc.cli import main
 
 
@@ -458,3 +459,66 @@ def test_oversize_gl_build_is_a_usage_error_before_allocating(command, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "26936910 basis vectors" in out.err and " bytes, beyond the " in out.err
+
+
+OVER_BUDGET_SWEEP = ("sweep --algebra osp --model krawtchouk --n 8 --p 8 --kmax 10 "
+                     "--cmin 0 --cmax 1 --steps 100000")
+
+
+def test_sweep_grid_over_the_byte_budget_is_refused_at_once(tmp_path, capsys):
+    # 43,758 classes x 10^5 couplings: terabytes of energies, lines and text
+    out = tmp_path / "sweep.csv"
+    start = time.perf_counter()
+    assert main(OVER_BUDGET_SWEEP.split() + ["--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(
+        "error: the 100000 x 43758 (coupling, class) pairs of the sweep need ")
+    assert captured.err.endswith(" bytes, beyond the 536870912-byte guard\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "sweep --algebra osp --model krawtchouk --n 1 --p 1 --kmax 3000 --cmin 0.1 --cmax 0.5 "
+    "--steps 12 --format json",
+    "sweep --algebra gl --model krawtchouk --n 6 --p 4 --cmin 0.1 --cmax 0.2 --steps 200 "
+    "--format json",
+])
+def test_sweep_byte_guard_covers_the_traced_peak(argv, tmp_path, monkeypatch, capsys):
+    # every (coupling, class) pair is its own line here: the most text a grid can make
+    args = argv.split() + ["--out", str(tmp_path / "sweep.out")]
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the guard counts more than the peak, and less than 1/0.7 of it
+    monkeypatch.setattr(levels, "BYTE_BUDGET", peak)
+    assert main(args) == 2 and "beyond the" in capsys.readouterr().err
+    monkeypatch.setattr(levels, "BYTE_BUDGET", int(peak / 0.7))
+    assert main(args) == 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("decompose --model file --path missing.txt", 2),
+    ("bounds --n 2,1", 3),
+    ("spectrum --algebra gl --model krawtchouk --n 4 --p 2 --c 1.5", 4),
+    (OVER_BUDGET_SWEEP, 2),
+])
+def test_an_error_exit_writes_no_output(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split() + ["--format", "json", "--out", "out.json"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_parser_is_built_once_and_not_at_import():
+    import subprocess
+    import sys
+    code = ("import wignerosc.cli as cli; assert cli._build_parser.cache_info().currsize == 0; "
+            "cli.main(['bounds', '--n', '4']); cli.main(['bounds', '--n', '5']); "
+            "info = cli._build_parser.cache_info(); assert (info.misses, info.hits) == (1, 1)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from wignerosc import (GZPattern, ModeFrequencies, ResourceLimitError, UnirrepError,
                        is_unirrep, levels, osp_spectrum)
 from wignerosc.cli import main
-from wignerosc.osp_spectrum import hook_patterns
 from oracles import (Partition, conjugate, distinct_count_at_height, enumerate_gz,
-                     generalized_binomial, multiplicity_at_height, osp_eigenvalue,
-                     partitions_of, row_sum_signature)
+                     generalized_binomial, hook_patterns, multiplicity_at_height,
+                     osp_eigenvalue, partitions_of, row_sum_signature)
 
 # the two four-row patterns displayed as an equal-energy pair
 PATTERN_A = GZPattern(rows=((5, 0, 0, 0), (4, 0, 0), (2, 0), (1,)), n=4, p=5)
@@ -361,6 +360,16 @@ def test_json_pattern_is_the_first_pattern_of_its_class(capsys):
         assert record["pattern"] == [list(row) for row in expected.rows]
     # several nonzero rows: (s_1, ..., s_4) = (1, 2, 3, 3) gives [[3,0,0,0],[3,0,0],[2,0],[1]]
     assert any(sum(row[0] > 0 for row in record["pattern"]) >= 3 for record in payload)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_json_pattern_is_the_hook_pattern_of_its_signature(n, capsys):
+    argv = f"spectrum --algebra osp --model krawtchouk --n {n} --p {n} --c 0.2 --kmax 3"
+    assert main(argv.split() + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    signatures = [record["signature"] for record in payload]
+    assert all(len(sig) == n for sig in signatures) and any(sig[-1] == 3 for sig in signatures)
+    assert [record["pattern"] for record in payload] == hook_patterns(signatures)
 
 
 def test_osp_build_over_the_byte_budget_is_refused_before_allocating(monkeypatch, capsys):
