@@ -26,6 +26,7 @@ noted where each identity is formed).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,8 @@ __all__ = [
     "reconstruct_observables",
 ]
 
+_INT = frozenset((int,))
+
 
 def _peak_bytes(n: int, cutoff: int) -> int:
     """Bytes build_fock_operators and reconstruct_observables hold at most at once.
@@ -64,11 +67,13 @@ class FockBasisState:
     cutoff: int
 
     def __post_init__(self) -> None:
-        occ = tuple(int(k) for k in self.occupations)
-        object.__setattr__(self, "occupations", occ)
+        occ = self.occupations
+        if not (type(occ) is tuple and _INT.issuperset(map(type, occ))):
+            occ = tuple(int(k) for k in occ)
+            object.__setattr__(self, "occupations", occ)
         if self.cutoff < 1:
             raise ValueError("cutoff must be positive")
-        if any(k < 0 or k >= self.cutoff for k in occ):
+        if occ and (min(occ) < 0 or max(occ) >= self.cutoff):
             raise ValueError("occupations must lie in [0, cutoff)")
 
     @property
@@ -145,6 +150,12 @@ def build_fock_operators(n: int, freqs: ModeFrequencies, cutoff: int,
                                 interior=np.all(occ <= cutoff - 2, axis=0), occupations=occ.T)
 
 
+def _paired_modes(ops: TruncatedOperatorSet) -> range:
+    """Modes with an interior pair (i, i + s): every mode from cutoff 3 on, and none below,
+    where the one interior state (all occupations 0) has only top-rung neighbours."""
+    return range(ops.n if ops.cutoff > 2 else 0)
+
+
 def _mode_pairs(ops: TruncatedOperatorSet, j: int):
     """a_j^+ at column i, a_j^- at column i + s, h[i], h[i + s] over interior pairs (i, i + s)."""
     s = ops.strides[j]
@@ -176,12 +187,12 @@ def verify_compatibility(ops: TruncatedOperatorSet) -> CompatibilityReport:
     An entry a of a_j^+- at (row, col) makes [h, a_j^+-] -+ shift a_j^+- equal
     h[row] a - a h[col] -+ shift a there; every other entry is zero.
     """
-    plus, minus = [], []
-    for j in range(ops.n):
+    plus, minus = [0.0] * ops.n, [0.0] * ops.n
+    for j in _paired_modes(ops):
         up, down, h_low, h_high = _mode_pairs(ops, j)
         shift = ops.hbar * ops.sqrt_mu[j]
-        plus.append(_max_abs(h_high * up - up * h_low - shift * up))
-        minus.append(_max_abs(h_low * down - down * h_high + shift * down))
+        plus[j] = _max_abs(h_high * up - up * h_low - shift * up)
+        minus[j] = _max_abs(h_low * down - down * h_high + shift * down)
     return CompatibilityReport(cutoff=ops.cutoff, interior_dim=ops.interior_dim,
                                raising_residuals=tuple(plus), lowering_residuals=tuple(minus))
 
@@ -207,13 +218,12 @@ def gz_to_fock(pattern: GZPattern) -> FockBasisState:
     Only patterns of the p = 1 shape (one value per row, all other
     entries zero) correspond to Fock states; anything else is rejected.
     """
-    n = pattern.n
-    for j in range(2, n + 1):
-        if any(x != 0 for x in pattern.row(j)[1:]):
-            raise ValueError("pattern is not single-column (p = 1 shape)")
-    m = [pattern.row(j)[0] for j in range(1, n + 1)]
-    occ = tuple(m[j] - (m[j - 1] if j else 0) for j in range(n))
-    return FockBasisState(occupations=occ, cutoff=max(occ, default=0) + 1)
+    heads = tuple(map(operator.itemgetter(0), pattern.rows))  # m_n, ..., m_1
+    # entries are non-negative, so the rows sum to their heads only when the rest are 0
+    if sum(map(sum, pattern.rows)) != sum(heads):
+        raise ValueError("pattern is not single-column (p = 1 shape)")
+    occ = tuple(map(operator.sub, heads[::-1], (0,) + heads[:0:-1]))
+    return FockBasisState(occupations=occ, cutoff=max(occ) + 1)
 
 
 @dataclass(frozen=True)
@@ -264,7 +274,7 @@ def reconstruct_observables(decomp: SpectralDecomposition, ops: TruncatedOperato
 
     pos_res, mom_res, asymmetry = np.zeros(n), np.zeros(n), np.zeros(n)
     commutators = np.zeros((n, ops.interior_dim))  # interior diagonal of [a_j^-, a_j^+]
-    for j, s in enumerate(ops.strides):
+    for j in _paired_modes(ops):
         up, down, h_low, h_high = _mode_pairs(ops, j)
         # raising entries (row i + s, column i), then lowering ones; row r: q_r's / w_r's
         h_row, h_col = np.concatenate((h_high, h_low)), np.concatenate((h_low, h_high))
@@ -272,12 +282,15 @@ def reconstruct_observables(decomp: SpectralDecomposition, ops: TruncatedOperato
         we = np.outer(u[:, j], beta[j] * np.concatenate((up, -down)))
         pos = h_row * qe - qe * h_col - (hbar / mass) * we
         mom = h_row * we - we * h_col - hbar * mass * (a_matrix @ qe)
-        pos_res = np.maximum(pos_res, np.abs(pos).max(axis=1, initial=0.0))
-        mom_res = np.maximum(mom_res, np.abs(mom).max(axis=1, initial=0.0))
+        pos_res = np.maximum(pos_res, np.abs(pos).max(axis=1))
+        mom_res = np.maximum(mom_res, np.abs(mom).max(axis=1))
+    for j, s in enumerate(ops.strides):
         # raise-then-lower products: a_j^- a_j^+ at i is a_j^+ a_j^- at i + s; q_r is
         # symmetric (w_r antisymmetric) where a_j^+ and a_j^- entries agree
-        anti = np.concatenate((ops.a_plus[j, :-s] * ops.a_minus[j, s:], np.zeros(s)))
-        commutators[j] = (anti - np.roll(anti, s))[ops.interior]
+        anti = ops.a_plus[j, :-s] * ops.a_minus[j, s:]
+        commutator = np.concatenate((anti, np.zeros(s)))
+        commutator[s:] -= anti
+        commutators[j] = commutator[ops.interior]
         asymmetry[j] = _max_abs(ops.a_plus[j, :-s] - ops.a_minus[j, s:])
     q, w = u * alpha, u * beta
     # [Q_j, W_k] = 0 for j != k and 2 alpha_j beta_j [a_j^-, a_j^+] for j = k, so

@@ -24,8 +24,10 @@ n-1) distinct levels at generic coupling) are test oracles, not library code.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -44,6 +46,8 @@ __all__ = [
     "is_unirrep",
 ]
 
+_TUPLE, _INT = frozenset((tuple,)), frozenset((int,))
+
 
 def is_unirrep(n: int, p: float) -> bool:
     """Whether V(p) of osp(1|2n) is unitary irreducible: p in {1..n-1} or p > n-1."""
@@ -52,6 +56,26 @@ def is_unirrep(n: int, p: float) -> bool:
     if p > n - 1:
         return True
     return float(p).is_integer() and 1 <= p <= n - 1
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _pattern_rules(n: int):
+    """Row lengths of an n-row pattern, and two getters of its flattened entries (rows top
+    first) whose pairs high >= low are every interleaving rule. These imply the top-row
+    order, as top[i] >= lower[i] >= top[i + 1].
+
+    The getters are None at n = 1, which has no pair (``itemgetter()`` raises).
+    """
+    lengths = tuple(range(n, 0, -1))
+    if n == 1:
+        return lengths, None, None
+    starts = [sum(lengths[:r]) for r in range(n)]
+    pairs = []
+    for upper, lower, size in zip(starts, starts[1:], lengths[1:]):
+        for i in range(size):  # upper[i] >= lower[i] >= upper[i + 1]
+            pairs += [(upper + i, lower + i), (lower + i, upper + i + 1)]
+    high, low = zip(*pairs)
+    return lengths, operator.itemgetter(*high), operator.itemgetter(*low)
 
 
 @dataclass(frozen=True, order=True)
@@ -69,8 +93,25 @@ class GZPattern:
     p: float
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+        rows = self.rows
+        flat = (tuple(itertools.chain.from_iterable(rows))
+                if type(rows) is tuple and _TUPLE.issuperset(map(type, rows)) else None)
+        if flat is None or not _INT.issuperset(map(type, flat)):
+            rows = tuple(tuple(int(x) for x in row) for row in rows)
+            object.__setattr__(self, "rows", rows)
+            flat = tuple(itertools.chain.from_iterable(rows))
+        # one pass of comparisons; given them, every entry is at least the last top entry
+        if len(rows) == self.n and self.n > 0:
+            lengths, high, low = _pattern_rules(self.n)
+            top = rows[0]
+            if (tuple(map(len, rows)) == lengths and top[-1] >= 0
+                    and (high is None or all(map(operator.ge, high(flat), low(flat))))
+                    and self.n - top.count(0) <= math.ceil(self.p)):
+                return
+        self._raise_first_broken_rule(rows)
+
+    def _raise_first_broken_rule(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        """Check the rules one by one, in order, and raise the first one broken."""
         if len(rows) != self.n or [len(r) for r in rows] != list(range(self.n, 0, -1)):
             raise ValueError("pattern must have rows of lengths n, n-1, ..., 1")
         if any(x < 0 for row in rows for x in row):

@@ -294,6 +294,35 @@ def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:
             for rows in _lower_rows((nu.parts + (0,) * (n - nu.length),))]
 
 
+def gz_first_broken_rule(rows, n: int, p: float) -> str | None:
+    """The message of the first Gelfand-Zetlin rule that ``rows`` (top row first) break,
+    or None when they form a V(p) pattern; entries are taken as ``int(x)``.
+
+    The rules, in order: rows of lengths n, n-1, ..., 1; non-negative entries;
+    a weakly decreasing top row; at most ceil(p) nonzero top entries; and
+    rows[r][i] >= rows[r + 1][i] >= rows[r][i + 1]. Each is checked on its own,
+    entry by entry.
+    """
+    rows = [[int(x) for x in row] for row in rows]
+    if len(rows) != n or any(len(rows[r]) != n - r for r in range(n)):
+        return "pattern must have rows of lengths n, n-1, ..., 1"
+    for row in rows:
+        for x in row:
+            if x < 0:
+                return "entries must be non-negative"
+    top = rows[0]
+    for i in range(n - 1):
+        if top[i] < top[i + 1]:
+            return "top row must be weakly decreasing"
+    if len([x for x in top if x != 0]) > math.ceil(p):
+        return f"top row has more than ceil(p) = {math.ceil(p)} nonzero entries"
+    for r in range(n - 1):
+        for i in range(n - 1 - r):
+            if rows[r][i] < rows[r + 1][i] or rows[r + 1][i] < rows[r][i + 1]:
+                return "interleaving condition violated"
+    return None
+
+
 def row_sum_signature(pattern: GZPattern) -> tuple[int, ...]:
     """Row sums (s_1, ..., s_n); equal signatures give equal energies for every coupling."""
     return tuple(sum(pattern.row(j)) for j in range(1, pattern.n + 1))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wignerosc import (GZPattern, InteractionModel, ModeFrequencies,
+from wignerosc import (FockBasisState, GZPattern, InteractionModel, ModeFrequencies,
                        ResourceLimitError, build_fock_operators, decompose,
                        fock_spectrum, gz_to_fock, mode_frequencies,
                        osp_spectrum, reconstruct_observables, verify_compatibility)
@@ -53,7 +53,6 @@ def test_operator_set_structure():
     # state indexing is mixed-radix with the first mode most significant
     assert ops.occupations[1].tolist() == [0, 1]
     assert ops.occupations[4].tolist() == [1, 0]
-    from wignerosc import FockBasisState
     for idx, occ in enumerate(ops.occupations):
         assert FockBasisState(tuple(occ), cutoff=4).index == idx
 
@@ -156,6 +155,39 @@ def test_gz_to_fock_bijection():
         occs = {gz_to_fock(p).occupations for p in pats}
         assert len(occs) == len(pats)
         assert occs == {occ for occ in _all_occs(n, 3)}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gz_to_fock_maps_every_v1_pattern_to_its_column_differences(n):
+    for pat in enumerate_gz(n, 1, 4):
+        column = [pat.row(j)[0] for j in range(1, n + 1)]  # m_1, ..., m_n
+        state = gz_to_fock(pat)
+        assert state.occupations == tuple(np.diff(column, prepend=0).tolist())
+        assert all(type(k) is int for k in state.occupations)
+        assert state.cutoff == max(state.occupations) + 1
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_gz_to_fock_rejects_every_wider_pattern(n):
+    wide = [pat for pat in enumerate_gz(n, 2, 3)
+            if any(x for row in pat.rows for x in row[1:])]
+    assert wide
+    for pat in wide:
+        with pytest.raises(ValueError, match="single-column"):
+            gz_to_fock(pat)
+
+
+def test_fock_basis_state_checks_and_normalises():
+    with pytest.raises(ValueError, match=r"^cutoff must be positive$"):
+        FockBasisState((0, 0), cutoff=0)
+    for occ in ((0, 3), (-1, 0), (2, np.int64(-1)), (np.int64(3),)):
+        with pytest.raises(ValueError, match=r"^occupations must lie in \[0, cutoff\)$"):
+            FockBasisState(occ, cutoff=3)
+    state = FockBasisState([np.int64(2), np.int32(0), True], cutoff=3)
+    assert state.occupations == (2, 0, 1)
+    assert type(state.occupations) is tuple and all(type(k) is int for k in state.occupations)
+    assert state == FockBasisState((2, 0, 1), cutoff=3) and state.index == 19
+    assert FockBasisState((), cutoff=1).index == 0
 
 
 def _all_occs(n, total):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,8 @@ from wignerosc import (GZPattern, ModeFrequencies, ResourceLimitError, UnirrepEr
                        is_unirrep, levels, osp_spectrum)
 from wignerosc.cli import main
 from oracles import (Partition, conjugate, distinct_count_at_height, enumerate_gz,
-                     generalized_binomial, hook_patterns, multiplicity_at_height,
-                     osp_eigenvalue, partitions_of, row_sum_signature)
+                     generalized_binomial, gz_first_broken_rule, hook_patterns,
+                     multiplicity_at_height, osp_eigenvalue, partitions_of, row_sum_signature)
 
 # the two four-row patterns displayed as an equal-energy pair
 PATTERN_A = GZPattern(rows=((5, 0, 0, 0), (4, 0, 0), (2, 0), (1,)), n=4, p=5)
@@ -202,6 +203,84 @@ def test_pattern_validation():
         GZPattern(rows=((2, 1), (1,)), n=2, p=1)
     with pytest.raises(ValueError):
         GZPattern(rows=((2, 0),), n=2, p=2)
+
+
+def _split_rows(flat, n):
+    """Rows of lengths n, n-1, ..., 1 from a flat entry tuple, top row first."""
+    starts = list(itertools.accumulate(range(n, 0, -1), initial=0))
+    return tuple(tuple(flat[a:b]) for a, b in zip(starts, starts[1:]))
+
+
+def _assert_validates_like_oracle(rows, n, p):
+    """GZPattern accepts ``rows`` exactly when the oracle does, else raises its first rule."""
+    expected = gz_first_broken_rule(rows, n, p)
+    if expected is None:
+        pat = GZPattern(rows=rows, n=n, p=p)
+        assert pat.rows == tuple(tuple(int(x) for x in row) for row in rows)
+        assert all(type(row) is tuple for row in pat.rows)
+        assert all(type(x) is int for row in pat.rows for x in row)
+    else:
+        try:
+            GZPattern(rows=rows, n=n, p=p)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            raise AssertionError(f"{rows} accepted; expected {expected!r}")
+    return expected
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_pattern_validation_matches_rule_by_rule_oracle(n):
+    """Every grid of height <= 3 with lower entries in 0..3, many breaking several rules."""
+    tops = [top for top in itertools.product(range(4), repeat=n) if sum(top) <= 3]
+    lower = list(itertools.product(range(4), repeat=n * (n - 1) // 2))
+    ps = (1, 1.5, 2, n - 0.5, n + 0.25)
+    seen = Counter()
+    for i, (top, rest) in enumerate(itertools.product(tops, lower)):
+        seen[_assert_validates_like_oracle(_split_rows(top + rest, n), n, ps[i % len(ps)])] += 1
+    assert None in seen
+    if n > 1:
+        assert {"top row must be weakly decreasing", "interleaving condition violated"} < set(seen)
+        assert any(str(msg).startswith("top row has more than ceil(p)") for msg in seen)
+
+
+@pytest.mark.parametrize("rows, n, p", [
+    (((1, -1), (0,)), 2, 2),  # negative, decreasing and interleaving all broken
+    (((2, 0), (-1,)), 2, 2),
+    (((0, -1), (0,)), 2, 1),
+    (((3, 1, -1), (2, 0), (1,)), 3, 3),
+    (((3, 1, 0), (2, 0), (-1,)), 3, 3),
+    (((-2,),), 1, 1),
+    (((1, 0),), 2, 2),  # row lengths
+    (((1, 0), (1,), ()), 2, 2),
+    (((1, 0, 0), (1,)), 2, 2),
+    (((1,), (1, 0)), 2, 2),
+    (((1, 1),), 1, 1),
+    ((), 1, 1),
+    (((5,),), 1, 1),  # n = 1
+    (((0,),), 1, 0.5),
+    (((2,),), 1, 0.3),
+    (((2,),), 1, 0),
+    (((np.int64(2), np.int64(0)), (np.int64(1),)), 2, 1),  # normalised to int
+    (((True, False), (True,)), 2, 1),
+    (((True, True), (True,)), 2, 1),
+    ([[2, 1, 0], [1, 1], [1]], 3, 2),
+    (((2.0, 0.0), (1.5,)), 2, 1),
+    (((np.int32(2), 0), (np.uint8(3),)), 2, 2),
+    (((2, 1, 0), (2, 0), (1,)), 3, 1.5),  # non-integer p
+    (((2, 1, 0), (2, 0), (1,)), 3, 0.9),
+    (((2, 1, 1), (1, 1), (1,)), 3, 2.000001),
+    (((2, 1, 1), (1, 1), (1,)), 3, 2.5),
+])
+def test_pattern_validation_edge_cases(rows, n, p):
+    _assert_validates_like_oracle(rows, n, p)
+
+
+def test_pattern_normalised_entries_compare_as_ints():
+    ints = GZPattern(rows=((2, 0), (1,)), n=2, p=1)
+    for rows in (((np.int64(2), np.int64(0)), (np.int64(1),)), [[2.0, False], [True]]):
+        pat = GZPattern(rows=rows, n=2, p=1)
+        assert pat == ints and hash(pat) == hash(ints) and not pat < ints
 
 
 def test_row_sum_signature_examples():
