@@ -139,22 +139,19 @@ def _bisection(lambdas: np.ndarray, omega: float):
 def _smallest_weights(rows: list[np.ndarray], omega2: float):
     """A function of one coupling per row giving each row's smallest weight.
 
-    One row sums with ``sq.sum()``, whose pairwise order ``np.add.reduceat``
-    in ``_end_to_end_weights`` does not follow.
+    Several rows lie end to end in one array, and each evaluation is one
+    pass over it; a row's sum does not depend on its neighbours. One row
+    sums with ``sq.sum()``, whose pairwise order ``np.add.reduceat`` does
+    not follow.
     """
-    if len(rows) > 1:
-        return _end_to_end_weights(rows, omega2)
-    lambdas, n = rows[0], rows[0].shape[0]
+    if len(rows) == 1:
+        lambdas, n = rows[0], rows[0].shape[0]
 
-    def weights(c: list[float]) -> list[float]:
-        sq = np.sqrt(omega2 + c[0] * lambdas)
-        return [float(sq.sum() / (n - 1) - sq.max())]
-    return weights
+        def weights(c: list[float]) -> list[float]:
+            sq = np.sqrt(omega2 + c[0] * lambdas)
+            return [float(sq.sum() / (n - 1) - sq.max())]
+        return weights
 
-
-def _end_to_end_weights(rows: list[np.ndarray], omega2: float):
-    """``_smallest_weights`` of rows laid end to end in one array, one pass per evaluation;
-    a row's sum does not depend on its neighbours."""
     lambdas = np.concatenate(rows)
     sizes = np.array([row.shape[0] for row in rows])
     starts = np.cumsum(sizes) - sizes
@@ -172,10 +169,8 @@ def _end_to_end_weights(rows: list[np.ndarray], omega2: float):
 def _bisect_together(rows: list[np.ndarray], omega: float) -> list[float]:
     """``critical_couplings`` of rows bisected in one array.
 
-    A finished row stays in the array at its last coupling until the rows
-    still running hold less than half of its entries; then the array is
-    rebuilt from those rows alone, so that a row that runs long (such as a
-    failing bracket) does not carry the finished ones.
+    A finished row stays in the array at its last coupling, so that the
+    array is built once.
     """
     runs = [_bisection(row, omega) for row in rows]
     probes, couplings, live, failure = [], [0.0] * len(rows), [], None
@@ -186,29 +181,19 @@ def _bisect_together(rows: list[np.ndarray], omega: float) -> list[float]:
             failure = exc  # the rows after it are not needed
             break
         live.append(i)
-    # array position k holds row index[k], of size[k] entries; running counts the live ones
-    index, size = live, list(map(len, rows[:len(live)]))
     weights = _smallest_weights(rows[:len(live)], omega ** 2) if live else None
-    held = running = sum(size)
     while live:
         w, still = weights(probes), []
-        for k in live:
+        for i in live:
             try:
-                probes[k] = runs[k].send(w[k])
+                probes[i] = runs[i].send(w[i])
             except StopIteration as stop:
-                couplings[index[k]] = stop.value
-                running -= size[k]
+                couplings[i] = stop.value
                 continue
             except NoCriticalCouplingError as exc:
                 failure = exc  # an earlier row's error: the rows after it are dropped
-                running = sum(size[j] for j in still)
                 break
-            still.append(k)
-        if still and 2 * running < held:
-            index, size = [index[k] for k in still], [size[k] for k in still]
-            runs, probes = [runs[k] for k in still], [probes[k] for k in still]
-            weights = _end_to_end_weights([rows[i] for i in index], omega ** 2)
-            held, still = running, list(range(len(still)))
+            still.append(i)
         live = still
     if failure is not None:
         raise failure

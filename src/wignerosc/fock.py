@@ -47,8 +47,6 @@ __all__ = [
     "reconstruct_observables",
 ]
 
-_INT = frozenset((int,))
-
 
 def _peak_bytes(n: int, cutoff: int) -> int:
     """Bytes build_fock_operators and reconstruct_observables hold at most at once.
@@ -67,10 +65,8 @@ class FockBasisState:
     cutoff: int
 
     def __post_init__(self) -> None:
-        occ = self.occupations
-        if not (type(occ) is tuple and _INT.issuperset(map(type, occ))):
-            occ = tuple(int(k) for k in occ)
-            object.__setattr__(self, "occupations", occ)
+        occ = tuple(map(int, self.occupations))
+        object.__setattr__(self, "occupations", occ)
         if self.cutoff < 1:
             raise ValueError("cutoff must be positive")
         if occ and (min(occ) < 0 or max(occ) >= self.cutoff):

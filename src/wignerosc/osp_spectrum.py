@@ -61,13 +61,12 @@ def is_unirrep(n: int, p: float) -> bool:
 @functools.lru_cache(maxsize=32, typed=True)
 def _pattern_rules(n: int):
     """Row lengths of an n-row pattern, and two getters of its flattened entries (rows top
-    first) whose pairs high >= low are every interleaving rule. These imply the top-row
-    order, as top[i] >= lower[i] >= top[i + 1].
+    first) whose pairs high >= low are every interleaving rule.
 
-    The getters are None at n = 1, which has no pair (``itemgetter()`` raises).
+    The getters are None below n = 2, which has no pair (``itemgetter()`` raises).
     """
     lengths = tuple(range(n, 0, -1))
-    if n == 1:
+    if n < 2:
         return lengths, None, None
     starts = [sum(lengths[:r]) for r in range(n)]
     pairs = []
@@ -100,31 +99,19 @@ class GZPattern:
             rows = tuple(tuple(int(x) for x in row) for row in rows)
             object.__setattr__(self, "rows", rows)
             flat = tuple(itertools.chain.from_iterable(rows))
-        # one pass of comparisons; given them, every entry is at least the last top entry
-        if len(rows) == self.n and self.n > 0:
-            lengths, high, low = _pattern_rules(self.n)
-            top = rows[0]
-            if (tuple(map(len, rows)) == lengths and top[-1] >= 0
-                    and (high is None or all(map(operator.ge, high(flat), low(flat))))
-                    and self.n - top.count(0) <= math.ceil(self.p)):
-                return
-        self._raise_first_broken_rule(rows)
-
-    def _raise_first_broken_rule(self, rows: tuple[tuple[int, ...], ...]) -> None:
-        """Check the rules one by one, in order, and raise the first one broken."""
-        if len(rows) != self.n or [len(r) for r in rows] != list(range(self.n, 0, -1)):
+        # the rules in order, each one pass over the entries; the first one broken raises
+        lengths, high, low = _pattern_rules(self.n)
+        if len(rows) != self.n or tuple(map(len, rows)) != lengths:
             raise ValueError("pattern must have rows of lengths n, n-1, ..., 1")
-        if any(x < 0 for row in rows for x in row):
+        if min(flat, default=0) < 0:
             raise ValueError("entries must be non-negative")
         top = rows[0]
-        if any(a < b for a, b in zip(top, top[1:])):
+        if not all(map(operator.ge, top, top[1:])):
             raise ValueError("top row must be weakly decreasing")
-        if sum(1 for x in top if x > 0) > math.ceil(self.p):
+        if self.n - top.count(0) > math.ceil(self.p):
             raise ValueError(f"top row has more than ceil(p) = {math.ceil(self.p)} nonzero entries")
-        for upper, lower in zip(rows, rows[1:]):
-            for i, x in enumerate(lower):
-                if not upper[i] >= x >= upper[i + 1]:
-                    raise ValueError("interleaving condition violated")
+        if high is not None and not all(map(operator.ge, high(flat), low(flat))):
+            raise ValueError("interleaving condition violated")
 
     def row(self, j: int) -> tuple[int, ...]:
         """The length-j row, j = 1..n."""

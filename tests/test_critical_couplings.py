@@ -118,22 +118,6 @@ def test_rows_split_into_batches_keep_their_order_and_errors(monkeypatch):
     assert critical_couplings([]) == []
 
 
-def test_rebuilt_arrays_keep_each_rows_bytes(monkeypatch):
-    """A row whose bracket doubles ~100 times outlives the rows beside it, so the array
-    is rebuilt around it, down to that row alone; each row still gives its bytes in a
-    batch of two copies of itself, which is never rebuilt."""
-    built = []
-    end_to_end = coupling._end_to_end_weights
-    monkeypatch.setattr(coupling, "_end_to_end_weights",
-                        lambda rows, omega2: built.append(len(rows)) or end_to_end(rows, omega2))
-    for m in (130, 241, 352, 463, 574):
-        rows = KRAWTCHOUK[2:30] + [np.arange(m, dtype=float) * 1e-30] + KRAWTCHOUK[30:60]
-        built.clear()
-        got = critical_couplings(rows)
-        assert built[0] == len(rows) and built[-1] == 1
-        assert got == [critical_couplings([row, row])[0] for row in rows]
-
-
 @pytest.mark.parametrize("model", ["krawtchouk", "constant"])
 @pytest.mark.parametrize("sizes, code", [("2,1", 3), ("1,2", 2), ("30,2", 3), ("5,1,2", 2)])
 def test_bounds_raises_for_its_first_failing_size(model, sizes, code, capsys):

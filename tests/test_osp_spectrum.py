@@ -250,6 +250,8 @@ def test_pattern_validation_matches_rule_by_rule_oracle(n):
     (((0, -1), (0,)), 2, 1),
     (((3, 1, -1), (2, 0), (1,)), 3, 3),
     (((3, 1, 0), (2, 0), (-1,)), 3, 3),
+    (((-1, 2), (0,)), 2, 2),  # negative before an increasing top row
+    (((0, 1, 2), (1, -1), (0,)), 3, 3),
     (((-2,),), 1, 1),
     (((1, 0),), 2, 2),  # row lengths
     (((1, 0), (1,), ()), 2, 2),
