@@ -21,6 +21,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .coupling import (CriticalCoupling, critical_coupling, critical_couplings,
                        krawtchouk_coupling_rows)
 from .errors import NumericError, ResourceLimitError, UnirrepError, UnitarityError
@@ -144,18 +146,96 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _json_list(item, rows, depth: int = 0) -> str:
-    """``json.dumps(items, indent=2)`` of a non-empty list nested ``depth`` lists deep.
+def _json_item(item, depth: int = 0) -> str:
+    """The text ``json.dumps(items, indent=2)`` gives ``item`` as an element of a list.
 
-    ``item`` is the layout of every item: each "%r" or "%s" string in it is
-    a slot that a row of ``rows`` fills, a "%s" slot with text already in json
-    form. json writes ints and finite floats as their repr, so the text is
-    json's own, without its pure-Python encoder.
+    The list is nested ``depth`` lists deep. Each "%r" or "%s" string in
+    ``item`` becomes a bare slot for a row to fill, a "%s" slot with text
+    already in json form. json writes ints and finite floats as their repr,
+    so the filled text is json's own, without its pure-Python encoder.
     """
     pad = "  " * (depth + 1)
     template = json.dumps(item, indent=2).replace('"%r"', "%r").replace('"%s"', "%s")
-    template = pad + template.replace("\n", "\n" + pad)
-    return "[\n%s\n%s]" % (",\n".join(map(template.__mod__, rows)), pad[2:])
+    return pad + template.replace("\n", "\n" + pad)
+
+
+def _json_list(item, rows, depth: int = 0) -> str:
+    """``json.dumps(items, indent=2)`` of a non-empty list, each row filling ``item``'s slots."""
+    template = _json_item(item, depth)
+    return "[\n%s\n%s]" % (",\n".join(map(template.__mod__, rows)), "  " * depth)
+
+
+#: bytes of output grid rendered at a time: a chunk stays in cache, and the grid adds
+#: one chunk to the memory of the text (256 KiB filled faster than 1 MiB or 64 KiB)
+_CHUNK_BYTES = 2 ** 18
+
+
+def _text(strings: list[str]) -> np.ndarray:
+    """ASCII ``strings`` as a (rows, width) uint8 matrix, right-padded with 0 bytes."""
+    raw = np.array(strings, dtype="S")
+    return raw.view(np.uint8).reshape(len(raw), raw.itemsize)
+
+
+def _digits(ints: np.ndarray) -> np.ndarray:
+    """Non-negative ints as right-aligned decimal digits along a new last axis.
+
+    Every value gets as many bytes as the largest; its leading zeros are 0 bytes.
+    """
+    rest = np.asarray(ints, dtype=np.int64)
+    if rest.min() < 0:
+        raise ValueError("_digits writes non-negative ints only")
+    top = int(rest.max())
+    rest = rest.astype(np.min_scalar_type(top))  # the narrowest unsigned type divides fastest
+    width = len(str(top))
+    out = np.empty(rest.shape + (width,), dtype=np.uint8)
+    for place in range(width - 1, -1, -1):  # one pass per place, ones first
+        quotient = rest // 10
+        digit = rest - quotient * 10 + 48
+        out[..., place] = digit if place == width - 1 else digit * (rest > 0)
+        rest = quotient
+    return out
+
+
+def _fill(template: str, columns: list[np.ndarray]) -> str:
+    """``"".join(template % row for row in rows)``, each row's slots filled from byte matrices.
+
+    Every "%s" of ``template`` (which holds no other % directive) takes the
+    next (rows, width) matrix of ``columns``, whose row i is row i's text
+    with 0 bytes as padding. The text between slots is written into the
+    grid once, the columns a chunk of rows at a time, and the 0 bytes dropped.
+    """
+    parts = template.encode("ascii").split(b"%s")
+    line, slots = bytearray(), []  # one grid row, its slots 0 bytes
+    for part, column in zip(parts, columns):
+        line += part
+        slots.append((len(line), len(line) + column.shape[1], column))
+        line += bytes(column.shape[1])
+    line += parts[-1]
+    rows = len(columns[0])
+    step = max(1, _CHUNK_BYTES // len(line))
+    grid = np.empty((min(step, rows), len(line)), dtype=np.uint8)
+    grid[:] = np.frombuffer(line, dtype=np.uint8)
+    chunks = []
+    for start in range(0, rows, step):
+        block = grid[:min(step, rows - start)]
+        for lo, hi, column in slots:
+            block[:, lo:hi] = column[start:start + step]
+        chunks.append(block.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(chunks)
+
+
+def _json_fill(item, columns: list[np.ndarray]) -> str:
+    """``json.dumps(items, indent=2) + "\\n"`` of a non-empty list, filled by ``_fill``.
+
+    ``item``'s "%s" slots take ``columns`` in order. A first column opens the
+    list or separates items, a last one closes the list after the last item.
+    """
+    rows = len(columns[0])
+    lead = np.tile(np.frombuffer(b",\n", dtype=np.uint8), (rows, 1))
+    lead[0] = np.frombuffer(b"[\n", dtype=np.uint8)
+    close = np.zeros((rows, 3), dtype=np.uint8)
+    close[-1] = np.frombuffer(b"\n]\n", dtype=np.uint8)
+    return _fill("%s" + _json_item(item) + "%s", [lead, *columns, close])
 
 
 def _cmd_decompose(args) -> int:
@@ -244,19 +324,18 @@ def _cmd_spectrum(args) -> int:
     # each line's head class key: theta, r_1..r_n for gl; height, s_1..s_n for osp
     first, rest, rest_json = ("theta", "r", "r") if args.algebra == "gl" \
         else ("height", "s", "signature")
-    energy, multiplicity = merged.energy.tolist(), merged.multiplicity.tolist()
-    columns = classes.keys[merged.head].T.tolist()
+    columns = [_text(list(map(repr, merged.energy.tolist()))), _digits(merged.multiplicity)]
+    columns += list(_digits(classes.keys[merged.head]).transpose(1, 0, 2))
     if args.format == "json":
-        item = {"energy": "%r", "multiplicity": "%r", first: "%r", rest_json: ["%r"] * model.n}
+        item = {"energy": "%s", "multiplicity": "%s", first: "%s", rest_json: ["%s"] * model.n}
         if args.algebra == "osp":  # the hook pattern: length-j row (s_j, 0, ..., 0), top first
-            item["pattern"] = [["%r"] + [0] * (j - 1) for j in range(model.n, 0, -1)]
-            columns += columns[:0:-1]
-        text = _json_list(item, zip(energy, multiplicity, *columns)) + "\n"
+            item["pattern"] = [["%s"] + [0] * (j - 1) for j in range(model.n, 0, -1)]
+            columns += columns[:2:-1]
+        text = _json_fill(item, columns)
     else:
         header = f"energy,multiplicity,{first}," + ",".join(
             f"{rest}_{j}" for j in range(1, model.n + 1))
-        text = header + "\n" + "".join(map(("%r," * (model.n + 2) + "%r\n").__mod__,
-                                           zip(energy, multiplicity, *columns)))
+        text = header + "\n" + _fill("%s," * (model.n + 2) + "%s\n", columns)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -283,26 +362,28 @@ def _cmd_sweep(args) -> int:
                 "pass --allow-strong to sweep past it")
 
     # a whole sweep job's traced peak per (coupling, class) pair, rendering included,
-    # was under 400 + 3 n bytes (n 1-16, either format, every pair its own line)
-    check_bytes(8 * (decomp.n + 56) * args.steps * len(classes.keys),
+    # was under 340 + 6 n bytes (n 1-16, either format, every pair its own line), and
+    # 357 bytes for gl n = 2, p = 20000, whose labels are wide
+    check_bytes(8 * (decomp.n + 48) * args.steps * len(classes.keys),
                 f"the {args.steps} x {len(classes.keys)} (coupling, class) pairs of the sweep")
     couplings = [args.cmin + (args.cmax - args.cmin) * i / (args.steps - 1)
                  for i in range(args.steps)]
     merged = _levels(args, classes, mode_frequencies(decomp, args.omega, couplings))
     # each coupling and each class label (theta/r_1-...-r_n for gl, height/s_1-...-s_n for
-    # osp) is formatted once, and a line takes its head class's label
-    label = "%r/" + "-".join(["%r"] * decomp.n)
+    # osp) is written once, and a line takes its coupling's and its head class's text
+    label = "%s/" + "-".join(["%s"] * decomp.n)
     if args.format == "json":
         label = f'"{label}"'
-    c_text = list(map(repr, couplings))
-    labels = list(map(label.__mod__, zip(*classes.keys.T.tolist())))
-    rows = zip([c_text[i] for i in merged.coupling.tolist()], merged.energy.tolist(),
-               merged.multiplicity.tolist(), [labels[h] for h in merged.head.tolist()])
+    keys = list(_digits(classes.keys).transpose(1, 0, 2))
+    labels = _fill(label + "\n", keys).split("\n")[:-1]
+    columns = [_text(list(map(repr, couplings)))[merged.coupling],
+               _text(list(map(repr, merged.energy.tolist()))), _digits(merged.multiplicity),
+               _text(labels)[merged.head]]
     if args.format == "json":
-        item = {"c": "%s", "energy": "%r", "multiplicity": "%r", "label": "%s"}
-        text = _json_list(item, rows) + "\n"
+        text = _json_fill({"c": "%s", "energy": "%s", "multiplicity": "%s", "label": "%s"},
+                          columns)
     else:
-        text = "c,energy,multiplicity,label\n" + "".join(map("%s,%r,%r,%s\n".__mod__, rows))
+        text = "c,energy,multiplicity,label\n" + _fill("%s,%s,%s,%s\n", columns)
     _emit(text, args.out)
     return EXIT_OK
 

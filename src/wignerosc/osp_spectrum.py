@@ -92,6 +92,8 @@ class GZPattern:
     p: float
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"a pattern needs n >= 1; got n = {self.n}")
         rows = self.rows
         flat = (tuple(itertools.chain.from_iterable(rows))
                 if type(rows) is tuple and _TUPLE.issuperset(map(type, rows)) else None)

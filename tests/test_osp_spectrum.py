@@ -203,6 +203,9 @@ def test_pattern_validation():
         GZPattern(rows=((2, 1), (1,)), n=2, p=1)
     with pytest.raises(ValueError):
         GZPattern(rows=((2, 0),), n=2, p=2)
+    for n in (0, -1):  # no top row to read
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            GZPattern(rows=(), n=n, p=1)
 
 
 def _split_rows(flat, n):
