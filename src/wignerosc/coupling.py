@@ -21,7 +21,7 @@ sum_{j=0..n} sqrt(C+j) > (n+1) sqrt(C + n/2 - 1) for C > (n-4)^2/16.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ _BISECTION_RTOL = 1e-12
 _BATCH_ENTRIES = 1 << 20  # eigenvalues bisected in one array of 8 MB
 
 
-@dataclass(frozen=True)
-class CriticalCoupling:
+class CriticalCoupling(NamedTuple):
     """One row of the critical-coupling table (all values divided by omega^2)."""
 
     n: int

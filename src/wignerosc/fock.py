@@ -27,13 +27,14 @@ noted where each identity is formed).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .levels import SpectrumLine, check_bytes, spectrum_lines
 from .osp_spectrum import GZPattern, osp_classes, osp_levels
-from .spectral import InteractionModel, ModeFrequencies, SpectralDecomposition, mode_frequencies
+from .spectral import (InteractionModel, ModeFrequencies, SpectralDecomposition,
+                       checked_namedtuple, int_tuple, mode_frequencies)
 
 __all__ = [
     "FockBasisState",
@@ -57,20 +58,20 @@ def _peak_bytes(n: int, cutoff: int) -> int:
     return cutoff ** n * (8 * (3 * n + 1) + 1 + 8 * max(12 * n + 24, 2 * n * n + n))
 
 
-@dataclass(frozen=True, order=True)
-class FockBasisState:
+class FockBasisState(checked_namedtuple("FockBasisState", "occupations cutoff")):
     """Occupation-number state |k_1, ..., k_n> with per-mode cutoff K (all k_j < K)."""
 
-    occupations: tuple[int, ...]
-    cutoff: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        occ = tuple(map(int, self.occupations))
-        object.__setattr__(self, "occupations", occ)
-        if self.cutoff < 1:
+    def __new__(cls, occupations: tuple[int, ...], cutoff: int):
+        occ = int_tuple(occupations, "occupations must be integers")
+        if type(cutoff) is not int:
+            (cutoff,) = int_tuple((cutoff,), "cutoff must be an integer")
+        if cutoff < 1:
             raise ValueError("cutoff must be positive")
-        if occ and (min(occ) < 0 or max(occ) >= self.cutoff):
+        if occ and (min(occ) < 0 or max(occ) >= cutoff):
             raise ValueError("occupations must lie in [0, cutoff)")
+        return super().__new__(cls, occ, cutoff)
 
     @property
     def index(self) -> int:
@@ -81,8 +82,7 @@ class FockBasisState:
         return idx
 
 
-@dataclass(frozen=True)
-class TruncatedOperatorSet:
+class TruncatedOperatorSet(NamedTuple):
     """The n-mode ladder algebra at per-mode cutoff K, stored by its shift structure.
 
     ``a_plus[j, i]`` is the one entry of a_j^+ in column i (row
@@ -163,8 +163,7 @@ def _max_abs(values: np.ndarray) -> float:
     return float(np.abs(values).max()) if values.size else 0.0
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     """Interior residuals of the ladder identities [h, a_j^+-] -+ hbar sqrt(mu_j) a_j^+-."""
 
     cutoff: int
@@ -222,8 +221,7 @@ def gz_to_fock(pattern: GZPattern) -> FockBasisState:
     return FockBasisState(occupations=occ, cutoff=max(occ) + 1)
 
 
-@dataclass(frozen=True)
-class ReconstructedObservables:
+class ReconstructedObservables(NamedTuple):
     """Position and momentum operators of the original chain, with identity residuals.
 
     ``q[r, j]`` and ``w[r, j]`` are the coefficients of the chain

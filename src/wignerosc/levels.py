@@ -10,7 +10,6 @@ of spectrum lines, every coupling at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -35,8 +34,7 @@ def check_bytes(need: int, what: str) -> None:
         raise ResourceLimitError(f"{what} need {need} bytes, beyond the {BYTE_BUDGET}-byte guard")
 
 
-@dataclass(frozen=True)
-class SpectrumLine:
+class SpectrumLine(NamedTuple):
     """One energy level: eigenvalue (units of hbar), exact multiplicity, class label.
 
     ``label`` is the head class of the merged line as plain ints:

@@ -29,14 +29,13 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UnirrepError
 from .levels import (LevelClasses, MergedLevels, SpectrumLine, level_energies, merge_classes,
                      spectrum_lines, weight_lattice)
-from .spectral import ModeFrequencies
+from .spectral import ModeFrequencies, checked_namedtuple, int_tuple
 
 __all__ = [
     "GZPattern",
@@ -77,8 +76,7 @@ def _pattern_rules(n: int):
     return lengths, operator.itemgetter(*high), operator.itemgetter(*low)
 
 
-@dataclass(frozen=True, order=True)
-class GZPattern:
+class GZPattern(checked_namedtuple("GZPattern", "rows n p")):
     """Triangular Gelfand-Zetlin pattern, stored top row first.
 
     ``rows[0]`` holds the n-entry top row, ``rows[i]`` has n - i
@@ -87,33 +85,32 @@ class GZPattern:
     ceil(p) nonzero entries) are enforced at construction.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    n: int
-    p: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"a pattern needs n >= 1; got n = {self.n}")
-        rows = self.rows
+    def __new__(cls, rows: tuple[tuple[int, ...], ...], n: int, p: float):
+        if n < 1:
+            raise ValueError(f"a pattern needs n >= 1; got n = {n}")
         flat = (tuple(itertools.chain.from_iterable(rows))
                 if type(rows) is tuple and _TUPLE.issuperset(map(type, rows)) else None)
         if flat is None or not _INT.issuperset(map(type, flat)):
-            rows = tuple(tuple(int(x) for x in row) for row in rows)
-            object.__setattr__(self, "rows", rows)
+            rows = tuple(int_tuple(row, "entries must be integers") for row in rows)
             flat = tuple(itertools.chain.from_iterable(rows))
         # the rules in order, each one pass over the entries; the first one broken raises
-        lengths, high, low = _pattern_rules(self.n)
-        if len(rows) != self.n or tuple(map(len, rows)) != lengths:
+        lengths, high, low = _pattern_rules(n)
+        if len(rows) != n or tuple(map(len, rows)) != lengths:
             raise ValueError("pattern must have rows of lengths n, n-1, ..., 1")
         if min(flat, default=0) < 0:
             raise ValueError("entries must be non-negative")
         top = rows[0]
         if not all(map(operator.ge, top, top[1:])):
             raise ValueError("top row must be weakly decreasing")
-        if self.n - top.count(0) > math.ceil(self.p):
-            raise ValueError(f"top row has more than ceil(p) = {math.ceil(self.p)} nonzero entries")
+        if not math.isfinite(p):
+            raise ValueError(f"the V(p) label must be finite; got p = {p}")
+        if n - top.count(0) > math.ceil(p):
+            raise ValueError(f"top row has more than ceil(p) = {math.ceil(p)} nonzero entries")
         if high is not None and not all(map(operator.ge, high(flat), low(flat))):
             raise ValueError("interleaving condition violated")
+        return super().__new__(cls, rows, n, p)
 
     def row(self, j: int) -> tuple[int, ...]:
         """The length-j row, j = 1..n."""

@@ -22,7 +22,7 @@ formula at ``j`` passes ``j+1`` where needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 import numpy as np
 
@@ -77,8 +77,30 @@ def omega_squared(omega: float) -> float:
     return omega ** 2
 
 
-@dataclass(frozen=True)
-class InteractionModel:
+_INT = frozenset((int,))
+
+
+def checked_namedtuple(typename: str, field_names: str) -> type:
+    """A namedtuple base whose ``_make``, and so ``_replace``, build through the subclass's
+    validating ``__new__``, as copy and pickle do."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+def int_tuple(values, message: str) -> tuple[int, ...]:
+    """``values`` as plain ints (``2.0``, ``np.int64`` and ``bool`` normalise), or
+    ValueError(message) if one is not integral."""
+    if type(values) is tuple and _INT.issuperset(map(type, values)):
+        return values
+    values = tuple(values)
+    if not all(float(x).is_integer() for x in values):
+        raise ValueError(message)
+    return tuple(map(int, values))
+
+
+class InteractionModel(checked_namedtuple("InteractionModel",
+                                          "n omega c kind mass ptilde matrix")):
     """Physical parameters of a coupled-oscillator system, A = omega^2 I + c M.
 
     ``kind`` selects the coupling matrix M: "constant" (tridiagonal
@@ -87,34 +109,31 @@ class InteractionModel:
     ``ptilde`` in (0,1)), or "general" (explicit symmetric ``matrix``).
     """
 
-    n: int
-    omega: float
-    c: float
-    kind: str
-    mass: float = 1.0
-    ptilde: float | None = None
-    matrix: np.ndarray | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, omega: float, c: float, kind: str, mass: float = 1.0,
+                ptilde: float | None = None, matrix: np.ndarray | None = None):
+        if n < 1:
             raise ValueError("need at least one oscillator")
-        omega_squared(self.omega)
-        if not 0 <= self.c < math.inf:
+        (n,) = int_tuple((n,), "the oscillator count must be an integer")
+        omega_squared(omega)
+        if not 0 <= c < math.inf:
             raise ValueError("coupling strength c must be non-negative and finite")
-        if not 0 < self.mass < math.inf:
+        if not 0 < mass < math.inf:
             raise ValueError("mass must be positive and finite")
-        if self.kind == "krawtchouk":
-            if self.ptilde is None or not 0.0 < self.ptilde < 1.0:
+        if kind == "krawtchouk":
+            if ptilde is None or not 0.0 < ptilde < 1.0:
                 raise ValueError("krawtchouk coupling needs ptilde in (0,1)")
-        elif self.kind == "general":
-            if self.matrix is None:
+        elif kind == "general":
+            if matrix is None:
                 raise ValueError("general coupling needs an explicit matrix")
-            m = _require_symmetric(self.matrix)
-            if m.shape[0] != self.n:
+            m = _require_symmetric(matrix)
+            if m.shape[0] != n:
                 raise ValueError("matrix size does not match n")
-            object.__setattr__(self, "matrix", _freeze(m.copy()))
-        elif self.kind != "constant":
-            raise ValueError(f"unknown coupling kind {self.kind!r}")
+            matrix = _freeze(m.copy())
+        elif kind != "constant":
+            raise ValueError(f"unknown coupling kind {kind!r}")
+        return super().__new__(cls, n, omega, c, kind, mass, ptilde, matrix)
 
     @classmethod
     def constant(cls, n: int, omega: float = 1.0, c: float = 0.0, **kw) -> "InteractionModel":
@@ -140,8 +159,8 @@ class InteractionModel:
         return np.array(self.matrix)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(checked_namedtuple(
+        "SpectralDecomposition", "lambdas u source orthonormality reconstruction")):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a coupling matrix.
 
     Column j of ``u`` is the eigenvector paired with ``lambdas[j]``; the
@@ -153,15 +172,12 @@ class SpectralDecomposition:
     ``decompose`` checked (None on a decomposition built elsewhere).
     """
 
-    lambdas: np.ndarray
-    u: np.ndarray
-    source: str  # "analytic" | "numeric": how the eigenvalues were obtained
-    orthonormality: float | None = None
-    reconstruction: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas", _freeze(self.lambdas))
-        object.__setattr__(self, "u", _freeze(self.u))
+    def __new__(cls, lambdas: np.ndarray, u: np.ndarray, source: str,
+                orthonormality: float | None = None, reconstruction: float | None = None):
+        return super().__new__(cls, _freeze(lambdas), _freeze(u), source,
+                               orthonormality, reconstruction)
 
     @property
     def n(self) -> int:
@@ -176,19 +192,18 @@ class SpectralDecomposition:
         return float(np.abs(m - (self.u * self.lambdas) @ self.u.T).max())
 
 
-@dataclass(frozen=True)
-class ModeFrequencies:
+class ModeFrequencies(namedtuple("ModeFrequencies", "mu sqrt_mu")):
     """Squared normal-mode frequencies mu_j = omega^2 + c*lambda_j and their roots.
 
     ``mu`` holds the n values at one coupling, or one row of them per
-    coupling of a grid, shape (couplings, n).
+    coupling of a grid, shape (couplings, n). ``sqrt_mu`` is derived from
+    ``mu``, so it is no constructor argument.
     """
 
-    mu: np.ndarray
-    sqrt_mu: np.ndarray = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        mu = np.asarray(self.mu, dtype=float)
+    def __new__(cls, mu: np.ndarray):
+        mu = np.asarray(mu, dtype=float)
         rows = np.atleast_2d(mu)
         # the first failing row decides (row 0 if none fails); non-finite before not positive
         row = rows[np.argmax(~np.isfinite(rows).all(axis=-1) | (rows <= 0).any(axis=-1))]
@@ -198,8 +213,17 @@ class ModeFrequencies:
             bad = int(np.argmax(row <= 0))
             raise PositiveDefinitenessError(
                 f"interaction matrix not positive definite: mu[{bad}] = {float(row[bad])}")
-        object.__setattr__(self, "mu", _freeze(mu))
-        object.__setattr__(self, "sqrt_mu", _freeze(np.sqrt(mu)))
+        return super().__new__(cls, _freeze(mu), _freeze(np.sqrt(mu)))
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild sqrt_mu from mu
+        return (self.mu,)
+
+    @classmethod
+    def _make(cls, iterable) -> "ModeFrequencies":  # sqrt_mu from mu again
+        return cls(next(iter(iterable)))
+
+    def _replace(self, **changes) -> "ModeFrequencies":  # naming sqrt_mu is a TypeError
+        return type(self)(**{"mu": self.mu, **changes})
 
     @property
     def n(self) -> int:
@@ -284,7 +308,8 @@ def decompose(model: InteractionModel) -> SpectralDecomposition:
             f"{model.kind} decomposition at n = {n} misses its residual bounds: "
             f"orthonormality {orth:.3e} (bound {ORTHONORMALITY_TOL:.0e}), "
             f"reconstruction {recon:.3e} (bound {recon_bound:.3e})")
-    return replace(decomp, orthonormality=orth, reconstruction=recon)
+    return SpectralDecomposition(lambdas=decomp.lambdas, u=decomp.u, source=decomp.source,
+                                 orthonormality=orth, reconstruction=recon)
 
 
 def mode_frequencies(decomp: SpectralDecomposition, omega: float, c) -> ModeFrequencies:

@@ -296,13 +296,15 @@ def enumerate_gz(n: int, p: float, k_max: int) -> list[GZPattern]:
 
 def gz_first_broken_rule(rows, n: int, p: float) -> str | None:
     """The message of the first Gelfand-Zetlin rule that ``rows`` (top row first) break,
-    or None when they form a V(p) pattern; entries are taken as ``int(x)``.
+    or None when they form a V(p) pattern; integral entries are taken as ``int(x)``.
 
-    The rules, in order: rows of lengths n, n-1, ..., 1; non-negative entries;
-    a weakly decreasing top row; at most ceil(p) nonzero top entries; and
-    rows[r][i] >= rows[r + 1][i] >= rows[r][i + 1]. Each is checked on its own,
-    entry by entry.
+    The rules, in order: integral entries; rows of lengths n, n-1, ..., 1;
+    non-negative entries; a weakly decreasing top row; a finite p; at most
+    ceil(p) nonzero top entries; and rows[r][i] >= rows[r + 1][i] >= rows[r][i + 1].
+    Each is checked on its own, entry by entry.
     """
+    if not all(float(x).is_integer() for row in rows for x in row):
+        return "entries must be integers"
     rows = [[int(x) for x in row] for row in rows]
     if len(rows) != n or any(len(rows[r]) != n - r for r in range(n)):
         return "pattern must have rows of lengths n, n-1, ..., 1"
@@ -314,6 +316,8 @@ def gz_first_broken_rule(rows, n: int, p: float) -> str | None:
     for i in range(n - 1):
         if top[i] < top[i + 1]:
             return "top row must be weakly decreasing"
+    if not math.isfinite(p):
+        return f"the V(p) label must be finite; got p = {p}"
     if len([x for x in top if x != 0]) > math.ceil(p):
         return f"top row has more than ceil(p) = {math.ceil(p)} nonzero entries"
     for r in range(n - 1):

@@ -10,7 +10,6 @@ every size up to 256 states.
 
 import itertools
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,7 +123,7 @@ def _spectrum_oracle(n, freqs, hbar, k_total_max):
            for occ in itertools.product(range(k_total_max + 1), repeat=n)
            if sum(occ) <= k_total_max]
     lines = merge_lines(raw, merge_tol=hbar * MERGE_TOL * float(freqs.sqrt_mu.min()))
-    return [replace(line, label=line.label[1]) for line in lines]
+    return [line._replace(label=line.label[1]) for line in lines]
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -9,10 +9,16 @@ module, another module of the package, a ``perfbench`` file other than
 the tracer (which names functions only to wrap them) or the README's
 ``python`` example reads it. Tests are not users: a formula that only
 tests call belongs in ``tests/``.
+
+Importing the package generates no record classes: no module imports
+``dataclasses``, whose class decorator compiles methods at import time.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +89,24 @@ def _unused_public_names() -> list[str]:
 
 def test_every_public_name_has_a_user_outside_the_tests():
     assert _unused_public_names() == []
+
+
+def _imported_packages(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules that a module imports."""
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    return {name.split(".")[0] for name in names}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_dataclasses(module):
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    assert "dataclasses" not in _imported_packages(tree)
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, wignerosc.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
