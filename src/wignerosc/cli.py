@@ -196,13 +196,20 @@ def _digits(ints: np.ndarray) -> np.ndarray:
     return out
 
 
+def _floats(values) -> np.ndarray:
+    """``repr`` of each float as a row of a uint8 matrix (``floattext.float_text``)."""
+    from .floattext import float_text  # imported on first use: decompose and bounds never are
+
+    return float_text(values)
+
+
 def _fill(template: str, columns: list[np.ndarray]) -> str:
     """``"".join(template % row for row in rows)``, each row's slots filled from byte matrices.
 
     Every "%s" of ``template`` (which holds no other % directive) takes the
     next (rows, width) matrix of ``columns``, whose row i is row i's text
-    with 0 bytes as padding. The text between slots is written into the
-    grid once, the columns a chunk of rows at a time, and the 0 bytes dropped.
+    with 0 bytes anywhere as padding. The text between slots is written into
+    the grid once, the columns a chunk of rows at a time, and the 0 bytes dropped.
     """
     parts = template.encode("ascii").split(b"%s")
     line, slots = bytearray(), []  # one grid row, its slots 0 bytes
@@ -227,15 +234,35 @@ def _fill(template: str, columns: list[np.ndarray]) -> str:
 def _json_fill(item, columns: list[np.ndarray]) -> str:
     """``json.dumps(items, indent=2) + "\\n"`` of a non-empty list, filled by ``_fill``.
 
-    ``item``'s "%s" slots take ``columns`` in order. A first column opens the
-    list or separates items, a last one closes the list after the last item.
+    ``item``'s "%s" slots take ``columns`` in order.
+    """
+    return _json_lines(_json_item(item), columns)
+
+
+def _json_lines(template: str, columns: list[np.ndarray]) -> str:
+    """``_json_fill`` of the item whose ``_json_item`` text is ``template``.
+
+    A first column opens the list or separates items, a last one closes the
+    list after the last item.
     """
     rows = len(columns[0])
     lead = np.tile(np.frombuffer(b",\n", dtype=np.uint8), (rows, 1))
     lead[0] = np.frombuffer(b"[\n", dtype=np.uint8)
     close = np.zeros((rows, 3), dtype=np.uint8)
     close[-1] = np.frombuffer(b"\n]\n", dtype=np.uint8)
-    return _fill("%s" + _json_item(item) + "%s", [lead, *columns, close])
+    return _fill("%s" + template + "%s", [lead, *columns, close])
+
+
+@functools.cache  # json's pure-Python indenting encoder runs once per layout, not per job
+def _line_item(command: str, algebra: str, n: int) -> str:
+    """``_json_item`` of one line of a ``spectrum`` or ``sweep`` table of an n-mode chain."""
+    if command == "sweep":
+        return _json_item({"c": "%s", "energy": "%s", "multiplicity": "%s", "label": "%s"})
+    first, rest = ("theta", "r") if algebra == "gl" else ("height", "signature")
+    item = {"energy": "%s", "multiplicity": "%s", first: "%s", rest: ["%s"] * n}
+    if algebra == "osp":  # the hook pattern: length-j row (s_j, 0, ..., 0), top first
+        item["pattern"] = [["%s"] + [0] * (j - 1) for j in range(n, 0, -1)]
+    return _json_item(item)
 
 
 def _cmd_decompose(args) -> int:
@@ -322,16 +349,13 @@ def _cmd_spectrum(args) -> int:
     decomp, classes = decompose(model), _classes(args, model.n)
     merged = _levels(args, classes, mode_frequencies(decomp, args.omega, model.c))
     # each line's head class key: theta, r_1..r_n for gl; height, s_1..s_n for osp
-    first, rest, rest_json = ("theta", "r", "r") if args.algebra == "gl" \
-        else ("height", "s", "signature")
-    columns = [_text(list(map(repr, merged.energy.tolist()))), _digits(merged.multiplicity)]
+    first, rest = ("theta", "r") if args.algebra == "gl" else ("height", "s")
+    columns = [_floats(merged.energy), _digits(merged.multiplicity)]
     columns += list(_digits(classes.keys[merged.head]).transpose(1, 0, 2))
     if args.format == "json":
-        item = {"energy": "%s", "multiplicity": "%s", first: "%s", rest_json: ["%s"] * model.n}
-        if args.algebra == "osp":  # the hook pattern: length-j row (s_j, 0, ..., 0), top first
-            item["pattern"] = [["%s"] + [0] * (j - 1) for j in range(model.n, 0, -1)]
+        if args.algebra == "osp":  # the hook pattern repeats s_n, ..., s_1
             columns += columns[:2:-1]
-        text = _json_fill(item, columns)
+        text = _json_lines(_line_item("spectrum", args.algebra, model.n), columns)
     else:
         header = f"energy,multiplicity,{first}," + ",".join(
             f"{rest}_{j}" for j in range(1, model.n + 1))
@@ -362,9 +386,9 @@ def _cmd_sweep(args) -> int:
                 "pass --allow-strong to sweep past it")
 
     # a whole sweep job's traced peak per (coupling, class) pair, rendering included,
-    # was under 340 + 6 n bytes (n 1-16, either format, every pair its own line), and
-    # 357 bytes for gl n = 2, p = 20000, whose labels are wide
-    check_bytes(8 * (decomp.n + 48) * args.steps * len(classes.keys),
+    # was under 290 + 7.5 n bytes (n 1-16, either format, every pair its own line), and
+    # 323 bytes for gl n = 2, p = 20000, whose labels are wide
+    check_bytes(8 * (decomp.n + 42) * args.steps * len(classes.keys),
                 f"the {args.steps} x {len(classes.keys)} (coupling, class) pairs of the sweep")
     couplings = [args.cmin + (args.cmax - args.cmin) * i / (args.steps - 1)
                  for i in range(args.steps)]
@@ -376,12 +400,11 @@ def _cmd_sweep(args) -> int:
         label = f'"{label}"'
     keys = list(_digits(classes.keys).transpose(1, 0, 2))
     labels = _fill(label + "\n", keys).split("\n")[:-1]
-    columns = [_text(list(map(repr, couplings)))[merged.coupling],
-               _text(list(map(repr, merged.energy.tolist()))), _digits(merged.multiplicity),
-               _text(labels)[merged.head]]
+    columns = [_floats(couplings)[merged.coupling], _floats(merged.energy),
+               _digits(merged.multiplicity), _text(labels)[merged.head]]
+    del merged  # the text needs the columns only
     if args.format == "json":
-        text = _json_fill({"c": "%s", "energy": "%s", "multiplicity": "%s", "label": "%s"},
-                          columns)
+        text = _json_lines(_line_item("sweep", args.algebra, decomp.n), columns)
     else:
         text = "c,energy,multiplicity,label\n" + _fill("%s,%s,%s,%s\n", columns)
     _emit(text, args.out)

@@ -88,6 +88,8 @@ class GZPattern(checked_namedtuple("GZPattern", "rows n p")):
     __slots__ = ()
 
     def __new__(cls, rows: tuple[tuple[int, ...], ...], n: int, p: float):
+        if type(n) is not int:
+            (n,) = int_tuple((n,), f"a pattern needs an integer n; got n = {n}")
         if n < 1:
             raise ValueError(f"a pattern needs n >= 1; got n = {n}")
         flat = (tuple(itertools.chain.from_iterable(rows))

@@ -50,7 +50,8 @@ RECONSTRUCTION_RTOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+    """A read-only float copy of ``a``; the caller's array stays writeable."""
+    a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -130,7 +131,7 @@ class InteractionModel(checked_namedtuple("InteractionModel",
             m = _require_symmetric(matrix)
             if m.shape[0] != n:
                 raise ValueError("matrix size does not match n")
-            matrix = _freeze(m.copy())
+            matrix = _freeze(m)
         elif kind != "constant":
             raise ValueError(f"unknown coupling kind {kind!r}")
         return super().__new__(cls, n, omega, c, kind, mass, ptilde, matrix)

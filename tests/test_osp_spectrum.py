@@ -206,6 +206,10 @@ def test_pattern_validation():
     for n in (0, -1):  # no top row to read
         with pytest.raises(ValueError, match="needs n >= 1"):
             GZPattern(rows=(), n=n, p=1)
+    with pytest.raises(ValueError, match="integer n; got n = 2.5"):
+        GZPattern(rows=((1, 0), (1,)), n=2.5, p=2)
+    pattern = GZPattern(rows=((1, 0), (1,)), n=2.0, p=2)
+    assert pattern == GZPattern(rows=((1, 0), (1,)), n=2, p=2) and type(pattern.n) is int
 
 
 def _split_rows(flat, n):

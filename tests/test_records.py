@@ -131,6 +131,16 @@ def test_replace_normalises_like_the_constructor():
     assert state.occupations == (2, 1, 1)
 
 
+def test_records_freeze_copies_not_the_callers_arrays():
+    lambdas, u, mu, matrix = np.arange(1.0, 4.0), np.eye(3), np.ones(3), 2 * np.eye(3)
+    arrays = [*SpectralDecomposition(lambdas, u, "numeric")[:2], *ModeFrequencies(mu),
+              InteractionModel.general(matrix).matrix]
+    assert all(a.flags.writeable for a in (lambdas, u, mu, matrix))
+    assert not any(a.flags.writeable for a in arrays)
+    lambdas[0] = u[0, 0] = mu[0] = matrix[0, 0] = 7.0  # the records keep their own values
+    assert arrays[0][0] == arrays[1][0, 0] == arrays[2][0] == 1.0 and arrays[4][0, 0] == 2.0
+
+
 def test_records_are_tuples_by_value():
     line = RECORDS[SpectrumLine]
     energy, multiplicity, label = line
