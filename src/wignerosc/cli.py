@@ -27,8 +27,8 @@ from .coupling import (CriticalCoupling, critical_coupling, critical_couplings,
                        krawtchouk_coupling_rows)
 from .errors import NumericError, ResourceLimitError, UnirrepError, UnitarityError
 from .gl_spectrum import gl_classes, gl_levels
-from .levels import LevelClasses, MergedLevels, check_bytes
-from .osp_spectrum import osp_classes, osp_levels
+from .levels import LevelClasses, MergedLevels, check_bytes, levels
+from .osp_spectrum import osp_classes
 from .spectral import (InteractionModel, constant_eigenvalues, decompose, load_matrix,
                        mode_frequencies)
 
@@ -138,12 +138,12 @@ def _model_from_flags(args, c: float = 0.0, n: int | None = None) -> Interaction
     return InteractionModel.krawtchouk(n, omega=args.omega, c=c, ptilde=args.ptilde)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(parts: list[str], out: str | None) -> None:
     if out:
         with open(out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _json_item(item, depth: int = 0) -> str:
@@ -168,12 +168,6 @@ def _json_list(item, rows, depth: int = 0) -> str:
 #: bytes of output grid rendered at a time: a chunk stays in cache, and the grid adds
 #: one chunk to the memory of the text (256 KiB filled faster than 1 MiB or 64 KiB)
 _CHUNK_BYTES = 2 ** 18
-
-
-def _text(strings: list[str]) -> np.ndarray:
-    """ASCII ``strings`` as a (rows, width) uint8 matrix, right-padded with 0 bytes."""
-    raw = np.array(strings, dtype="S")
-    return raw.view(np.uint8).reshape(len(raw), raw.itemsize)
 
 
 def _digits(ints: np.ndarray) -> np.ndarray:
@@ -203,8 +197,8 @@ def _floats(values) -> np.ndarray:
     return float_text(values)
 
 
-def _fill(template: str, columns: list[np.ndarray]) -> str:
-    """``"".join(template % row for row in rows)``, each row's slots filled from byte matrices.
+def _fill(template: str, columns: list[np.ndarray]) -> list[str]:
+    """``"".join(template % row for row in rows)`` in chunks, slots filled from byte matrices.
 
     Every "%s" of ``template`` (which holds no other % directive) takes the
     next (rows, width) matrix of ``columns``, whose row i is row i's text
@@ -228,22 +222,15 @@ def _fill(template: str, columns: list[np.ndarray]) -> str:
         for lo, hi, column in slots:
             block[:, lo:hi] = column[start:start + step]
         chunks.append(block.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(chunks)
+    return chunks
 
 
-def _json_fill(item, columns: list[np.ndarray]) -> str:
-    """``json.dumps(items, indent=2) + "\\n"`` of a non-empty list, filled by ``_fill``.
+def _json_lines(template: str, columns: list[np.ndarray]) -> list[str]:
+    """``_fill`` chunks of ``json.dumps(items, indent=2) + "\\n"`` of a non-empty list.
 
-    ``item``'s "%s" slots take ``columns`` in order.
-    """
-    return _json_lines(_json_item(item), columns)
-
-
-def _json_lines(template: str, columns: list[np.ndarray]) -> str:
-    """``_json_fill`` of the item whose ``_json_item`` text is ``template``.
-
-    A first column opens the list or separates items, a last one closes the
-    list after the last item.
+    ``template`` is the ``_json_item`` text of an item, whose "%s" slots
+    take ``columns`` in order. A first column opens the list or separates
+    items, a last one closes the list after the last item.
     """
     rows = len(columns[0])
     lead = np.tile(np.frombuffer(b",\n", dtype=np.uint8), (rows, 1))
@@ -257,7 +244,8 @@ def _json_lines(template: str, columns: list[np.ndarray]) -> str:
 def _line_item(command: str, algebra: str, n: int) -> str:
     """``_json_item`` of one line of a ``spectrum`` or ``sweep`` table of an n-mode chain."""
     if command == "sweep":
-        return _json_item({"c": "%s", "energy": "%s", "multiplicity": "%s", "label": "%s"})
+        return _json_item({"c": "%s", "energy": "%s", "multiplicity": "%s",
+                           "label": "%s/" + "-".join(["%s"] * n)})
     first, rest = ("theta", "r") if algebra == "gl" else ("height", "signature")
     item = {"energy": "%s", "multiplicity": "%s", first: "%s", rest: ["%s"] * n}
     if algebra == "osp":  # the hook pattern: length-j row (s_j, 0, ..., 0), top first
@@ -276,7 +264,7 @@ def _cmd_decompose(args) -> int:
     else:  # row j: lambda_j, then eigenvector j
         text = "lambda," + ",".join(f"v_{i}" for i in range(1, decomp.n + 1)) + "\n" + "".join(
             map(("%r," * decomp.n + "%r\n").__mod__, zip(lambdas, *u)))
-    _emit(text, args.out)
+    _emit([text], args.out)
     print(f"orthonormality residual: {decomp.orthonormality:.3e}", file=sys.stderr)
     print(f"reconstruction residual: {decomp.reconstruction:.3e}", file=sys.stderr)
     return EXIT_OK
@@ -324,7 +312,7 @@ def _cmd_bounds(args) -> int:
             ratio = f"{row.ratio:9.5f}" if row.ratio is not None else " " * 9
             lines.append(f"{row.n:>4}  {bound}  {row.c_critical:11.5f}  {ratio}")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit([text], args.out)
     return EXIT_OK
 
 
@@ -341,7 +329,7 @@ def _levels(args, classes: LevelClasses, freqs) -> MergedLevels:
     """The merged lines of ``classes`` at every coupling of ``freqs``."""
     if args.algebra == "gl":
         return gl_levels(classes, freqs, allow_nonunitary=args.allow_strong)
-    return osp_levels(classes, freqs)
+    return levels(classes, freqs)
 
 
 def _cmd_spectrum(args) -> int:
@@ -355,12 +343,12 @@ def _cmd_spectrum(args) -> int:
     if args.format == "json":
         if args.algebra == "osp":  # the hook pattern repeats s_n, ..., s_1
             columns += columns[:2:-1]
-        text = _json_lines(_line_item("spectrum", args.algebra, model.n), columns)
+        parts = _json_lines(_line_item("spectrum", args.algebra, model.n), columns)
     else:
         header = f"energy,multiplicity,{first}," + ",".join(
             f"{rest}_{j}" for j in range(1, model.n + 1))
-        text = header + "\n" + _fill("%s," * (model.n + 2) + "%s\n", columns)
-    _emit(text, args.out)
+        parts = [header + "\n", *_fill("%s," * (model.n + 2) + "%s\n", columns)]
+    _emit(parts, args.out)
     return EXIT_OK
 
 
@@ -385,29 +373,25 @@ def _cmd_sweep(args) -> int:
                 f"--cmax {args.cmax} exceeds the critical coupling {c_n:.6g}; "
                 "pass --allow-strong to sweep past it")
 
-    # a whole sweep job's traced peak per (coupling, class) pair, rendering included,
-    # was under 290 + 7.5 n bytes (n 1-16, either format, every pair its own line), and
-    # 323 bytes for gl n = 2, p = 20000, whose labels are wide
-    check_bytes(8 * (decomp.n + 42) * args.steps * len(classes.keys),
+    # the traced peak once the classes are built, text included, was at most 0.97 of this count
+    # (n 1-20, 2-40 steps, both formats, --out, every (coupling, class) pair its own line)
+    check_bytes(12 * (decomp.n + 15) * args.steps * len(classes.keys),
                 f"the {args.steps} x {len(classes.keys)} (coupling, class) pairs of the sweep")
     couplings = [args.cmin + (args.cmax - args.cmin) * i / (args.steps - 1)
                  for i in range(args.steps)]
     merged = _levels(args, classes, mode_frequencies(decomp, args.omega, couplings))
-    # each coupling and each class label (theta/r_1-...-r_n for gl, height/s_1-...-s_n for
-    # osp) is written once, and a line takes its coupling's and its head class's text
-    label = "%s/" + "-".join(["%s"] * decomp.n)
-    if args.format == "json":
-        label = f'"{label}"'
-    keys = list(_digits(classes.keys).transpose(1, 0, 2))
-    labels = _fill(label + "\n", keys).split("\n")[:-1]
+    # each coupling and each class key is written once, and a line takes its coupling's
+    # text and its head class's key digits: theta/r_1-...-r_n for gl, height/s_1-...-s_n for osp
     columns = [_floats(couplings)[merged.coupling], _floats(merged.energy),
-               _digits(merged.multiplicity), _text(labels)[merged.head]]
+               _digits(merged.multiplicity)]
+    columns += list(_digits(classes.keys)[merged.head].transpose(1, 0, 2))
     del merged  # the text needs the columns only
     if args.format == "json":
-        text = _json_lines(_line_item("sweep", args.algebra, decomp.n), columns)
+        parts = _json_lines(_line_item("sweep", args.algebra, decomp.n), columns)
     else:
-        text = "c,energy,multiplicity,label\n" + _fill("%s,%s,%s,%s\n", columns)
-    _emit(text, args.out)
+        parts = ["c,energy,multiplicity,label\n",
+                 *_fill("%s,%s,%s,%s/" + "-".join(["%s"] * decomp.n) + "\n", columns)]
+    _emit(parts, args.out)
     return EXIT_OK
 
 

@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .levels import SpectrumLine, check_bytes, spectrum_lines
-from .osp_spectrum import GZPattern, osp_classes, osp_levels
+from .levels import SpectrumLine, check_bytes, levels, spectrum_lines
+from .osp_spectrum import GZPattern, osp_classes
 from .spectral import (InteractionModel, ModeFrequencies, SpectralDecomposition,
                        checked_namedtuple, int_tuple, mode_frequencies)
 
@@ -199,11 +199,9 @@ def fock_spectrum(n: int, freqs: ModeFrequencies, hbar: float = 1.0,
     The lines of ``osp_spectrum(n, 1, freqs, k_total_max)`` times hbar, each
     labelled by the weight of its head class: its occupation tuple.
     """
-    if freqs.n != n:
-        raise ValueError("mode count disagrees with n")
     classes = osp_classes(n, 1, k_total_max)
-    merged = osp_levels(classes, freqs)
-    occ = np.diff(classes.keys[merged.head, 1:], axis=1, prepend=0).tolist()
+    merged = levels(classes, freqs)
+    occ = classes.weights[merged.head].tolist()
     return spectrum_lines(merged._replace(energy=hbar * merged.energy), list(map(tuple, occ)))
 
 

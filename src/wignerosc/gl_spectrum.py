@@ -4,14 +4,15 @@ Basis vectors are labelled v(theta; r_1, ..., r_n) with theta in {0, 1},
 non-negative integers r_j, and theta + r_1 + ... + r_n = p. The diagonal
 generator actions make every basis vector an eigenvector with
 
-    E = sum_j sqrt(mu_j) * (p/(n-1) - r_j)       (levels.level_energies, w = -r)
+    E = sum_j sqrt(mu_j) * (p/(n-1) - r_j)       (levels.level_energies)
       = beta * theta + sum_j beta_j * r_j         (equivalent form),
 
-in units of hbar, with beta = sum_j beta_j; every energy is checked against
-the second form, so digits cancelled at huge couplings raise. Without coupling
-the spectrum collapses to the two values omega (p/(n-1) + theta); for weak
-coupling all dim V(p) levels are generically distinct, and the lowest one,
-p * beta_n, sinks to zero as c approaches the critical coupling.
+in units of hbar, with beta = sum_j beta_j: each basis vector is a class of
+weight w = -r at a = p/(n-1). Every energy is checked against the second form,
+so digits cancelled at huge couplings raise. Without coupling the spectrum
+collapses to the two values omega (p/(n-1) + theta); for weak coupling all
+dim V(p) levels are generically distinct, and the lowest one, p * beta_n,
+sinks to zero as c approaches the critical coupling.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ def gl_dimension(n: int, p: int) -> int:
 def gl_classes(n: int, p: int) -> LevelClasses:
     """The V(p) basis as int64 class keys (theta, r_1, ..., r_n), each of multiplicity 1.
 
-    Row (theta, r) is the basis vector v(theta; r); rows ascend
-    lexicographically (theta = 0 first, then r). A build over BYTE_BUDGET
+    Row (theta, r) is the basis vector v(theta; r), of weight -r at a = p/(n-1),
+    nan for one oscillator (no gl(1|n) weights: ``gl_levels`` and ``levels`` refuse it); rows
+    ascend lexicographically (theta = 0 first, then r). A build over BYTE_BUDGET
     raises ResourceLimitError before anything is allocated.
     """
     dim = gl_dimension(n, p)
@@ -58,7 +60,9 @@ def gl_classes(n: int, p: int) -> LevelClasses:
     check_bytes(24 * (n + 1) * dim, f"V({p}) of gl(1|{n}) has {dim} basis vectors that")
     theta = np.arange(min(p, 1) + 1)
     keys = grow_compositions(theta[:, None], p - theta, n)
-    return LevelClasses(keys=keys, multiplicity=np.ones(len(keys), dtype=np.int64), p=p)
+    assert len(keys) == dim
+    return LevelClasses(keys=keys, weights=-keys[:, 1:], multiplicity=np.ones(dim, np.int64),
+                        a=p / (n - 1) if n > 1 else math.nan)
 
 
 def gl_levels(classes: LevelClasses, freqs: ModeFrequencies,
@@ -68,28 +72,22 @@ def gl_levels(classes: LevelClasses, freqs: ModeFrequencies,
     Mixed-sign weights at any coupling raise UnitarityError unless
     ``allow_nonunitary``. Every energy is cross-checked against the
     equivalent form beta*theta + sum_j beta_j r_j (NumericError names the first
-    coupling where digits cancelled), and every coupling's lines against the
-    dim V(p) total.
+    coupling where digits cancelled).
     """
     beta = np.atleast_2d(gl_weights(freqs))
     if not allow_nonunitary and not (beta > 0).all():
         raise UnitarityError(
             "weights change sign at this coupling; pass allow_nonunitary to proceed")
-    if freqs.n != classes.keys.shape[1] - 1:
-        raise ValueError("weights, frequencies and basis vector sizes disagree")
-    theta, r = classes.keys[:, 0], classes.keys[:, 1:]
-    energy = level_energies(classes.p / (freqs.n - 1), -r, freqs)
-    alt = beta.sum(axis=-1, keepdims=True) * theta + np.vecdot(r.astype(float), beta[:, None, :])
+    energy = level_energies(classes.a, classes.weights, freqs)
+    alt = (beta.sum(axis=-1, keepdims=True) * classes.keys[:, 0]
+           - np.vecdot(classes.weights.astype(float), beta[:, None, :]))
     bad = np.abs(energy - alt) > _FORM_AGREEMENT_TOL * (1.0 + np.abs(energy))
     if bad.any():
         at = tuple(np.argwhere(bad)[0])
         raise NumericError(
             f"eigenvalue forms disagree at coupling index {at[0]}: {float(energy[at])!r} vs "
             f"{float(alt[at])!r}, beyond the relative bound {_FORM_AGREEMENT_TOL:.0e}")
-    merged = merge_classes(energy, classes.multiplicity, freqs)
-    totals = np.bincount(merged.coupling, weights=merged.multiplicity, minlength=len(energy))
-    assert (totals == gl_dimension(freqs.n, classes.p)).all()
-    return merged
+    return merge_classes(energy, classes.multiplicity, freqs)
 
 
 def gl_spectrum(n: int, p: int, freqs: ModeFrequencies,

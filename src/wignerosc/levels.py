@@ -2,9 +2,9 @@
 
 Every gl(1|n), osp(1|2n) and Fock level is an integer weight class w with an
 exact multiplicity and the energy sum_j sqrt(mu_j) (a + w_j) of ``level_energies``.
-``LevelClasses`` holds such a class set, built once per representation;
-``merge_classes`` turns a (couplings x classes) energy grid into one table
-of spectrum lines, every coupling at once.
+``LevelClasses`` holds such a class set and its a, built once per representation;
+``levels`` merges its energies on a grid of couplings into one table of
+spectrum lines, every coupling at once (``merge_classes``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import ResourceLimitError
 from .spectral import ModeFrequencies
 
 __all__ = ["SpectrumLine", "LevelClasses", "MergedLevels", "MERGE_TOL", "BYTE_BUDGET",
-           "check_bytes", "level_energies", "merge_classes", "spectrum_lines",
+           "check_bytes", "level_energies", "merge_classes", "levels", "spectrum_lines",
            "grow_compositions", "weight_lattice"]
 
 #: energies closer than this many smallest mode quanta hbar min_j sqrt(mu_j) print as one line
@@ -51,15 +51,16 @@ class LevelClasses(NamedTuple):
     """Integer weight classes of the representation V(p), in label order.
 
     Row i of ``keys`` is the integer key of class i (gl(1|n): theta,
-    r_1..r_n; osp(1|2n): height, s_1..s_n). Rows ascend
-    lexicographically, so class indices rank the line labels built from
-    them. ``multiplicity`` holds the exact int64 class sizes, and ``p`` the
-    V(p) label the classes were built for.
+    r_1..r_n; osp(1|2n): height, s_1..s_n), and of ``weights`` its weight w.
+    Rows ascend lexicographically, so class indices rank the line labels
+    built from them. ``multiplicity`` holds the exact int64 class sizes;
+    a level of class w has the energy sum_j sqrt(mu_j) (a + w_j).
     """
 
     keys: np.ndarray
+    weights: np.ndarray
     multiplicity: np.ndarray
-    p: float
+    a: float
 
 
 class MergedLevels(NamedTuple):
@@ -104,6 +105,8 @@ def weight_lattice(n: int, k_max: int, what: str) -> np.ndarray:
 
 def level_energies(a: float, weights: np.ndarray, freqs: ModeFrequencies) -> np.ndarray:
     """a sum_j sqrt(mu_j) + w . sqrt(mu) per weight row w (columns) and coupling (rows)."""
+    if weights.shape[1] != freqs.n:
+        raise ValueError("mode count disagrees with n")
     sqrt_mu = np.atleast_2d(freqs.sqrt_mu)
     # vecdot sums every w . sqrt_mu in one order; w @ sqrt_mu changes it at one coupling
     return (a * sqrt_mu.sum(axis=-1, keepdims=True)
@@ -130,9 +133,20 @@ def merge_classes(energies: np.ndarray, multiplicity: np.ndarray,
     tol = MERGE_TOL * np.atleast_2d(freqs.sqrt_mu).min(axis=-1, keepdims=True)
     start[:, 1:] = np.diff(ordered, axis=-1) > tol
     first = np.flatnonzero(start)
-    return MergedLevels(coupling=first // energies.shape[1], head=order.ravel()[first],
-                        energy=ordered.ravel()[first],
-                        multiplicity=np.add.reduceat(multiplicity[order].ravel(), first))
+    merged = MergedLevels(coupling=first // energies.shape[1], head=order.ravel()[first],
+                          energy=ordered.ravel()[first],
+                          multiplicity=np.add.reduceat(multiplicity[order].ravel(), first))
+    totals = np.bincount(merged.coupling, weights=merged.multiplicity, minlength=len(energies))
+    assert (totals == multiplicity.sum()).all()
+    return merged
+
+
+def levels(classes: LevelClasses, freqs: ModeFrequencies) -> MergedLevels:
+    """Lines of ``classes`` at every coupling of ``freqs``, merged at MERGE_TOL."""
+    if not math.isfinite(classes.a):
+        raise ValueError(f"classes without a finite offset a = {classes.a} have no levels")
+    return merge_classes(level_energies(classes.a, classes.weights, freqs),
+                         classes.multiplicity, freqs)
 
 
 def spectrum_lines(merged: MergedLevels, labels: list) -> list[SpectrumLine]:

@@ -12,11 +12,11 @@ Each pattern is an eigenvector; with s_j the sum of the length-j row,
 
 in units of hbar (``levels.level_energies`` at a = p/2), so a level depends
 only on the weight w = (s_1, s_2 - s_1, ..., s_n - s_{n-1}). Each weight up to
-a top-row weight is a class; its exact multiplicity, the number of patterns of
-weight w, is a sum of Kostka numbers counted by the branching rule (1 when
-ceil(p) = 1: V(1) is the boson Fock space, w the occupations), and no pattern
-is built. The merge joins each height at c = 0, and level crossings at
-special couplings.
+a top-row weight is a class (``levels.levels`` evaluates it); its exact
+multiplicity, the number of patterns of weight w, is a sum of Kostka numbers
+counted by the branching rule (1 when ceil(p) = 1: V(1) is the boson Fock
+space, w the occupations), and no pattern is built. The merge joins each
+height at c = 0, and level crossings at special couplings.
 
 The paper's closed forms per height (hook-content multiplicities, C(n+k-1,
 n-1) distinct levels at generic coupling) are test oracles, not library code.
@@ -33,14 +33,12 @@ from collections import Counter
 import numpy as np
 
 from .errors import UnirrepError
-from .levels import (LevelClasses, MergedLevels, SpectrumLine, level_energies, merge_classes,
-                     spectrum_lines, weight_lattice)
+from .levels import LevelClasses, SpectrumLine, levels, spectrum_lines, weight_lattice
 from .spectral import ModeFrequencies, checked_namedtuple, int_tuple
 
 __all__ = [
     "GZPattern",
     "osp_classes",
-    "osp_levels",
     "osp_spectrum",
     "is_unirrep",
 ]
@@ -161,9 +159,9 @@ def _pattern_counts(weights: np.ndarray, parts: int) -> np.ndarray:
 def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
     """Row-sum signature classes up to top-row weight k_max, keyed (height, s_1, ..., s_n).
 
-    Every weight w = diff(s) with sum(w) <= k_max is a class (the top row
-    (sum(w)) is admissible), of multiplicity sum_lambda K_{lambda, w} over
-    top rows of at most ceil(p) parts (1 if ceil(p) = 1). A non-finite p
+    Every weight w = diff(s) with sum(w) <= k_max is a class at a = p/2 (the
+    top row (sum(w)) is admissible), of multiplicity sum_lambda K_{lambda, w}
+    over top rows of at most ceil(p) parts (1 if ceil(p) = 1). A non-finite p
     raises ValueError, and a lattice over BYTE_BUDGET raises before it is built.
     """
     if not math.isfinite(p):
@@ -173,18 +171,11 @@ def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
             f"V(p) of osp(1|{2 * n}) needs p in {{1..{n - 1}}} or p > {n - 1}; got p = {p}")
     lattice = weight_lattice(n, k_max,
                              f"the V({p}) classes of osp(1|{2 * n}) up to height {k_max}")
-    keys = np.column_stack((lattice[:, 0], np.cumsum(lattice[:, 1:], axis=1)))
+    weights = lattice[:, 1:]
+    keys = np.column_stack((lattice[:, 0], np.cumsum(weights, axis=1)))
     parts = math.ceil(p)
-    count = np.ones(len(keys), np.int64) if parts == 1 else _pattern_counts(lattice[:, 1:], parts)
-    return LevelClasses(keys=keys, multiplicity=count, p=p)
-
-
-def osp_levels(classes: LevelClasses, freqs: ModeFrequencies) -> MergedLevels:
-    """Lines of ``osp_classes(n, p, k_max)`` at every coupling of ``freqs``, merged at MERGE_TOL."""
-    if freqs.n != classes.keys.shape[1] - 1:
-        raise ValueError("mode count disagrees with n")
-    weights = np.diff(classes.keys[:, 1:], axis=1, prepend=0)
-    return merge_classes(level_energies(classes.p / 2, weights, freqs), classes.multiplicity, freqs)
+    count = np.ones(len(keys), np.int64) if parts == 1 else _pattern_counts(weights, parts)
+    return LevelClasses(keys=keys, weights=weights, multiplicity=count, a=p / 2)
 
 
 def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int) -> list[SpectrumLine]:
@@ -198,6 +189,6 @@ def osp_spectrum(n: int, p: float, freqs: ModeFrequencies, k_max: int) -> list[S
     pattern whose length-j row is (s_j, 0, ..., 0).
     """
     classes = osp_classes(n, p, k_max)
-    merged = osp_levels(classes, freqs)
+    merged = levels(classes, freqs)
     return spectrum_lines(merged, [(key[0], tuple(key[1:]))
                                    for key in classes.keys[merged.head].tolist()])

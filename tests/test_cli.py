@@ -277,6 +277,21 @@ def test_gl_sweep_without_a_critical_coupling(capsys):
     assert per_c == {"0.0": 3, "2.5": 3, "5.0": 3}  # dim V(1) = 3 at each coupling
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("spectrum --algebra gl --n 1 --p 2", "gl(1|n) weights need at least two oscillators"),
+    ("spectrum --algebra gl --n 1 --p 0 --format json",
+     "gl(1|n) weights need at least two oscillators"),
+    ("sweep --algebra gl --n 1 --p 2 --cmin 0 --cmax 1 --steps 3",
+     "need at least two oscillators"),
+    ("sweep --algebra gl --n 1 --p 2 --cmin 0 --cmax 1 --steps 3 --allow-strong",
+     "gl(1|n) weights need at least two oscillators"),
+])
+def test_gl_with_one_oscillator_is_a_usage_error(argv, message, capsys):
+    # gl(1|1) has no weights beta_j and no offset p/(n-1); its classes still build
+    assert main(argv.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose"],
     ["bounds"],

@@ -1,7 +1,7 @@
 """Spectra on a coupling grid: one array of couplings against one coupling at a time.
 
 ``mode_frequencies`` takes a 1-D array of couplings and gives one row of
-mu per coupling; ``gl_levels``/``osp_levels`` evaluate and merge the whole
+mu per coupling; ``gl_levels``/``levels`` evaluate and merge the whole
 grid as one table. Each coupling's rows must equal the single-coupling
 result bit for bit.
 """
@@ -13,8 +13,8 @@ from wignerosc import (InteractionModel, ModeFrequencies, PositiveDefinitenessEr
                        critical_coupling, decompose, gl_spectrum, gl_weights, mode_frequencies,
                        osp_spectrum)
 from wignerosc.gl_spectrum import gl_classes, gl_levels
-from wignerosc.levels import MergedLevels
-from wignerosc.osp_spectrum import osp_classes, osp_levels
+from wignerosc.levels import MergedLevels, levels
+from wignerosc.osp_spectrum import osp_classes
 
 MODELS = {"krawtchouk": lambda n: InteractionModel.krawtchouk(n, ptilde=0.3),
           "constant": InteractionModel.constant}
@@ -59,7 +59,7 @@ def test_osp_grid_rows_equal_single_couplings(model, n, p, k_max):
     classes = osp_classes(n, p, k_max)
     for grid in _grids(decomp):
         _assert_rows_equal_single_couplings(
-            lambda freqs: osp_levels(classes, freqs), decomp, grid)
+            lambda freqs: levels(classes, freqs), decomp, grid)
 
 
 @pytest.mark.parametrize("algebra,p", [("gl", 3), ("osp", 2), ("osp", 5.5)])
@@ -69,10 +69,11 @@ def test_classes_carry_their_p_and_their_levels_are_the_spectrum(algebra, p):
     if algebra == "gl":
         classes = gl_classes(5, p)
         merged, lines = gl_levels(classes, freqs), gl_spectrum(5, p, freqs)
+        assert classes.a == p / 4
     else:
         classes = osp_classes(5, p, 3)
-        merged, lines = osp_levels(classes, freqs), osp_spectrum(5, p, freqs, 3)
-    assert classes.p == p
+        merged, lines = levels(classes, freqs), osp_spectrum(5, p, freqs, 3)
+        assert classes.a == p / 2
     keys = classes.keys[merged.head].tolist()
     assert [(line.energy, line.multiplicity, line.label) for line in lines] == \
         [(e, m, (key[0], tuple(key[1:]))) for e, m, key in

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from wignerosc import cli, critical_coupling, decompose, floattext, mode_frequencies
 from wignerosc.gl_spectrum import gl_classes, gl_levels
-from wignerosc.osp_spectrum import osp_classes, osp_levels
+from wignerosc.levels import levels
+from wignerosc.osp_spectrum import osp_classes
 from wignerosc.spectral import InteractionModel
 
 LOW, HIGH = (int(np.float64(x).view(np.int64)) for x in (1e-4, 1e16))
@@ -137,7 +138,7 @@ def test_spectra_go_through_repr_for_under_half_a_percent(algebra):
     couplings = np.linspace(0.0, 0.9 * critical_coupling(decomp.lambdas), 60)
     freqs = mode_frequencies(decomp, 1.0, list(couplings))
     energy = (gl_levels(gl_classes(n, 4), freqs) if algebra == "gl"
-              else osp_levels(osp_classes(n, 2, 5), freqs)).energy
+              else levels(osp_classes(n, 2, 5), freqs)).energy
     assert len(energy) > 10_000
     assert floattext.shortest(energy)[3].mean() < 0.005
     _assert_reprs(energy)

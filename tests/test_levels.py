@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from wignerosc import ModeFrequencies
-from wignerosc.levels import SpectrumLine, merge_classes
-from oracles import merge_lines
+from wignerosc import (GZPattern, InteractionModel, ModeFrequencies, decompose, fock_spectrum,
+                       gl_weights, mode_frequencies)
+from wignerosc.gl_spectrum import gl_classes
+from wignerosc.levels import SpectrumLine, level_energies, levels, merge_classes
+from wignerosc.osp_spectrum import osp_classes
+from oracles import GlBasisVector, gl_eigenvalue, hook_patterns, merge_lines, osp_eigenvalue
 
 
 def test_merge_lines_orders_ties_by_multiplicity_before_label():
@@ -47,3 +52,51 @@ def test_merge_classes_matches_merge_lines_row_by_row():
                    zip(merged.energy[at].tolist(), merged.multiplicity[at].tolist(),
                        merged.head[at].tolist())]
             assert got == expected
+
+
+def test_gl_classes_of_one_oscillator_have_no_levels():
+    # gl(1|1) has no offset p/(n-1): its classes build, and nothing evaluates them
+    classes = gl_classes(1, 2)
+    assert math.isnan(classes.a) and classes.keys.tolist() == [[0, 2], [1, 1]]
+    with pytest.raises(ValueError, match="finite offset"):
+        levels(classes, ModeFrequencies(mu=np.ones(1)))
+
+
+def _assert_levels_match(classes, freqs, oracle):
+    """Class energies equal the per-class ``oracle`` energies; lines take their head's."""
+    energy = level_energies(classes.a, classes.weights, freqs)[0]
+    np.testing.assert_allclose(energy, oracle, rtol=1e-13, atol=1e-13)
+    merged = levels(classes, freqs)
+    assert merged.energy.tolist() == energy[merged.head].tolist()
+    return merged
+
+
+@pytest.mark.parametrize("kind, n", [("gl", n) for n in range(2, 7)]
+                         + [(kind, n) for kind in ("osp", "fock") for n in range(1, 7)])
+def test_class_records_agree_with_themselves(kind, n):
+    # the stored offset and weights are the ones the keys define, and give the oracle energies
+    freqs = mode_frequencies(decompose(InteractionModel.krawtchouk(n, ptilde=0.3)), 1.0, 0.1)
+    if kind == "gl":
+        beta = gl_weights(freqs)
+        for p in range(6):
+            classes = gl_classes(n, p)
+            assert classes.a == p / (n - 1)
+            assert np.array_equal(classes.weights, -classes.keys[:, 1:])
+            _assert_levels_match(classes, freqs, [
+                gl_eigenvalue(GlBasisVector(theta, tuple(r)), beta, freqs, p)
+                for theta, *r in classes.keys.tolist()])
+        return
+    for p in [1] if kind == "fock" else sorted({*range(1, n), n - 0.5, n + 1.25}):
+        for k_max in range(5):
+            classes = osp_classes(n, p, k_max)
+            w = classes.weights
+            assert classes.a == p / 2
+            assert np.array_equal(classes.keys,
+                                  np.column_stack((w.sum(axis=1), np.cumsum(w, axis=1))))
+            oracle = [osp_eigenvalue(GZPattern(rows=tuple(map(tuple, rows)), n=n, p=p), freqs, p)
+                      for rows in hook_patterns(classes.keys[:, 1:])]
+            merged = _assert_levels_match(classes, freqs, oracle)
+            if kind == "fock":  # V(1): the weights are the occupations that label the lines
+                lines = fock_spectrum(n, freqs, k_total_max=k_max)
+                assert [line.label for line in lines] == list(map(tuple, w[merged.head].tolist()))
+                assert [line.energy for line in lines] == merged.energy.tolist()

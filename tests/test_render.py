@@ -1,10 +1,10 @@
 """The byte-grid renderer of ``spectrum`` and ``sweep`` against ``template % row``.
 
-``cli._fill`` fills a "%s" template from byte matrices: ``cli._text`` holds
-float reprs and labels, ``cli._digits`` non-negative ints. For every
-template those two writers use, the text must equal
-``"".join(map(template.__mod__, rows))`` byte for byte, also when the
-rows end one before, at, or one after a chunk boundary.
+``cli._fill`` fills a "%s" template from byte matrices: ``cli._floats`` holds
+float reprs, ``cli._digits`` non-negative ints. For every template those two
+writers use, its chunks must join to ``"".join(map(template.__mod__, rows))``
+byte for byte, also when the rows end one before, at, or one after a chunk
+boundary.
 """
 
 import json
@@ -34,7 +34,7 @@ def _width(template, columns):
 def _assert_fills(template, columns, rows, step):
     """_fill with ``step`` rows a chunk equals the %-join of ``rows``."""
     with mock.patch.object(cli, "_CHUNK_BYTES", step * _width(template, columns)):
-        assert cli._fill(template, columns) == "".join(map(template.__mod__, rows))
+        assert "".join(cli._fill(template, columns)) == "".join(map(template.__mod__, rows))
 
 
 def _draw_shape(data):
@@ -60,7 +60,7 @@ def test_fill_writes_spectrum_tables_like_the_percent_join(data):
     mult = data.draw(st.lists(ints, min_size=count, max_size=count), label="multiplicity")
     keys = data.draw(st.lists(st.lists(ints, min_size=n + 1, max_size=n + 1),
                               min_size=count, max_size=count), label="keys")
-    columns = [cli._text(list(map(repr, energy))), cli._digits(mult),
+    columns = [cli._floats(energy), cli._digits(mult),
                *cli._digits(np.array(keys, dtype=np.int64)).transpose(1, 0, 2)]
     rows = [(e, m, *key) for e, m, key in zip(energy, mult, keys)]
     gl, osp = _spectrum_items(n)
@@ -76,9 +76,10 @@ def test_fill_writes_spectrum_tables_like_the_percent_join(data):
                     "pattern": [[key[j]] + [0] * (j - 1) for j in range(n, 0, -1)]}
                    for e, m, key in zip(energy, mult, keys)]
     with mock.patch.object(cli, "_CHUNK_BYTES", step * _width(cli._json_item(osp), columns)):
-        assert cli._json_fill(gl, columns) == json.dumps(gl_payload, indent=2) + "\n"
-        assert (cli._json_fill(osp, columns + columns[:2:-1])
-                == json.dumps(osp_payload, indent=2) + "\n")
+        assert "".join(cli._json_lines(cli._json_item(gl), columns)) == json.dumps(
+            gl_payload, indent=2) + "\n"
+        assert "".join(cli._json_lines(cli._json_item(osp), columns + columns[:2:-1])) == (
+            json.dumps(osp_payload, indent=2) + "\n")
 
 
 @settings(max_examples=80, deadline=None)
@@ -94,18 +95,20 @@ def test_fill_writes_sweep_tables_like_the_percent_join(data):
                                        min_size=count, max_size=count)), dtype=np.intp)
     energy = data.draw(st.lists(floats, min_size=count, max_size=count), label="energy")
     mult = data.draw(st.lists(ints, min_size=count, max_size=count), label="multiplicity")
-    for quote in ("", '"'):  # csv, json
-        label = quote + "%s/" + "-".join(["%s"] * n) + quote
-        key_columns = list(cli._digits(np.array(keys, dtype=np.int64)).transpose(1, 0, 2))
-        _assert_fills(label + "\n", key_columns, list(map(tuple, keys)), step)
-        labels = cli._fill(label + "\n", key_columns).split("\n")[:-1]
-        columns = [cli._text(list(map(repr, couplings)))[coupling],
-                   cli._text(list(map(repr, energy))), cli._digits(mult), cli._text(labels)[head]]
-        rows = [(couplings[i], e, m, label % tuple(keys[h]))
-                for i, e, m, h in zip(coupling.tolist(), energy, mult, head.tolist())]
-        template = ("%s,%s,%s,%s\n" if not quote else cli._json_item(
-            {"c": "%s", "energy": "%s", "multiplicity": "%s", "label": "%s"}))
-        _assert_fills(template, columns, rows, step)
+    # a line's label is its head class key, written from the key's digit columns
+    columns = [cli._floats(couplings)[coupling], cli._floats(energy), cli._digits(mult),
+               *cli._digits(np.array(keys, dtype=np.int64))[head].transpose(1, 0, 2)]
+    rows = [(couplings[i], e, m, *keys[h])
+            for i, e, m, h in zip(coupling.tolist(), energy, mult, head.tolist())]
+    label = "%s/" + "-".join(["%s"] * n)
+    _assert_fills("%s,%s,%s," + label + "\n", columns, rows, step)
+    template = cli._line_item("sweep", "gl", n)
+    _assert_fills(template, columns, rows, step)
+    payload = [{"c": c, "energy": e, "multiplicity": m, "label": label % tuple(key)}
+               for c, e, m, *key in rows]
+    with mock.patch.object(cli, "_CHUNK_BYTES", step * _width(template, columns)):
+        assert "".join(cli._json_lines(template, columns)) == json.dumps(
+            payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -114,13 +117,13 @@ def test_fill_at_the_real_chunk_size(extra):
     rng = random.Random(extra)
     template = "%s," * 5 + "%s\n"
     energy = [rng.choice((-1, 1)) * rng.random() * 10 ** rng.randint(-8, 8) for _ in range(2)]
-    columns = [cli._text(list(map(repr, energy))), cli._digits([0, 2 ** 63 - 1]),
+    columns = [cli._floats(energy), cli._digits([0, 2 ** 63 - 1]),
                *cli._digits(np.array([[1, 0, 10, 99], [0, 100, 9, 5]])).transpose(1, 0, 2)]
     count = cli._CHUNK_BYTES // _width(template, columns) + extra
     pick = np.array([rng.randrange(2) for _ in range(count)])
     rows = [(energy[i], [0, 2 ** 63 - 1][i], *[[1, 0, 10, 99], [0, 100, 9, 5]][i])
             for i in pick.tolist()]
-    assert cli._fill(template, [column[pick] for column in columns]) == "".join(
+    assert "".join(cli._fill(template, [column[pick] for column in columns])) == "".join(
         map(template.__mod__, rows))
 
 
@@ -148,9 +151,3 @@ def test_digits_of_the_edge_ints_and_a_matrix():
 def test_digits_refuse_a_negative_int(values):
     with pytest.raises(ValueError, match="non-negative"):
         cli._digits(values)
-
-
-def test_text_pads_with_zero_bytes():
-    grid = cli._text(["1.5", "-0.0", "5e-324"])
-    assert grid.dtype == np.uint8 and grid.shape == (3, 6)
-    assert [bytes(row) for row in grid] == [b"1.5\0\0\0", b"-0.0\0\0", b"5e-324"]
