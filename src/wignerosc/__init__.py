@@ -22,14 +22,14 @@ from .gl_spectrum import gl_dimension, gl_spectrum
 from .levels import SpectrumLine
 from .osp_spectrum import GZPattern, is_unirrep, osp_spectrum
 from .spectral import (InteractionModel, ModeFrequencies, SpectralDecomposition,
-                       build_constant_matrix, build_krawtchouk_matrix, decompose,
+                       build_constant_matrix, build_krawtchouk_matrix, decompose, eigenvalues,
                        load_matrix, mode_frequencies)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "InteractionModel", "SpectralDecomposition", "ModeFrequencies", "build_constant_matrix",
-    "build_krawtchouk_matrix", "decompose", "mode_frequencies", "load_matrix",
+    "build_krawtchouk_matrix", "decompose", "eigenvalues", "mode_frequencies", "load_matrix",
     "CriticalCoupling", "gl_weights", "weak_coupling_bound", "critical_coupling",
     "critical_couplings",
     "SpectrumLine", "gl_dimension", "gl_spectrum",

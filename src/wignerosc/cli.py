@@ -7,6 +7,9 @@ bounds      critical couplings (and the Krawtchouk closed-form bound)
 spectrum    energy spectrum at a single coupling strength
 sweep       long-format spectrum dataset over a grid of coupling strengths
 
+Only decompose builds eigenvectors. bounds, spectrum and sweep read ``spectral.eigenvalues``:
+closed forms, or for --model file the eigenvalues of one checked ``decompose``.
+
 Exit codes: 0 success, 2 usage error (a basis build over the byte
 budget included), 3 numeric failure, 4 representation-validity failure.
 Output files are deterministic: '.' decimal separator, LF line endings,
@@ -23,14 +26,12 @@ import sys
 
 import numpy as np
 
-from .coupling import (CriticalCoupling, critical_coupling, critical_couplings,
-                       krawtchouk_coupling_rows)
+from .coupling import coupling_rows, critical_coupling
 from .errors import NumericError, ResourceLimitError, UnirrepError, UnitarityError
 from .gl_spectrum import gl_classes, gl_levels
 from .levels import LevelClasses, MergedLevels, check_bytes, levels
 from .osp_spectrum import osp_classes
-from .spectral import (InteractionModel, constant_eigenvalues, decompose, load_matrix,
-                       mode_frequencies)
+from .spectral import InteractionModel, decompose, eigenvalues, load_matrix, mode_frequencies
 
 __all__ = ["main"]
 
@@ -270,30 +271,10 @@ def _cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _bounds_rows(args) -> list[CriticalCoupling]:
-    """The table rows; the first failing size in --n order raises its error."""
-    if args.model == "file":
-        model = _model_from_flags(args)
-        return [CriticalCoupling(
-            n=model.n, c_critical=critical_coupling(decompose(model).lambdas,
-                                                    omega=args.omega) / args.omega ** 2)]
-    sizes = _parse_n_list(args.n)
-    short = next((i for i, n in enumerate(sizes) if n < 2), len(sizes))
-    if args.model == "krawtchouk":
-        InteractionModel.krawtchouk(1, ptilde=args.ptilde)  # refuses a --ptilde outside (0, 1)
-        rows = krawtchouk_coupling_rows(sizes[:short], omega=args.omega)
-    else:  # eigenvalues only: the constant chain's closed form, no eigenvectors
-        couplings = critical_couplings([constant_eigenvalues(n) for n in sizes[:short]],
-                                       omega=args.omega)
-        rows = [CriticalCoupling(n=n, c_critical=c_n / args.omega ** 2)
-                for n, c_n in zip(sizes, couplings)]
-    if short < len(sizes):
-        raise ValueError("bounds need n >= 2")
-    return rows
-
-
 def _cmd_bounds(args) -> int:
-    rows = _bounds_rows(args)
+    sizes = None if args.model == "file" else _parse_n_list(args.n)  # a file sets its n
+    model = _model_from_flags(args, n=sizes and max(sizes))  # checks the flags once
+    rows = coupling_rows(model, sizes or [model.n])
     names = ("n", "c_tilde_over_omega2", "c_n_over_omega2", "ratio")
     table = [(r.n, r.c_bound, r.c_critical, r.ratio) for r in rows]
     # the bound and ratio exist on every row or on none (Krawtchouk only), so the
@@ -318,24 +299,24 @@ def _cmd_bounds(args) -> int:
 
 def _classes(args, n: int) -> LevelClasses:
     """Level classes of the requested representation of an n-mode chain."""
-    if args.algebra == "gl":
-        if args.p < 0 or not float(args.p).is_integer():
-            raise ValueError("gl spectra need a non-negative integer --p")
-        return gl_classes(n, int(args.p))
-    return osp_classes(n, args.p, args.kmax)
+    return gl_classes(n, args.p) if args.algebra == "gl" else osp_classes(n, args.p, args.kmax)
 
 
 def _levels(args, classes: LevelClasses, freqs) -> MergedLevels:
     """The merged lines of ``classes`` at every coupling of ``freqs``."""
-    if args.algebra == "gl":
+    if args.algebra == "osp":
+        return levels(classes, freqs)
+    try:
         return gl_levels(classes, freqs, allow_nonunitary=args.allow_strong)
-    return levels(classes, freqs)
+    except UnitarityError:  # the library's message names its keyword, not the flag
+        raise UnitarityError("weights change sign at this coupling; "
+                             "pass --allow-strong to proceed") from None
 
 
 def _cmd_spectrum(args) -> int:
     model = _model_from_flags(args, c=args.c)
-    decomp, classes = decompose(model), _classes(args, model.n)
-    merged = _levels(args, classes, mode_frequencies(decomp, args.omega, model.c))
+    lambdas, classes = eigenvalues(model), _classes(args, model.n)
+    merged = _levels(args, classes, mode_frequencies(lambdas, args.omega, model.c))
     # each line's head class key: theta, r_1..r_n for gl; height, s_1..s_n for osp
     first, rest = ("theta", "r") if args.algebra == "gl" else ("height", "s")
     columns = [_floats(merged.energy), _digits(merged.multiplicity)]
@@ -361,11 +342,11 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--cmax must be at least --cmin")
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
-    decomp = decompose(_model_from_flags(args, c=args.cmin))
-    classes = _classes(args, decomp.n)
+    model = _model_from_flags(args, c=args.cmin)
+    lambdas, classes = eigenvalues(model), _classes(args, model.n)
     if args.algebra == "gl" and not args.allow_strong:
         try:
-            c_n = critical_coupling(decomp.lambdas, omega=args.omega)
+            c_n = critical_coupling(lambdas, omega=args.omega)
         except NumericError:
             c_n = None  # weights stay positive for every coupling
         if c_n is not None and args.cmax > c_n:
@@ -375,11 +356,11 @@ def _cmd_sweep(args) -> int:
 
     # the traced peak once the classes are built, text included, was at most 0.97 of this count
     # (n 1-20, 2-40 steps, both formats, --out, every (coupling, class) pair its own line)
-    check_bytes(12 * (decomp.n + 15) * args.steps * len(classes.keys),
+    check_bytes(12 * (model.n + 15) * args.steps * len(classes.keys),
                 f"the {args.steps} x {len(classes.keys)} (coupling, class) pairs of the sweep")
     couplings = [args.cmin + (args.cmax - args.cmin) * i / (args.steps - 1)
                  for i in range(args.steps)]
-    merged = _levels(args, classes, mode_frequencies(decomp, args.omega, couplings))
+    merged = _levels(args, classes, mode_frequencies(lambdas, args.omega, couplings))
     # each coupling and each class key is written once, and a line takes its coupling's
     # text and its head class's key digits: theta/r_1-...-r_n for gl, height/s_1-...-s_n for osp
     columns = [_floats(couplings)[merged.coupling], _floats(merged.energy),
@@ -387,10 +368,10 @@ def _cmd_sweep(args) -> int:
     columns += list(_digits(classes.keys)[merged.head].transpose(1, 0, 2))
     del merged  # the text needs the columns only
     if args.format == "json":
-        parts = _json_lines(_line_item("sweep", args.algebra, decomp.n), columns)
+        parts = _json_lines(_line_item("sweep", args.algebra, model.n), columns)
     else:
         parts = ["c,energy,multiplicity,label\n",
-                 *_fill("%s,%s,%s,%s/" + "-".join(["%s"] * decomp.n) + "\n", columns)]
+                 *_fill("%s,%s,%s,%s/" + "-".join(["%s"] * model.n) + "\n", columns)]
     _emit(parts, args.out)
     return EXIT_OK
 

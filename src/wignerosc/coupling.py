@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NoCriticalCouplingError
-from .spectral import ModeFrequencies, omega_squared
+from .spectral import InteractionModel, ModeFrequencies, eigenvalues, omega_squared
 
 __all__ = [
     "CriticalCoupling",
@@ -34,7 +34,7 @@ __all__ = [
     "weak_coupling_bound",
     "critical_coupling",
     "critical_couplings",
-    "krawtchouk_coupling_rows",
+    "coupling_rows",
 ]
 
 _MAX_BRACKET_DOUBLINGS = 200
@@ -52,9 +52,7 @@ class CriticalCoupling(NamedTuple):
 
     @property
     def ratio(self) -> float | None:
-        if self.c_bound is None:
-            return None
-        return self.c_bound / self.c_critical
+        return None if self.c_bound is None else self.c_bound / self.c_critical
 
 
 def gl_weights(freqs: ModeFrequencies) -> np.ndarray:
@@ -239,13 +237,14 @@ def critical_coupling(lambdas, omega: float = 1.0) -> float:
     return critical_couplings([lambdas], omega)[0]
 
 
-def krawtchouk_coupling_rows(sizes, omega: float = 1.0) -> list[CriticalCoupling]:
-    """Critical couplings and closed-form bounds of the Krawtchouk law lambda_j = j - 1.
-
-    One row per size n >= 2, in order, from one ``critical_couplings``
-    call; both values are divided by omega^2.
-    """
-    couplings = critical_couplings([np.arange(n, dtype=float) for n in sizes], omega=omega)
-    return [CriticalCoupling(n=n, c_critical=c_n / omega ** 2,
-                             c_bound=weak_coupling_bound(n, omega=omega) / omega ** 2)
+def coupling_rows(model: InteractionModel, sizes: list[int]) -> list[CriticalCoupling]:
+    """Critical couplings (and Krawtchouk's closed-form bound) over omega^2 of ``model``'s chain
+    at each of ``sizes``, in one bisection. Each size replaces the model's n, so the model is
+    checked once; the first failing size raises, one below 2 once those before it are done."""
+    short = next((i for i, n in enumerate(sizes) if n < 2), len(sizes))
+    couplings = critical_couplings([eigenvalues(model, n) for n in sizes[:short]], model.omega)
+    if short < len(sizes):
+        raise ValueError("bounds need n >= 2")
+    return [CriticalCoupling(n, c_n / model.omega ** 2, weak_coupling_bound(n, model.omega)
+                             / model.omega ** 2 if model.kind == "krawtchouk" else None)
             for n, c_n in zip(sizes, couplings)]

@@ -38,9 +38,11 @@ _FORM_AGREEMENT_TOL = 1e-10
 
 
 def gl_dimension(n: int, p: int) -> int:
-    """dim V(p) = C(p+n-1, n-1) + C(p+n-2, n-1), the second term absent at p = 0."""
-    if n < 1 or p < 0:
-        raise ValueError("need n >= 1 and p >= 0")
+    """dim V(p) = C(p+n-1, n-1) + C(p+n-2, n-1), the second term absent at p = 0; p may be 2.0."""
+    if not (n >= 1 and p >= 0 and float(p).is_integer()):
+        raise ValueError(f"gl(1|n) modules V(p) need n >= 1 and a non-negative integer p, "
+                         f"not n = {n}, p = {p}")
+    p = int(p)
     dim = math.comb(p + n - 1, n - 1)
     if p >= 1:
         dim += math.comb(p + n - 2, n - 1)
@@ -55,8 +57,8 @@ def gl_classes(n: int, p: int) -> LevelClasses:
     ascend lexicographically (theta = 0 first, then r). A build over BYTE_BUDGET
     raises ResourceLimitError before anything is allocated.
     """
-    dim = gl_dimension(n, p)
-    # grow_compositions' peak: three int64 copies of the keys
+    dim, p = gl_dimension(n, p), int(p)
+    # traced build peak (keys, weights, slot indices): 0.79 of this at n = 2, 0.67-0.68 at 3-2000
     check_bytes(24 * (n + 1) * dim, f"V({p}) of gl(1|{n}) has {dim} basis vectors that")
     theta = np.arange(min(p, 1) + 1)
     keys = grow_compositions(theta[:, None], p - theta, n)

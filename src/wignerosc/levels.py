@@ -76,17 +76,24 @@ def grow_compositions(keys: np.ndarray, left: np.ndarray, parts: int) -> np.ndar
     """Extend each row of ``keys`` by ``parts`` slots holding its ``left`` units in every way.
 
     Children of a row stay in its place and follow each other in
-    lexicographic order of the new slots. At most three int64 copies of
-    the grown array are held at once.
+    lexicographic order of the new slots. Each slot keeps its rows' parents
+    and values, and the grown array is gathered once, from the last slot back.
     """
     # a row with ``left`` still to place branches, in order, into left + 1
     # rows that put 0..left in the next slot
+    slots = []
     for _ in range(parts - 1):
         parent = np.repeat(np.arange(len(left)), left + 1)
         taken = np.arange(len(parent)) - np.repeat(np.cumsum(left + 1) - (left + 1), left + 1)
-        keys = np.column_stack((keys[parent], taken))
+        slots.append((parent, taken))
         left = left[parent] - taken
-    return np.column_stack((keys, left))
+    out = np.empty((len(left), keys.shape[1] + parts), np.result_type(keys, left))
+    out[:, -1], row = left, slice(None)  # the last slot's rows are the grown rows
+    while slots:
+        parent, taken = slots.pop()
+        out[:, keys.shape[1] + len(slots)], row = taken[row], parent[row]
+    out[:, :keys.shape[1]] = keys[row]
+    return out
 
 
 def weight_lattice(n: int, k_max: int, what: str) -> np.ndarray:

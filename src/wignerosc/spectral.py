@@ -1,16 +1,17 @@
 """Interaction matrices and their spectral decompositions.
 
 A chain of n identical oscillators coupled through positions is encoded
-by the real symmetric positive-definite matrix A = omega^2 I + c M. Only
-the eigenvalues mu_j of A and the orthonormal eigenvector matrix U of M
-enter the energy spectrum, so this module exposes:
+by the real symmetric positive-definite matrix A = omega^2 I + c M. Spectra
+and critical couplings read only its eigenvalues mu_j; the orthonormal
+eigenvectors U of M enter only the canonical q = UQ, p = UP. This module has:
 
 * builders for the two analytically solvable coupling matrices
   (nearest-neighbour constant coupling and Krawtchouk coupling),
-* ``decompose``: closed-form eigenvalues for both (and closed-form
-  eigenvectors for the constant chain), LAPACK (``numpy.linalg.eigh``)
-  eigenvectors otherwise, every result checked against its
-  orthonormality and reconstruction bounds,
+* ``eigenvalues``, the one source of lambda_j: closed forms for both
+  chains, the checked ``decompose`` for any other matrix,
+* ``decompose``: those eigenvalues with closed-form eigenvectors for the
+  constant chain, LAPACK (``numpy.linalg.eigh``) eigenvectors otherwise,
+  every result checked against its orthonormality and reconstruction bounds,
 * the map from eigenvalues lambda_j of M to the squared normal-mode
   frequencies mu_j = omega^2 + c*lambda_j.
 
@@ -34,7 +35,7 @@ __all__ = [
     "ModeFrequencies",
     "build_constant_matrix",
     "build_krawtchouk_matrix",
-    "constant_eigenvalues",
+    "eigenvalues",
     "decompose",
     "mode_frequencies",
     "omega_squared",
@@ -263,19 +264,29 @@ def build_krawtchouk_matrix(n: int, ptilde: float) -> np.ndarray:
     return m
 
 
-def constant_eigenvalues(n: int) -> np.ndarray:
-    """Ascending eigenvalues 2 - 2 cos(j pi / (n+1)), j = 1..n, of the constant chain's M."""
-    j = np.arange(1, n + 1)
-    return 2.0 - 2.0 * np.cos(j * np.pi / (n + 1))
+def eigenvalues(model: InteractionModel, n: int | None = None) -> np.ndarray:
+    """Ascending eigenvalues lambda_j of the model's M: 2 - 2 cos(j pi / (n+1)), j = 1..n
+    (constant), j - 1 whatever ptilde (krawtchouk), or the checked ``decompose(model)``'s.
+
+    ``n`` replaces a closed-form model's n, so one validated model serves many sizes.
+    """
+    n = model.n if n is None else n
+    if model.kind == "constant":
+        return 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    if model.kind == "krawtchouk":
+        return np.arange(n, dtype=float)
+    if n != model.n:
+        raise ValueError(f"a general model has the size of its matrix, {model.n}, not {n}")
+    return decompose(model).lambdas
 
 
 def decompose(model: InteractionModel) -> SpectralDecomposition:
     """Spectral decomposition of a model's coupling matrix M, checked against M.
 
-    * constant: lambda_j = 2 - 2 cos(j pi / (n+1)) and
+    * constant: the ``eigenvalues`` closed form and
       u_ij = sqrt(2/(n+1)) sin(i j pi / (n+1)), i, j = 1..n ("analytic");
-    * krawtchouk: lambda_j = j - 1 ("analytic"); the eigenvectors come
-      from ``numpy.linalg.eigh`` of M, whose ascending eigenvalues are
+    * krawtchouk: the ``eigenvalues`` j - 1 ("analytic"); the eigenvectors
+      come from ``numpy.linalg.eigh`` of M, whose ascending eigenvalues are
       these distinct integers, so column j pairs with lambda_j. (The
       closed-form Krawtchouk-polynomial entries lose every digit to
       cancellation from n ~ 30 on.)
@@ -290,15 +301,14 @@ def decompose(model: InteractionModel) -> SpectralDecomposition:
     n = model.n
     if model.kind == "constant":
         j = np.arange(1, n + 1)
-        lambdas = constant_eigenvalues(n)
         u = np.sqrt(2.0 / (n + 1)) * np.sin(j[:, None] * j * np.pi / (n + 1))
     else:
         try:
             lambdas, u = np.linalg.eigh(m)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigh failed on the {model.kind} coupling matrix: {exc}") from exc
-        if model.kind == "krawtchouk":
-            lambdas = np.arange(n, dtype=float)
+    if model.kind != "general":
+        lambdas = eigenvalues(model)
     decomp = SpectralDecomposition(lambdas=lambdas, u=_fix_column_signs(u),
                                    source="numeric" if model.kind == "general" else "analytic")
     orth = decomp.orthonormality_residual()
@@ -313,16 +323,17 @@ def decompose(model: InteractionModel) -> SpectralDecomposition:
                                  orthonormality=orth, reconstruction=recon)
 
 
-def mode_frequencies(decomp: SpectralDecomposition, omega: float, c) -> ModeFrequencies:
+def mode_frequencies(lambdas, omega: float, c) -> ModeFrequencies:
     """Squared normal-mode frequencies mu_j = omega^2 + c*lambda_j, in eigenvalue order.
 
-    ``c`` is one coupling, or a 1-D array of couplings giving one row of
-    mu each. Raises PositiveDefinitenessError (naming the offending index
-    within its row) if any mu_j fails to be strictly positive, and
-    ValueError if one is not finite; a grid raises its first failing row's.
+    ``lambdas`` is an eigenvalue array (``eigenvalues``) or a SpectralDecomposition;
+    ``c`` is one coupling, or a 1-D array of couplings giving one row of mu
+    each. Raises PositiveDefinitenessError (naming the offending index within
+    its row) if any mu_j fails to be strictly positive, and ValueError if one
+    is not finite; a grid raises its first failing row's.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # ModeFrequencies rejects non-finite mu
-        mu = omega_squared(omega) + np.multiply.outer(c, decomp.lambdas)
+        mu = omega_squared(omega) + np.multiply.outer(c, getattr(lambdas, "lambdas", lambdas))
     return ModeFrequencies(mu=mu)
 
 

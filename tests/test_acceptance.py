@@ -18,7 +18,7 @@ from wignerosc import (InteractionModel, ModeFrequencies, build_constant_matrix,
                        decompose, fock_spectrum, gl_spectrum, mode_frequencies,
                        osp_spectrum, reconstruct_observables, verify_compatibility,
                        weak_coupling_bound)
-from wignerosc.coupling import krawtchouk_coupling_rows
+from wignerosc.coupling import coupling_rows
 from oracles import enumerate_gz, multiplicity_at_height, partitions_of, row_sum_signature
 from spectral_oracles import jacobi_decomposition
 
@@ -49,7 +49,7 @@ def _kraw_freqs(n, c, omega=1.0):
 def test_criterion_1_table_regression():
     with criterion(1, "critical-coupling table regression"):
         start = time.perf_counter()
-        rows = krawtchouk_coupling_rows(sorted(TABLE_ROWS))
+        rows = coupling_rows(InteractionModel.krawtchouk(100), sorted(TABLE_ROWS))
         checked = 0
         for row in rows:
             c_tilde, c_n = TABLE_ROWS[row.n]

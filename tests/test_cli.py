@@ -132,7 +132,8 @@ def test_spectrum_gl_strong_coupling_gate(tmp_path, capsys):
     args = ["spectrum", "--algebra", "gl", "--model", "krawtchouk", "--n", "4",
             "--p", "2", "--c", repr(1.2 * c4)]
     assert main(args) == 4
-    capsys.readouterr()
+    assert capsys.readouterr() == (
+        "", "error: weights change sign at this coupling; pass --allow-strong to proceed\n")
     out = tmp_path / "strong.csv"
     assert main(args + ["--allow-strong", "--out", str(out)]) == 0
     assert len(out.read_text().strip().split("\n")) == 15
@@ -171,15 +172,53 @@ def test_sweep_gl_respects_critical_coupling(tmp_path, capsys):
                  "--p", "2", "--cmin", "0", "--cmax", "2.0", "--steps", "3",
                  "--out", str(out)])
     assert code == 4
-    assert "critical coupling" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: --cmax 2.0 exceeds the critical coupling 1.27357; "
+                                       "pass --allow-strong to sweep past it\n")
     assert main(["sweep", "--algebra", "gl", "--model", "krawtchouk", "--n", "4",
                  "--p", "2", "--cmin", "0", "--cmax", "2.0", "--steps", "3",
                  "--allow-strong", "--out", str(out)]) == 0
 
 
+SPECTRA_AND_BOUNDS = [
+    "spectrum --algebra gl --p 2 --c 0.1", "spectrum --algebra osp --p 2 --c 0.1",
+    "sweep --algebra gl --p 2 --cmin 0 --cmax 0.2 --steps 3",
+    "sweep --algebra osp --p 2 --cmin 0 --cmax 0.2 --steps 3", "bounds"]
+
+
+@pytest.mark.parametrize("model", ["constant", "krawtchouk"])
+def test_spectra_and_bounds_of_the_closed_form_chains_need_no_eigh(model, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for argv in [f"{argv} --n 4" for argv in SPECTRA_AND_BOUNDS] + ["bounds --n 4..9"]:
+        assert main(argv.split() + ["--model", model]) == 0, argv
+    if model == "krawtchouk":  # its eigenvectors are eigh's, so the patch is in force
+        with pytest.raises(AssertionError, match="eigh was called"):
+            main(["decompose", "--model", model, "--n", "4"])
+
+
+def test_a_matrix_file_is_decomposed_once_per_run(tmp_path, monkeypatch):
+    import wignerosc.spectral as spectral
+    calls = []
+
+    def counted(model):
+        calls.append(model.n)
+        return decompose(model)
+
+    monkeypatch.setattr(spectral, "decompose", counted)
+    path = tmp_path / "m4.txt"
+    path.write_text("4\n" + " ".join(repr(float(x)) for x in
+                                      build_krawtchouk_matrix(4, 0.4).ravel()) + "\n")
+    for argv in SPECTRA_AND_BOUNDS:
+        calls.clear()
+        assert main(argv.split() + ["--model", "file", "--path", str(path)]) == 0, argv
+        assert calls == [4], argv
+
+
 @pytest.mark.parametrize("flags,message", [
-    ("--n 4 --p 2.5", "gl spectra need a non-negative integer --p"),
-    ("--n 4 --p -1", "gl spectra need a non-negative integer --p"),
+    ("--n 4 --p 2.5", "need n >= 1 and a non-negative integer p, not n = 4, p = 2.5"),
+    ("--n 4 --p -1", "need n >= 1 and a non-negative integer p, not n = 4, p = -1.0"),
     ("--n 20 --p 10", "26936910 basis vectors"),
 ])
 def test_sweep_checks_the_basis_before_the_critical_coupling(flags, message, capsys):

@@ -9,7 +9,7 @@ from wignerosc import (InteractionModel, ModeFrequencies, NoCriticalCouplingErro
                        critical_coupling, decompose, gl_weights, mode_frequencies,
                        weak_coupling_bound)
 from wignerosc.cli import main
-from wignerosc.coupling import krawtchouk_coupling_rows
+from wignerosc.coupling import coupling_rows
 from oracles import sqrt_sum_bound_holds
 
 # printed reference values for the Krawtchouk eigenvalue law (5 decimals)
@@ -186,7 +186,7 @@ def test_weak_coupling_iff_below_critical():
 
 
 def test_table_reference_rows():
-    rows = krawtchouk_coupling_rows([8, 20, 5])
+    rows = coupling_rows(InteractionModel.krawtchouk(20), [8, 20, 5])
     for row in rows:
         ct, cn, ratio = TABLE[row.n]
         assert row.c_bound == pytest.approx(ct, abs=5e-6)
@@ -196,8 +196,8 @@ def test_table_reference_rows():
 
 
 def test_table_scales_with_omega():
-    [row1] = krawtchouk_coupling_rows([6])
-    [row2] = krawtchouk_coupling_rows([6], omega=2.0)
+    [row1] = coupling_rows(InteractionModel.krawtchouk(6), [6])
+    [row2] = coupling_rows(InteractionModel.krawtchouk(6, omega=2.0), [6])
     assert row1.c_critical == pytest.approx(row2.c_critical, rel=1e-9)
     assert row1.c_bound == pytest.approx(row2.c_bound, rel=1e-12)
 
@@ -236,4 +236,4 @@ def test_omega_whose_square_overflows_is_rejected():
     with pytest.raises(ValueError, match="finite"):
         weak_coupling_bound(4, omega=1e200)
     with pytest.raises(ValueError, match="finite"):
-        krawtchouk_coupling_rows([4], omega=1e200)
+        coupling_rows(InteractionModel.krawtchouk(4, omega=1e200), [4])

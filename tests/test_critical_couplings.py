@@ -15,14 +15,14 @@ import pytest
 from wignerosc import (InteractionModel, NoCriticalCouplingError, coupling, critical_coupling,
                        critical_couplings, decompose)
 from wignerosc.cli import main
-from wignerosc.spectral import constant_eigenvalues
+from wignerosc.spectral import eigenvalues
 from oracles import scalar_critical_coupling
 
 OMEGAS = (0.5, 1.0, 3.7, 1e130)
 BATCH_RTOL = 4e-12
 
 KRAWTCHOUK = [np.arange(n, dtype=float) for n in range(2, 301)]
-CONSTANT = [constant_eigenvalues(n) for n in range(2, 201)]
+CONSTANT = [eigenvalues(InteractionModel.constant(n)) for n in range(2, 201)]
 
 
 def _seeded_rows(seed: int = 11, count: int = 120) -> list[np.ndarray]:

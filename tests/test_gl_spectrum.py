@@ -41,6 +41,25 @@ def test_dimension_formula():
         assert gl_dimension(n, 0) == 1
 
 
+def test_an_integral_float_p_is_that_integer():
+    freqs = _kraw_freqs(3, 0.1)
+    assert gl_dimension(3, 2.0) == gl_dimension(3, np.float64(2)) == gl_dimension(3, 2) == 9
+    for got, want in zip(gl_classes(3, 2.0), gl_classes(3, 2)):
+        assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype
+    assert gl_spectrum(3, 2.0, freqs) == gl_spectrum(3, 2, freqs)
+
+
+@pytest.mark.parametrize("p", [2.5, -1, -1.0, math.nan, math.inf, -math.inf])
+def test_any_other_p_is_a_value_error(p):
+    message = rf"need n >= 1 and a non-negative integer p, not n = 3, p = {p}$"
+    with pytest.raises(ValueError, match=message):
+        gl_dimension(3, p)
+    with pytest.raises(ValueError, match=message):
+        gl_classes(3, p)
+    with pytest.raises(ValueError, match=message):
+        gl_spectrum(3, p, _kraw_freqs(3, 0.1))
+
+
 def test_eigenvalue_uncoupled():
     for n in (2, 4, 6):
         for p in (1, 2, 3):

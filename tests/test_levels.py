@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,9 +7,19 @@ import pytest
 from wignerosc import (GZPattern, InteractionModel, ModeFrequencies, decompose, fock_spectrum,
                        gl_weights, mode_frequencies)
 from wignerosc.gl_spectrum import gl_classes
-from wignerosc.levels import SpectrumLine, level_energies, levels, merge_classes
+from wignerosc.levels import (SpectrumLine, grow_compositions, level_energies, levels,
+                              merge_classes)
 from wignerosc.osp_spectrum import osp_classes
 from oracles import GlBasisVector, gl_eigenvalue, hook_patterns, merge_lines, osp_eigenvalue
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 5])
+def test_grow_compositions_lists_every_composition_in_order(parts):
+    keys, left = np.array([[0, 7], [1, 7], [2, 9]]), np.array([3, 0, 2])
+    want = [key + list(slots) for key, units in zip(keys.tolist(), left.tolist())
+            for slots in itertools.product(range(units + 1), repeat=parts) if sum(slots) == units]
+    got = grow_compositions(keys, left, parts)
+    assert got.tolist() == want and got.dtype == np.int64 and got.flags.c_contiguous
 
 
 def test_merge_lines_orders_ties_by_multiplicity_before_label():

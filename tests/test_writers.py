@@ -15,6 +15,7 @@ import random
 import pytest
 
 from wignerosc import cli, decompose, mode_frequencies
+from wignerosc.coupling import coupling_rows
 from wignerosc.cli import main
 from oracles import hook_patterns
 
@@ -35,7 +36,9 @@ def _decompose(args):
 
 
 def _bounds(args):
-    rows = cli._bounds_rows(args)
+    sizes = None if args.model == "file" else cli._parse_n_list(args.n)
+    model = cli._model_from_flags(args, n=sizes and max(sizes))
+    rows = coupling_rows(model, sizes or [model.n])
     payload = [{"n": r.n, "c_tilde_over_omega2": r.c_bound, "c_n_over_omega2": r.c_critical,
                 "ratio": r.ratio} for r in rows]
     lines = ["n,c_tilde_over_omega2,c_n_over_omega2,ratio"]
