@@ -12,8 +12,8 @@ closed forms, or for --model file the eigenvalues of one checked ``decompose``.
 
 Exit codes: 0 success, 2 usage error (a basis build over the byte
 budget included), 3 numeric failure, 4 representation-validity failure.
-Output files are deterministic: '.' decimal separator, LF line endings,
-shortest round-trip floats.
+CSV and JSON use '.' decimals, LF line endings and shortest round-trip floats; decompose agrees
+to 1e-12 across LAPACK kernels, and spectrum/sweep energies follow the BLAS ddot kernel.
 """
 
 from __future__ import annotations
@@ -150,20 +150,13 @@ def _emit(parts: list[str], out: str | None) -> None:
 def _json_item(item, depth: int = 0) -> str:
     """The text ``json.dumps(items, indent=2)`` gives ``item`` as an element of a list.
 
-    The list is nested ``depth`` lists deep. Each "%r" or "%s" string in
-    ``item`` becomes a bare slot for a row to fill, a "%s" slot with text
-    already in json form. json writes ints and finite floats as their repr,
+    The list is nested ``depth`` lists deep. Each "%s" string in ``item`` becomes a bare
+    slot for text already in json form: json writes ints and finite floats as their repr,
     so the filled text is json's own, without its pure-Python encoder.
     """
     pad = "  " * (depth + 1)
-    template = json.dumps(item, indent=2).replace('"%r"', "%r").replace('"%s"', "%s")
+    template = json.dumps(item, indent=2).replace('"%s"', "%s")
     return pad + template.replace("\n", "\n" + pad)
-
-
-def _json_list(item, rows, depth: int = 0) -> str:
-    """``json.dumps(items, indent=2)`` of a non-empty list, each row filling ``item``'s slots."""
-    template = _json_item(item, depth)
-    return "[\n%s\n%s]" % (",\n".join(map(template.__mod__, rows)), "  " * depth)
 
 
 #: bytes of output grid rendered at a time: a chunk stays in cache, and the grid adds
@@ -192,8 +185,8 @@ def _digits(ints: np.ndarray) -> np.ndarray:
 
 
 def _floats(values) -> np.ndarray:
-    """``repr`` of each float as a row of a uint8 matrix (``floattext.float_text``)."""
-    from .floattext import float_text  # imported on first use: decompose and bounds never are
+    """``repr`` of each float as uint8 text along a new last axis (``floattext.float_text``)."""
+    from .floattext import float_text  # imported on first use: a bounds text table never is
 
     return float_text(values)
 
@@ -226,18 +219,20 @@ def _fill(template: str, columns: list[np.ndarray]) -> list[str]:
     return chunks
 
 
-def _json_lines(template: str, columns: list[np.ndarray]) -> list[str]:
-    """``_fill`` chunks of ``json.dumps(items, indent=2) + "\\n"`` of a non-empty list.
+def _json_lines(template: str, columns: list[np.ndarray], depth: int = 0) -> list[str]:
+    """``_fill`` chunks of ``json.dumps(items, indent=2)`` of a non-empty list nested ``depth``
+    lists deep, and at depth 0 the newline after it.
 
-    ``template`` is the ``_json_item`` text of an item, whose "%s" slots
-    take ``columns`` in order. A first column opens the list or separates
-    items, a last one closes the list after the last item.
+    ``template`` is the ``_json_item`` text of an item at that depth, whose "%s" slots
+    take ``columns`` in order. A first column opens the list or separates items, a last
+    one closes the list after the last item.
     """
     rows = len(columns[0])
     lead = np.tile(np.frombuffer(b",\n", dtype=np.uint8), (rows, 1))
     lead[0] = np.frombuffer(b"[\n", dtype=np.uint8)
-    close = np.zeros((rows, 3), dtype=np.uint8)
-    close[-1] = np.frombuffer(b"\n]\n", dtype=np.uint8)
+    end = b"\n" + b"  " * depth + b"]" + b"\n" * (depth == 0)
+    close = np.zeros((rows, len(end)), dtype=np.uint8)
+    close[-1] = np.frombuffer(end, dtype=np.uint8)
     return _fill("%s" + template + "%s", [lead, *columns, close])
 
 
@@ -255,17 +250,17 @@ def _line_item(command: str, algebra: str, n: int) -> str:
 
 
 def _cmd_decompose(args) -> int:
-    model = _model_from_flags(args)
-    decomp = decompose(model)
-    lambdas, u = decomp.lambdas.tolist(), decomp.u.tolist()
-    if args.format == "json":
-        text = '{\n  "source": %s,\n  "lambdas": %s,\n  "u": %s\n}\n' % (
-            json.dumps(decomp.source), _json_list("%r", zip(lambdas), 1),
-            _json_list(["%r"] * decomp.n, map(tuple, u), 1))
-    else:  # row j: lambda_j, then eigenvector j
-        text = "lambda," + ",".join(f"v_{i}" for i in range(1, decomp.n + 1)) + "\n" + "".join(
-            map(("%r," * decomp.n + "%r\n").__mod__, zip(lambdas, *u)))
-    _emit([text], args.out)
+    decomp = decompose(_model_from_flags(args))
+    # row j: lambda_j, then eigenvector j (column j of u)
+    text = _floats(np.column_stack((decomp.lambdas, decomp.u.T)))
+    if args.format == "json":  # item i of "u" is row i of u, entry j of it text[j, 1 + i]
+        parts = ['{\n  "source": %s,\n  "lambdas": ' % json.dumps(decomp.source),
+                 *_json_lines(_json_item("%s", 1), [text[:, 0]], 1), ',\n  "u": ',
+                 *_json_lines(_json_item(["%s"] * decomp.n, 1), list(text[:, 1:]), 1), "\n}\n"]
+    else:
+        parts = ["lambda," + ",".join(f"v_{i}" for i in range(1, decomp.n + 1)) + "\n",
+                 *_fill("%s," * decomp.n + "%s\n", list(text.transpose(1, 0, 2)))]
+    _emit(parts, args.out)
     print(f"orthonormality residual: {decomp.orthonormality:.3e}", file=sys.stderr)
     print(f"reconstruction residual: {decomp.reconstruction:.3e}", file=sys.stderr)
     return EXIT_OK
@@ -275,25 +270,27 @@ def _cmd_bounds(args) -> int:
     sizes = None if args.model == "file" else _parse_n_list(args.n)  # a file sets its n
     model = _model_from_flags(args, n=sizes and max(sizes))  # checks the flags once
     rows = coupling_rows(model, sizes or [model.n])
-    names = ("n", "c_tilde_over_omega2", "c_n_over_omega2", "ratio")
-    table = [(r.n, r.c_bound, r.c_critical, r.ratio) for r in rows]
-    # the bound and ratio exist on every row or on none (Krawtchouk only), so the
-    # template writes a None as a fixed null (json) or empty (csv) field
-    slots = ["%r" if value is not None else None for value in table[0]]
-    values = [tuple(value for value in row if value is not None) for row in table]
-    if args.format == "json":
-        text = _json_list(dict(zip(names, slots)), values) + "\n"
-    elif args.format == "csv":
-        template = ",".join(slot or "" for slot in slots) + "\n"
-        text = ",".join(names) + "\n" + "".join(map(template.__mod__, values))
-    else:  # the five-decimal table
+    if args.format is None:  # the five-decimal table
         lines = [f"{'n':>4}  {'bound/omega^2':>13}  {'c_n/omega^2':>11}  {'bound/c_n':>9}"]
         for row in rows:
             bound = f"{row.c_bound:13.5f}" if row.c_bound is not None else " " * 13
             ratio = f"{row.ratio:9.5f}" if row.ratio is not None else " " * 9
             lines.append(f"{row.n:>4}  {bound}  {row.c_critical:11.5f}  {ratio}")
-        text = "\n".join(lines) + "\n"
-    _emit([text], args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
+        return EXIT_OK
+    names = ("n", "c_tilde_over_omega2", "c_n_over_omega2", "ratio")
+    table = [(row.c_bound, row.c_critical, row.ratio) for row in rows]
+    # the bound and ratio exist on every row or on none (Krawtchouk only), so the
+    # template writes a None as a fixed null (json) or empty (csv) field
+    slots = ["%s"] + ["%s" if value is not None else None for value in table[0]]
+    floats = _floats([[value for value in row if value is not None] for row in table])
+    columns = [_digits([row.n for row in rows]), *floats.transpose(1, 0, 2)]
+    if args.format == "json":
+        parts = _json_lines(_json_item(dict(zip(names, slots))), columns)
+    else:
+        template = ",".join(slot or "" for slot in slots) + "\n"
+        parts = [",".join(names) + "\n", *_fill(template, columns)]
+    _emit(parts, args.out)
     return EXIT_OK
 
 

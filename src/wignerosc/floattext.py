@@ -1,14 +1,14 @@
-"""``repr``'s text of float columns, the shortest decimals that read back to the same floats.
+"""``repr``'s text of float arrays, the shortest decimals that read back to the same floats.
 
-The CLI writes ``spectrum`` and ``sweep`` tables as byte grids; ``float_text``
-gives a float column as a uint8 matrix whose row i, its 0 bytes dropped, is
-``repr(values[i])``. ``shortest`` computes the digits of a whole column at
-once: Dekker's error-free product (Numer. Math. 18, 1971) gives ``|x| 10^k``
-exactly, and the shortest-digits test of Ryu (Adams, PLDI 2018) picks the
+The CLI writes ``decompose``, ``bounds``, ``spectrum`` and ``sweep`` CSV and JSON as
+byte grids; ``float_text`` gives a float array as uint8 text along a new last axis, where
+each value's bytes, 0 bytes dropped, are its ``repr``. ``shortest`` computes the digits of a
+whole column at once: Dekker's error-free product (Numer. Math. 18, 1971) gives
+``|x| 10^k`` exactly, and the shortest-digits test of Ryu (Adams, PLDI 2018) picks the
 digits. ``repr`` itself writes the values the kernel leaves out.
 
 The CLI imports this module on its first float column, so that the jobs that
-write none (``decompose``, ``bounds``, the library) never compile it.
+write none (``bounds`` as a text table, the library) never compile it.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
 
 def float_text(values) -> np.ndarray:
-    """``repr`` of each float as a row of a uint8 matrix, 0 bytes anywhere as padding.
+    """``repr`` of each float as a uint8 row along a new last axis, 0 bytes anywhere as padding.
 
     ``shortest`` gives the digits of most values, each digit of n in the
     column of its place; one mask keeps the integer digits, another the
@@ -154,4 +154,4 @@ def float_text(values) -> np.ndarray:
             out = np.pad(out, ((0, 0), (0, text.shape[1] - out.shape[1])))
         out[where] = 0
         out[where, :text.shape[1]] = text
-    return out
+    return out.reshape(np.shape(values) + out.shape[1:])

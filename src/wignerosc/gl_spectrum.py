@@ -25,7 +25,7 @@ from .coupling import gl_weights
 from .errors import NumericError, UnitarityError
 from .levels import (LevelClasses, MergedLevels, SpectrumLine, check_bytes, grow_compositions,
                      level_energies, merge_classes, spectrum_lines)
-from .spectral import ModeFrequencies
+from .spectral import ModeFrequencies, int_tuple
 
 __all__ = [
     "gl_dimension",
@@ -38,11 +38,12 @@ _FORM_AGREEMENT_TOL = 1e-10
 
 
 def gl_dimension(n: int, p: int) -> int:
-    """dim V(p) = C(p+n-1, n-1) + C(p+n-2, n-1), the second term absent at p = 0; p may be 2.0."""
-    if not (n >= 1 and p >= 0 and float(p).is_integer()):
-        raise ValueError(f"gl(1|n) modules V(p) need n >= 1 and a non-negative integer p, "
-                         f"not n = {n}, p = {p}")
-    p = int(p)
+    """dim V(p) = C(p+n-1, n-1) + C(p+n-2, n-1), no second term at p = 0; n, p may be 2.0."""
+    message = (f"gl(1|n) modules V(p) need n >= 1 and a non-negative integer p, "
+               f"not n = {n}, p = {p}")
+    n, p = int_tuple((n, p), message)
+    if n < 1 or p < 0:
+        raise ValueError(message)
     dim = math.comb(p + n - 1, n - 1)
     if p >= 1:
         dim += math.comb(p + n - 2, n - 1)
@@ -57,7 +58,7 @@ def gl_classes(n: int, p: int) -> LevelClasses:
     ascend lexicographically (theta = 0 first, then r). A build over BYTE_BUDGET
     raises ResourceLimitError before anything is allocated.
     """
-    dim, p = gl_dimension(n, p), int(p)
+    dim, n, p = gl_dimension(n, p), int(n), int(p)  # checked integral there
     # traced build peak (keys, weights, slot indices): 0.79 of this at n = 2, 0.67-0.68 at 3-2000
     check_bytes(24 * (n + 1) * dim, f"V({p}) of gl(1|{n}) has {dim} basis vectors that")
     theta = np.arange(min(p, 1) + 1)

@@ -15,7 +15,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .errors import ResourceLimitError
-from .spectral import ModeFrequencies
+from .spectral import ModeFrequencies, int_tuple
 
 __all__ = ["SpectrumLine", "LevelClasses", "MergedLevels", "MERGE_TOL", "BYTE_BUDGET",
            "check_bytes", "level_energies", "merge_classes", "levels", "spectrum_lines",
@@ -101,6 +101,7 @@ def weight_lattice(n: int, k_max: int, what: str) -> np.ndarray:
 
     A lattice whose osp classes exceed BYTE_BUDGET raises ResourceLimitError first.
     """
+    n, k_max = int_tuple((n, k_max), f"need integers n and k_max, not n = {n}, k_max = {k_max}")
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     # traced peak per row (osp_classes is the one caller): its 6 int64 copies, or in

@@ -164,6 +164,7 @@ def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
     over top rows of at most ceil(p) parts (1 if ceil(p) = 1). A non-finite p
     raises ValueError, and a lattice over BYTE_BUDGET raises before it is built.
     """
+    n, k_max = int_tuple((n, k_max), f"need integers n and k_max, not n = {n}, k_max = {k_max}")
     if not math.isfinite(p):
         raise ValueError(f"the V(p) label must be finite; got p = {p}")
     if not is_unirrep(n, p):

@@ -14,11 +14,16 @@ behind the Krawtchouk coupling bound (``sqrt_sum_bound_holds``).
 
 ``scalar_critical_coupling`` is the one-row bracketed bisection that
 ``critical_couplings`` runs for many rows at once.
+
+``decompose_text`` and ``bounds_text`` write the CLI's ``decompose`` and
+``bounds`` tables the way it once did, row by row: ``%r`` rows for CSV and
+``json.dumps(indent=2)`` of the lists and objects for JSON.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -388,3 +393,25 @@ def merge_lines(raw: list[tuple[float, int, Any]], merge_tol: float) -> list[Spe
         prev = triple[0]
     flush()
     return lines
+
+
+def decompose_text(decomp, fmt: str) -> str:
+    """``decompose`` CSV (row j: lambda_j and eigenvector j, column j of u) or JSON
+    (``"u"`` lists the rows of u)."""
+    lambdas, u = decomp.lambdas.tolist(), decomp.u.tolist()
+    if fmt == "json":
+        return json.dumps({"source": decomp.source, "lambdas": lambdas, "u": u}, indent=2) + "\n"
+    header = "lambda," + ",".join(f"v_{i}" for i in range(1, decomp.n + 1)) + "\n"
+    return header + "".join(map(("%r," * decomp.n + "%r\n").__mod__, zip(lambdas, *u)))
+
+
+def bounds_text(rows, fmt: str) -> str:
+    """``bounds`` CSV or JSON of ``coupling_rows``: a missing bound or ratio is an empty
+    field or null."""
+    names = ("n", "c_tilde_over_omega2", "c_n_over_omega2", "ratio")
+    table = [(r.n, r.c_bound, r.c_critical, r.ratio) for r in rows]
+    if fmt == "json":
+        return json.dumps([dict(zip(names, row)) for row in table], indent=2) + "\n"
+    return ",".join(names) + "\n" + "".join(
+        ",".join("" if value is None else "%r" % (value,) for value in row) + "\n"
+        for row in table)

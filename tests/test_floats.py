@@ -144,8 +144,38 @@ def test_spectra_go_through_repr_for_under_half_a_percent(algebra):
     _assert_reprs(energy)
 
 
-def test_the_kernel_is_loaded_and_its_tables_built_on_first_use():
+def test_an_array_gets_one_more_axis_and_each_row_reads_as_its_own_column():
+    rng = np.random.default_rng(5)
+    values = 10 ** rng.uniform(-6, 18, (7, 5)) * rng.choice([-1, 1], (7, 5))
+    values[0, 0], values[1, 2], values[3, 4] = 0.0, 2.0 ** 10, np.nan  # through repr
+    text = floattext.float_text(values)
+    assert text.dtype == np.uint8 and text.shape[:2] == values.shape and text.ndim == 3
+    for row, column in zip(text, values):
+        rendered = [cell.tobytes().replace(b"\0", b"") for cell in row]
+        assert rendered == [cell.tobytes().replace(b"\0", b"")
+                            for cell in floattext.float_text(column)]
+        assert rendered == [repr(value).encode() for value in column.tolist()]
+    assert floattext.float_text(values[None]).shape[:3] == (1, 7, 5)
+    assert floattext.float_text(np.zeros((0, 3))).shape[:2] == (0, 3)
+    assert floattext.float_text(2.5).tobytes().replace(b"\0", b"") == b"2.5"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--n", "3"], ["decompose", "--n", "3", "--format", "json"],
+    ["bounds", "--n", "4", "--format", "csv"], ["bounds", "--n", "4", "--format", "json"]])
+def test_a_csv_or_json_table_loads_the_kernel_and_builds_its_tables(argv):
     code = ("import sys, wignerosc.cli as cli; assert 'wignerosc.floattext' not in sys.modules; "
+            f"cli.main({argv}); from wignerosc import floattext; "
+            "assert floattext._tables.cache_info().currsize == 1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_kernel_is_loaded_and_its_tables_built_on_first_use():
+    # the library and a bounds text table write no CSV or JSON float
+    code = ("import sys, wignerosc.cli as cli; from wignerosc import InteractionModel, decompose, "
+            "gl_spectrum, mode_frequencies; model = InteractionModel.krawtchouk(3, c=0.1); "
+            "gl_spectrum(3, 2, mode_frequencies(decompose(model), 1.0, 0.1)); "
             "cli.main(['bounds', '--n', '4']); assert 'wignerosc.floattext' not in sys.modules; "
             "from wignerosc import floattext; assert floattext._tables.cache_info().currsize == 0; "
             "cli._floats([0.5]); assert floattext._tables.cache_info().currsize == 1")

@@ -60,6 +60,22 @@ def test_any_other_p_is_a_value_error(p):
         gl_spectrum(3, p, _kraw_freqs(3, 0.1))
 
 
+def test_an_integral_float_n_is_that_integer():
+    assert gl_dimension(3.0, 2) == gl_dimension(np.float64(3), 2) == gl_dimension(3, 2) == 9
+    for got, want in zip(gl_classes(3.0, 2.0), gl_classes(3, 2)):
+        assert np.array_equal(got, want) and np.asarray(got).dtype == np.asarray(want).dtype
+    assert gl_spectrum(3.0, 2, _kraw_freqs(3, 0.1)) == gl_spectrum(3, 2, _kraw_freqs(3, 0.1))
+
+
+@pytest.mark.parametrize("n", [3.5, 0, 0.5, math.nan, math.inf, -math.inf])
+def test_any_other_n_is_a_value_error(n):
+    message = rf"need n >= 1 and a non-negative integer p, not n = {n}, p = 2$"
+    with pytest.raises(ValueError, match=message):
+        gl_dimension(n, 2)
+    with pytest.raises(ValueError, match=message):
+        gl_classes(n, 2)
+
+
 def test_eigenvalue_uncoupled():
     for n in (2, 4, 6):
         for p in (1, 2, 3):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from wignerosc import ModeFrequencies, ResourceLimitError, fock_spectrum, levels
+from wignerosc.levels import weight_lattice
 from wignerosc.osp_spectrum import _pattern_counts, osp_classes
 from oracles import (distinct_count_at_height, enumerate_gz, multiplicity_at_height,
                      partitions_of, row_sum_signature)
@@ -106,6 +107,25 @@ def test_one_part_top_rows_give_each_weight_one_pattern(n, p):
 def test_a_non_finite_label_is_refused(p):
     with pytest.raises(ValueError, match="must be finite"):
         osp_classes(3, p, 2)
+
+def test_an_integral_float_n_or_k_max_is_that_integer():
+    want = osp_classes(3, 2, 2)
+    for got in (osp_classes(3.0, 2, 2), osp_classes(3, 2, 2.0), osp_classes(np.float64(3), 2, 2)):
+        assert got.a == want.a
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+    assert np.array_equal(weight_lattice(3.0, 2.0, "the lattice"), weight_lattice(3, 2, "x"))
+
+
+@pytest.mark.parametrize("n,k_max", [(3.5, 2), (math.nan, 2), (math.inf, 2), (3, 2.5),
+                                     (3, math.nan), (3, math.inf)])
+def test_any_other_n_or_k_max_is_a_value_error(n, k_max):
+    message = rf"need integers n and k_max, not n = {n}, k_max = {k_max}$"
+    with pytest.raises(ValueError, match=message):
+        osp_classes(n, 2, k_max)
+    with pytest.raises(ValueError, match=message):
+        weight_lattice(n, k_max, "the lattice")
+
 
 def test_fock_lattice_over_the_byte_budget_is_refused_before_allocating(monkeypatch):
     freqs = ModeFrequencies(mu=1.0 + 0.3 * np.arange(6))

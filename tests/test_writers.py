@@ -3,9 +3,13 @@
 Every argv of a seeded corpus runs through ``main``. Its output must equal,
 byte for byte, the text that ``json.dumps(payload, indent=2) + "\\n"`` or the
 row-by-row CSV join makes from the same library records, read through the
-CLI's own helpers. The writers format floats with ``%r``, which equals json's
-float text only for finite floats (json writes ``NaN``, ``%r`` ``nan``), so
-every float they get must be finite.
+CLI's own helpers. The writers format floats as their ``repr``, which equals
+json's float text only for finite floats (json writes ``NaN``, ``repr``
+``nan``), so every float they get must be finite.
+
+The ``decompose`` and ``bounds`` tables of chosen models and sizes must also
+equal, on stdout and in an ``--out`` file, the ``%r`` rows and
+``json.dumps`` text of ``oracles.decompose_text`` and ``oracles.bounds_text``.
 """
 
 import json
@@ -14,10 +18,13 @@ import random
 
 import pytest
 
+import numpy as np
+
 from wignerosc import cli, decompose, mode_frequencies
 from wignerosc.coupling import coupling_rows
 from wignerosc.cli import main
-from oracles import hook_patterns
+from wignerosc.spectral import InteractionModel, load_matrix
+from oracles import bounds_text, decompose_text, hook_patterns
 
 # negative and -0.0 entries; its eigenvectors hold -0.0 components too
 MATRIX = "3\n2.0 -0.0 -1.0\n-0.0 1.5 0.0\n-1.0 0.0 -0.5\n"
@@ -188,3 +195,53 @@ def test_constant_model_bounds_json_writes_null_fields(capsys):
     assert main(["bounds", "--model", "constant", "--n", "4,6", "--format", "json"]) == 0
     text = capsys.readouterr().out
     assert text.count('"c_tilde_over_omega2": null,') == 2 and text.count('"ratio": null') == 2
+
+
+def _matrix_file(path, n):
+    """A symmetric n x n matrix with negative and -0.0 entries, written as a matrix file."""
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)).round(3)
+    m = m + m.T
+    if n > 1:
+        m[0, -1] = m[-1, 0] = -0.0
+    path.write_text(f"{n}\n" + " ".join(map(repr, m.ravel().tolist())) + "\n")
+    return str(path)
+
+
+def _model_and_flags(kind, n, tmp_path):
+    if kind == "file":
+        path = _matrix_file(tmp_path / "m.txt", n)
+        return InteractionModel.general(load_matrix(path), omega=1.0, c=0.0), [
+            "--model", "file", "--path", path]
+    return getattr(InteractionModel, kind)(n), ["--model", kind, "--n", str(n)]
+
+
+def _assert_writes(argv, text, tmp_path, capsys):
+    """stdout of ``argv``, and the file it writes with --out, are ``text``."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+    out = tmp_path / "out.dat"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode("ascii")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [1, 2, 7, 30, 100])
+@pytest.mark.parametrize("kind", ["constant", "krawtchouk", "file"])
+def test_decompose_writes_the_percent_rows_and_json_dumps(kind, n, fmt, tmp_path, capsys):
+    model, flags = _model_and_flags(kind, n, tmp_path)
+    _assert_writes(["decompose", *flags, "--format", fmt],
+                   decompose_text(decompose(model), fmt), tmp_path, capsys)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind,sizes", [("krawtchouk", "4..200"), ("constant", "4,9,30"),
+                                        ("file", "12")])
+def test_bounds_writes_the_percent_rows_and_json_dumps(kind, sizes, fmt, tmp_path, capsys):
+    n = cli._parse_n_list(sizes)
+    model, flags = _model_and_flags(kind, max(n), tmp_path)
+    if kind != "file":
+        flags[-1] = sizes
+    rows = coupling_rows(model, n)
+    assert all((row.c_bound is None) == (kind != "krawtchouk") for row in rows)
+    _assert_writes(["bounds", *flags, "--format", fmt], bounds_text(rows, fmt), tmp_path, capsys)
