@@ -185,7 +185,8 @@ def _digits(ints: np.ndarray) -> np.ndarray:
 
 
 def _floats(values) -> np.ndarray:
-    """``repr`` of each float as uint8 text along a new last axis (``floattext.float_text``)."""
+    """``repr`` of each float as uint8 text along a new last axis (``floattext.float_text``:
+    through ``repr`` below ``floattext.SHORT`` values, through its numpy kernel above)."""
     from .floattext import float_text  # imported on first use: a bounds text table never is
 
     return float_text(values)

@@ -5,10 +5,13 @@ byte grids; ``float_text`` gives a float array as uint8 text along a new last ax
 each value's bytes, 0 bytes dropped, are its ``repr``. ``shortest`` computes the digits of a
 whole column at once: Dekker's error-free product (Numer. Math. 18, 1971) gives
 ``|x| 10^k`` exactly, and the shortest-digits test of Ryu (Adams, PLDI 2018) picks the
-digits. ``repr`` itself writes the values the kernel leaves out.
+digits. ``repr`` itself writes the values the kernel leaves out, in one bulk call, and
+every column of fewer than ``SHORT`` values, where that call is faster than the kernel's
+fixed cost.
 
 The CLI imports this module on its first float column, so that the jobs that
-write none (``bounds`` as a text table, the library) never compile it.
+write none (``bounds`` as a text table, the library) never compile it; the kernel's
+tables are built on the first column of ``SHORT`` values or more.
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ import functools
 
 import numpy as np
 
-__all__ = ["CHUNK", "EDGE_BAND", "float_text", "shortest"]
+__all__ = ["CHUNK", "EDGE_BAND", "SHORT", "float_text", "shortest"]
 
 #: values ``float_text`` writes at a time: the kernel's temporaries stay in cache
 CHUNK = 2 ** 12
+#: columns of fewer values go through ``repr`` alone: below about 200 values the bulk
+#: ``repr`` call beats the kernel's fixed cost of about 80 us (2-CPU Xeon, numpy 2.4)
+SHORT = 200
 #: relative half-width of the band around the edge of a rounding interval where the
 #: computed distance of a candidate does not decide whether it round-trips
 EDGE_BAND = 1e-9
@@ -101,27 +107,46 @@ def shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return n, k, zeros, fallback
 
 
+def _repr_rows(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each float of a 1-d array in one bulk call, as (rows, width) uint8, 0-padded."""
+    text = np.array([repr(value) for value in values.tolist()], dtype="S")
+    return text.view(np.uint8).reshape(len(values), text.itemsize)
+
+
 def float_text(values) -> np.ndarray:
     """``repr`` of each float as a uint8 row along a new last axis, 0 bytes anywhere as padding.
 
-    ``shortest`` gives the digits of most values, each digit of n in the
-    column of its place; one mask keeps the integer digits, another the
-    fraction digits. A row is the sign, the integer columns, a point column
-    shared by all rows and the fraction columns, the columns no row uses
-    dropped, 0 bytes wherever a row has no digit. The fallbacks go through
-    repr in one bulk call, each over its whole row. Runs ``CHUNK`` values at
-    a time.
+    Fewer than ``SHORT`` values go through ``_repr_rows`` whole, more through
+    ``_kernel_rows``; both give every value a row of one shared width.
     """
     x = np.asarray(values, dtype=float).ravel()
+    out = _repr_rows(x) if len(x) < SHORT else _kernel_rows(x)
+    return out.reshape(np.shape(values) + out.shape[1:])
+
+
+def _kernel_rows(x: np.ndarray) -> np.ndarray:
+    """``float_text`` of a 1-d array through ``shortest``: (rows, width) uint8.
+
+    ``shortest`` gives the digits of most values, ``CHUNK`` values at a time,
+    each digit of n in the column of its place, masked to the row's digits
+    from the leading one to the last nonzero one. A row is the sign, the
+    integer columns, a point column shared by all rows and the fraction
+    columns, the columns no row uses dropped, 0 bytes wherever a row has no
+    digit; a column that is an integer digit of one row and a fraction digit
+    of another is masked on each side of the point by the row's ones column.
+    The fallbacks go through ``_repr_rows``, each over its whole row.
+    """
     rows = len(x)
     _, _, quad, ranges, _ = _tables()
-    left, right = np.empty((rows, 24), dtype=np.uint8), np.empty((rows, 24), dtype=np.uint8)
-    sign = np.signbit(x) * np.uint8(45)
-    fallbacks, spans = [np.zeros(0, dtype=np.intp)], []
+    digits = np.empty((rows, 24), dtype=np.uint8)
+    units = np.empty(rows, dtype=np.int8)
+    fallback = np.empty(rows, dtype=bool)
+    spans = []
     for start in range(0, rows, CHUNK):
         stop = min(start + CHUNK, rows)
-        n, k, zeros, fallback = shortest(x[start:stop])
+        n, k, zeros, fallback[start:stop] = shortest(x[start:stop])
         unit = 23 - k  # the column of the ones digit in n's 24 digits, 10^23 first
+        units[start:stop] = unit
         top = n // 10 ** 16  # n has 16, 17 or 18 digits
         first = np.minimum(8 - (top > 0) - (top > 9), unit)  # the leading digit or the ones
         last = np.maximum(23 - zeros, unit + 1)  # the last nonzero digit or the tenths
@@ -131,27 +156,32 @@ def float_text(values) -> np.ndarray:
             quads[:, place] = quad[n - over * 10000]
             n = over
         quads[:, 0] = quad[n]
-        digits = quads.view(np.uint8)
-        np.multiply(digits, np.take(ranges, first * 24 + unit, axis=0), out=left[start:stop])
-        np.multiply(digits, np.take(ranges, unit * 24 + 24 + last, axis=0),
-                    out=right[start:stop])
-        fallbacks.append(np.flatnonzero(fallback) + start)
-        kept = ~fallback
+        np.multiply(quads.view(np.uint8), np.take(ranges, first * 24 + last, axis=0),
+                    out=digits[start:stop])
+        kept = ~fallback[start:stop]
         if kept.any():  # the columns the digits of this chunk use
             spans.append((first[kept].min(), unit[kept].min(), unit[kept].max(), last[kept].max()))
-    where = np.concatenate(fallbacks)
+    where = np.flatnonzero(fallback)
+    sign = np.signbit(x) * np.uint8(45)
     sign[where] = 0
     columns = [sign[:, None] if sign.any() else np.zeros((rows, 0), dtype=np.uint8)]
-    if spans:
+    if spans:  # integer columns lo..point - 1, fraction columns fraction..hi - 1
         lo, unit_lo, unit_hi, hi = np.array(spans).T
-        columns += [left[:, lo.min():unit_hi.max() + 1], np.full((rows, 1), 46, dtype=np.uint8),
-                    right[:, unit_lo.min() + 1:hi.max() + 1]]
+        lo, point, fraction, hi = lo.min(), unit_hi.max() + 1, unit_lo.min() + 1, hi.max() + 1
+        columns += [digits[:, lo:point], np.full((rows, 1), 46, dtype=np.uint8),
+                    digits[:, fraction:hi]]
     out = np.concatenate(columns, axis=1)
+    if spans:  # a column in both ranges holds integer digits of some rows, fraction digits of others
+        dot = columns[0].shape[1] + point - lo
+        for column in range(fraction, point):
+            integer = units >= column
+            left, right = out[:, dot - point + column], out[:, dot + 1 + column - fraction]
+            np.multiply(left, integer.view(np.uint8), out=left)
+            np.multiply(right, (~integer).view(np.uint8), out=right)
     if len(where):
-        text = np.array([repr(value) for value in x[where].tolist()], dtype="S")
-        text = text.view(np.uint8).reshape(len(where), text.itemsize)
+        text = _repr_rows(x[where])
         if text.shape[1] > out.shape[1]:
             out = np.pad(out, ((0, 0), (0, text.shape[1] - out.shape[1])))
         out[where] = 0
         out[where, :text.shape[1]] = text
-    return out.reshape(np.shape(values) + out.shape[1:])
+    return out

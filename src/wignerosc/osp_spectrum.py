@@ -140,7 +140,14 @@ def _pattern_counts(weights: np.ndarray, parts: int) -> np.ndarray:
     A strip never shortens a row, so a row of more than ``parts`` entries can never
     become an admissible top row, and ``_strips`` builds none.
     """
-    weights, inverse = np.unique(np.sort(weights, axis=1)[:, ::-1], axis=0, return_inverse=True)
+    weights = np.sort(weights, axis=1)[:, ::-1]
+    order = np.lexsort(weights.T[::-1])  # rows ascending, the first entry the primary key
+    weights = weights[order]
+    distinct = np.ones(len(weights), dtype=bool)  # the first row of each run of equal rows
+    distinct[1:] = (weights[1:] != weights[:-1]).any(axis=1)
+    inverse = np.empty(len(weights), dtype=np.intp)
+    inverse[order] = np.cumsum(distinct) - 1
+    weights = weights[distinct]
     count = np.empty(len(weights), dtype=np.int64)
     # rows ascend, so tops[:start + 1] of the row before hold up to the first differing entry
     shared = np.argmax(np.diff(weights, axis=0, prepend=-1) != 0, axis=1)
@@ -153,7 +160,7 @@ def _pattern_counts(weights: np.ndarray, parts: int) -> np.ndarray:
                 for top in _strips(below, size, parts):
                     tops[-1][top] += c
         count[i] = sum(tops[-1].values())
-    return count[inverse.ravel()]
+    return count[inverse]
 
 
 def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:

@@ -1,9 +1,11 @@
 """``cli._floats`` against ``repr``: the shortest round-trip text of every float.
 
-``_floats`` writes most values from ``floattext.shortest``, a numpy kernel, and
-the values that kernel leaves out through ``repr``. Each row, its 0 bytes
-dropped, must be the bytes of ``repr(value)``: for random bit patterns,
-for the edges of the kernel's range and rules, and across chunk seams.
+``_floats`` writes a column of ``floattext.SHORT`` or more values from
+``floattext.shortest``, a numpy kernel, and the values that kernel leaves out
+through ``repr``; a shorter column goes through ``repr`` alone. Each row, its 0
+bytes dropped, must be the bytes of ``repr(value)``, on both routes: for random
+bit patterns, for the edges of the kernel's range and rules, across chunk seams
+and around ``SHORT``.
 """
 
 import subprocess
@@ -26,11 +28,14 @@ LOW, HIGH = (int(np.float64(x).view(np.int64)) for x in (1e-4, 1e16))
 
 
 def _assert_reprs(values):
+    """The kernel (``SHORT`` patched to 0) and the short route each write ``values`` as repr."""
     values = np.asarray(values, dtype=float)
-    rows = cli._floats(values)
-    assert rows.dtype == np.uint8 and len(rows) == len(values)
-    assert [row.tobytes().replace(b"\0", b"") for row in rows] == [
-        repr(value).encode() for value in values.tolist()]
+    for short in (0, len(values) + 1):
+        with mock.patch.object(floattext, "SHORT", short):
+            rows = cli._floats(values)
+        assert rows.dtype == np.uint8 and len(rows) == len(values)
+        assert [row.tobytes().replace(b"\0", b"") for row in rows] == [
+            repr(value).encode() for value in values.tolist()], short
 
 
 def _as_floats(bits: list[int]) -> np.ndarray:
@@ -85,6 +90,26 @@ def test_a_column_of_one_chunk_less_or_more(extra):
     values = 10 ** rng.uniform(-5, 17, floattext.CHUNK + extra) * rng.choice([-1, 1])
     values[::97] = 2.0 ** rng.integers(-20, 60, len(values[::97]))  # fallbacks in each chunk
     _assert_reprs(values)
+
+
+SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 2.0 ** -14, 2.0 ** 52, -0.5]
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_a_column_either_side_of_short_takes_its_route_and_writes_repr(extra):
+    size = floattext.SHORT + extra
+    rng = np.random.default_rng(11 + extra)
+    values = 10 ** rng.uniform(-6, 18, size) * rng.choice([-1, 1], size)
+    values[::7][:len(SPECIAL)] = SPECIAL
+    values[1::13] = -(2.0 ** rng.integers(-20, 60, len(values[1::13])))
+    expected = [repr(value).encode() for value in values.tolist()]
+    with mock.patch.object(floattext, "shortest", wraps=floattext.shortest) as kernel:
+        for shape in [(size,), (size, 1), (1, size)]:
+            text = floattext.float_text(values.reshape(shape))
+            assert text.dtype == np.uint8 and text.shape[:-1] == shape
+            assert [row.tobytes().replace(b"\0", b"")
+                    for row in text.reshape(size, -1)] == expected
+    assert kernel.called == (size >= floattext.SHORT)
 
 
 def _relative_gap(x: float, step: int) -> Fraction:
@@ -156,28 +181,37 @@ def test_an_array_gets_one_more_axis_and_each_row_reads_as_its_own_column():
                             for cell in floattext.float_text(column)]
         assert rendered == [repr(value).encode() for value in column.tolist()]
     assert floattext.float_text(values[None]).shape[:3] == (1, 7, 5)
-    assert floattext.float_text(np.zeros((0, 3))).shape[:2] == (0, 3)
-    assert floattext.float_text(2.5).tobytes().replace(b"\0", b"") == b"2.5"
+    for shape in [(0,), (0, 3), (3, 0)]:
+        assert floattext.float_text(np.zeros(shape)).shape[:-1] == shape
+    for value in [2.5] + SPECIAL:
+        assert floattext.float_text(value).tobytes().replace(b"\0", b"") == repr(value).encode()
 
 
 @pytest.mark.parametrize("argv", [
     ["decompose", "--n", "3"], ["decompose", "--n", "3", "--format", "json"],
     ["bounds", "--n", "4", "--format", "csv"], ["bounds", "--n", "4", "--format", "json"]])
 def test_a_csv_or_json_table_loads_the_kernel_and_builds_its_tables(argv):
+    # the small table has fewer than SHORT floats, the large one more: 14 x 15 and 77 x 3
+    large = [argv[0], "--n", "14" if argv[0] == "decompose" else "4..80", *argv[3:]]
     code = ("import sys, wignerosc.cli as cli; assert 'wignerosc.floattext' not in sys.modules; "
             f"cli.main({argv}); from wignerosc import floattext; "
-            "assert floattext._tables.cache_info().currsize == 1")
+            "assert floattext._tables.cache_info().currsize == 0; "
+            f"cli.main({large}); cli.main({large}); info = floattext._tables.cache_info(); "
+            "assert (info.misses, info.currsize) == (1, 1)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_the_kernel_is_loaded_and_its_tables_built_on_first_use():
-    # the library and a bounds text table write no CSV or JSON float
+    # the library and a bounds text table write no CSV or JSON float; a column of
+    # fewer than SHORT floats goes through repr alone
     code = ("import sys, wignerosc.cli as cli; from wignerosc import InteractionModel, decompose, "
             "gl_spectrum, mode_frequencies; model = InteractionModel.krawtchouk(3, c=0.1); "
             "gl_spectrum(3, 2, mode_frequencies(decompose(model), 1.0, 0.1)); "
             "cli.main(['bounds', '--n', '4']); assert 'wignerosc.floattext' not in sys.modules; "
-            "from wignerosc import floattext; assert floattext._tables.cache_info().currsize == 0; "
-            "cli._floats([0.5]); assert floattext._tables.cache_info().currsize == 1")
+            "cli._floats([0.5]); from wignerosc import floattext; "
+            "assert floattext._tables.cache_info().currsize == 0; "
+            "cli._floats([0.5] * floattext.SHORT); cli._floats([0.5] * floattext.SHORT); "
+            "info = floattext._tables.cache_info(); assert (info.misses, info.currsize) == (1, 1)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
