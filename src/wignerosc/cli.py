@@ -352,9 +352,10 @@ def _cmd_sweep(args) -> int:
                 f"--cmax {args.cmax} exceeds the critical coupling {c_n:.6g}; "
                 "pass --allow-strong to sweep past it")
 
-    # the traced peak once the classes are built, text included, was at most 0.97 of this count
-    # (n 1-20, 2-40 steps, both formats, --out, every (coupling, class) pair its own line)
-    check_bytes(12 * (model.n + 15) * args.steps * len(classes.keys),
+    # each pair, and each class held while the pairs are evaluated: its keys, weights and
+    # multiplicity; the traced peak once the classes are built, text included, was at most
+    # 0.92 of this count (n 1-20, 2-20 steps, both formats, --out, counts of 4-300 MB)
+    check_bytes((12 * (model.n + 15) * args.steps + 8 * (2 * model.n + 2)) * len(classes.keys),
                 f"the {args.steps} x {len(classes.keys)} (coupling, class) pairs of the sweep")
     couplings = [args.cmin + (args.cmax - args.cmin) * i / (args.steps - 1)
                  for i in range(args.steps)]

@@ -23,6 +23,7 @@ formula at ``j`` passes ``j+1`` where needed.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -70,12 +71,17 @@ def _require_symmetric(m: np.ndarray) -> np.ndarray:
 
 
 def omega_squared(omega: float) -> float:
-    """omega^2, refusing (ValueError) an omega that is not positive or whose square is not finite.
+    """omega^2, refusing (ValueError) an omega that is not positive or whose square is not a
+    finite normal float.
 
-    Python's ``**`` raises OverflowError where the square exceeds the float range.
+    Python's ``**`` raises OverflowError where the square exceeds the float range; a square
+    below ``sys.float_info.min`` is 0 or subnormal, so mu_j = omega^2 + c lambda_j would lose
+    omega altogether.
     """
     if not (0 < omega < math.inf and float(omega) * float(omega) < math.inf):
         raise ValueError("omega must be positive and finite, with a finite square")
+    if float(omega) * float(omega) < sys.float_info.min:
+        raise ValueError(f"omega must have a square of at least {sys.float_info.min!r}")
     return omega ** 2
 
 

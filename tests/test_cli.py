@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wignerosc import (InteractionModel, build_krawtchouk_matrix, critical_coupling,
+from wignerosc import (InteractionModel, build_krawtchouk_matrix, cli, critical_coupling,
                        decompose, gl_spectrum, levels, mode_frequencies, osp_spectrum)
 from wignerosc.cli import main
 
@@ -486,6 +486,26 @@ def test_omega_whose_square_overflows_is_a_usage_error(argv, capsys):
     assert out.out == "" and "error: omega" in out.err
 
 
+@pytest.mark.parametrize("omega", ["1e-200", "1e-160"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--algebra", "osp", "--n", "3", "--p", "2", "--kmax", "2"],
+    ["spectrum", "--algebra", "gl", "--n", "4", "--p", "2"],
+    ["sweep", "--algebra", "gl", "--n", "4", "--p", "2", "--cmin", "0", "--cmax", "0.1",
+     "--steps", "3"],
+    ["sweep", "--algebra", "osp", "--n", "3", "--p", "1", "--cmin", "0", "--cmax", "0.1",
+     "--steps", "3"],
+    ["bounds", "--n", "4"],
+    ["bounds", "--model", "constant", "--n", "4", "--format", "csv"],
+    ["decompose", "--n", "4"],
+    ["decompose", "--model", "constant", "--n", "4", "--format", "json"],
+])
+def test_omega_whose_square_underflows_is_a_usage_error(argv, omega, capsys):
+    # omega^2 = 0 or subnormal: mu_j = omega^2 + c lambda_j would lose omega altogether
+    assert main(argv + ["--omega", omega]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error: omega" in out.err
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--algebra", "gl", "--n", "4", "--p", "2", "--c", "0.1"],
     ["sweep", "--algebra", "osp", "--n", "3", "--p", "1", "--cmin", "0", "--cmax", "1",
@@ -552,6 +572,43 @@ def test_sweep_byte_guard_covers_the_traced_peak(argv, tmp_path, monkeypatch, ca
     assert main(args) == 2 and "beyond the" in capsys.readouterr().err
     monkeypatch.setattr(levels, "BYTE_BUDGET", int(peak / 0.7))
     assert main(args) == 0
+
+
+FEW_STEP_SWEEPS = {
+    "gl": "sweep --algebra gl --model krawtchouk --n 12 --p 5 --cmin 0.001 --cmax 0.002",
+    "osp": "sweep --algebra osp --model krawtchouk --n 16 --p 1 --kmax 4 --cmin 0.1 --cmax 0.2",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("steps", [2, 3])
+@pytest.mark.parametrize("algebra", ["gl", "osp"])
+def test_few_step_sweep_guard_covers_the_peak_after_the_classes(algebra, steps, fmt, tmp_path):
+    # 5,733 gl and 4,845 osp classes, each sweep in a new process as the CLI runs it: at
+    # 2-3 steps the classes held while the pairs are evaluated weigh as much as a step's
+    # pairs (without them the 2-step JSON sweeps peaked at 1.03 and 1.07 of the count)
+    import subprocess
+    import sys
+    args = FEW_STEP_SWEEPS[algebra].split() + ["--steps", str(steps), "--format", fmt,
+                                               "--out", str(tmp_path / "sweep.out")]
+    code = f"""if True:
+        import tracemalloc, wignerosc.cli as cli
+        build, check, counts = cli._classes, cli.check_bytes, []
+        def build_then_reset_peak(*a):
+            classes = build(*a)
+            tracemalloc.reset_peak()
+            return classes
+        def check_and_keep(need, what):
+            counts.append(need)
+            check(need, what)
+        cli._classes, cli.check_bytes = build_then_reset_peak, check_and_keep
+        tracemalloc.start()
+        assert cli.main({args!r}) == 0
+        print(tracemalloc.get_traced_memory()[1], *counts)"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    peak, *counts = map(int, proc.stdout.split())
+    assert len(counts) == 1 and peak < counts[0]
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -4,8 +4,8 @@
 ``floattext.shortest``, a numpy kernel, and the values that kernel leaves out
 through ``repr``; a shorter column goes through ``repr`` alone. Each row, its 0
 bytes dropped, must be the bytes of ``repr(value)``, on both routes: for random
-bit patterns, for the edges of the kernel's range and rules, across chunk seams
-and around ``SHORT``.
+bit patterns, for the edges of the kernel's range and rules, of its positional
+and exponent forms, across chunk seams and around ``SHORT``.
 """
 
 import subprocess
@@ -24,18 +24,24 @@ from wignerosc.levels import levels
 from wignerosc.osp_spectrum import osp_classes
 from wignerosc.spectral import InteractionModel
 
+from oracles import decompose_text
+
 LOW, HIGH = (int(np.float64(x).view(np.int64)) for x in (1e-4, 1e16))
+WIDE_LOW, WIDE_HIGH = (int(np.float64(x).view(np.int64)) for x in floattext.RANGE)
 
 
 def _assert_reprs(values):
-    """The kernel (``SHORT`` patched to 0) and the short route each write ``values`` as repr."""
+    """The kernel (``SHORT`` patched to 0), with its exponent form in every chunk that needs
+    it (``WIDE`` patched to 0) and as it comes, and the short route each write ``values`` as
+    repr."""
     values = np.asarray(values, dtype=float)
-    for short in (0, len(values) + 1):
-        with mock.patch.object(floattext, "SHORT", short):
+    for short, wide in ((0, 0), (0, floattext.WIDE), (len(values) + 1, floattext.WIDE)):
+        with mock.patch.object(floattext, "SHORT", short), \
+                mock.patch.object(floattext, "WIDE", wide):
             rows = cli._floats(values)
         assert rows.dtype == np.uint8 and len(rows) == len(values)
         assert [row.tobytes().replace(b"\0", b"") for row in rows] == [
-            repr(value).encode() for value in values.tolist()], short
+            repr(value).encode() for value in values.tolist()], (short, wide)
 
 
 def _as_floats(bits: list[int]) -> np.ndarray:
@@ -44,8 +50,10 @@ def _as_floats(bits: list[int]) -> np.ndarray:
 
 finite_bits = st.integers(0, 2 ** 64 - 1).filter(
     lambda bits: np.isfinite(_as_floats([bits])[0]))
-# the kernel's range, either sign
+# the kernel's positional range [1e-4, 1e16), and its whole range, either sign
 kernel_bits = st.tuples(st.integers(LOW, HIGH - 1), st.booleans()).map(
+    lambda pair: pair[0] | (pair[1] << 63))
+wide_bits = st.tuples(st.integers(WIDE_LOW, WIDE_HIGH - 1), st.booleans()).map(
     lambda pair: pair[0] | (pair[1] << 63))
 
 
@@ -58,6 +66,12 @@ def test_every_finite_double_is_written_as_its_repr(bits):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(kernel_bits, min_size=1, max_size=40))
 def test_doubles_in_the_kernel_range_are_written_as_their_repr(bits):
+    _assert_reprs(_as_floats(bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(wide_bits, min_size=1, max_size=40))
+def test_doubles_in_the_whole_kernel_range_are_written_as_their_repr(bits):
     _assert_reprs(_as_floats(bits))
 
 
@@ -77,6 +91,14 @@ EDGES = [
 EDGES += [2.0 ** e for e in range(-20, 60)] + [10.0 ** e for e in range(-8, 20)]
 EDGES += [float(f"1e{e}") for e in range(-8, 20)] + [n + 0.5 for n in range(0, 2000, 7)]
 EDGES += [float(n) for n in (1, 7, 10, 99, 100, 12345, 2 ** 52 - 1, 10 ** 15 + 1)]
+# the exponent form: either side of the switch from positional text, a value whose log10
+# rounds up to 16, one-digit mantissas, three-digit exponents, the last exact power of ten
+# and the first inexact ones, and two ulps either side of each end of the kernel's range
+EDGES += [np.nextafter(1e16, np.inf), 9.999999999999999e-05, 9999999999999980.0, 1e-05,
+          2e+100, 1.2345e-07, 5.5e-123, 1.7976931348623157e+308, 2.2250738585072014e-308,
+          1e22, 1e23, 1e-23, 1e-100, 1e100, 1.2345678901234567e-200, 9.87654321e+250]
+EDGES += [float(np.nextafter(np.nextafter(end, toward), toward)) for end in floattext.RANGE
+          for toward in (0, np.inf)] + list(floattext.RANGE)
 
 
 def test_edges_of_the_kernel_are_written_as_their_repr():
@@ -144,16 +166,105 @@ def test_candidates_inside_the_edge_band_go_through_repr():
 
 
 def test_what_the_kernel_leaves_to_repr():
+    below, above = (float(np.nextafter(end, toward)) for end, toward in zip(
+        floattext.RANGE, (0, np.inf)))
     cases = {
         "zero and non-finite": [0.0, -0.0, float("inf"), float("nan")],
-        "outside [1e-4, 1e16)": [5e-324, 9.9e-5, 1e16, -3e20],
-        "powers of two": [2.0 ** e for e in range(-13, 54)],
+        "outside the kernel's range": [5e-324, 1e-300, below, floattext.RANGE[1], above, -1e300],
+        "powers of two": [2.0 ** e for e in range(-900, 900, 7)],
         "exact ties of two 16-digit candidates": [600000000000000.75, 600000000000000.25],
         "an exact tie of two 17-digit candidates": [1181393090741442.75],
+        # 10^23 and 10^24 are inexact: X = 3 5^23 / 2 and 3 5^24 / 2 lie within a rounding
+        # error of a tie, and 7 5^23 of one between two multiples of 10
+        "ties where 10^k is inexact": [3 * 2.0 ** -24, 2.0 ** -25 * 3, 7 * 2.0 ** -23],
+        # 10^23 lies halfway between 1e23 and the next double: on the interval's edge
+        "a candidate on the edge": [1e23],
     }
-    for name, values in cases.items():
-        assert floattext.shortest(np.array(values))[3].all(), name
-    assert not floattext.shortest(np.array([1.5, 0.1, 1e-4, 9999999999999998.0, 3.0]))[3].any()
+    kept = [1.5, 0.1, 1e-4, 9999999999999998.0, 3.0, 9.9e-5, 1e16, -3e20, 1e-05, 1e22, 1e-23,
+            3 * 2.0 ** -23, 5.5e-123, 1e-280, np.nextafter(1e280, 0)]
+    with mock.patch.object(floattext, "WIDE", 0):
+        for name, values in cases.items():
+            assert floattext.shortest(np.array(values))[3].all(), name
+        assert not floattext.shortest(np.array(kept))[3].any()
+    _assert_reprs([x for values in cases.values() for x in values])
+
+
+@pytest.mark.parametrize("size", [100, 4096])
+def test_a_chunk_writes_the_exponent_form_from_wide_values_on(size):
+    # WIDE values outside [1e-4, 1e16), and one in 32 of the chunk, else repr writes them
+    need = max(floattext.WIDE, size // 32)
+    for count in (need - 1, need):
+        values = np.full(size, 0.3)
+        values[:count - 1] = -1.25e-7
+        values[-1] = 3e20
+        fallback = floattext.shortest(values)[3]
+        assert list(np.flatnonzero(fallback)) == (
+            [*range(count - 1), size - 1] if count < need else [])
+        _assert_reprs(values)
+
+
+def test_the_scaling_tables_hold_10_to_the_k_and_the_k_of_each_binade():
+    powers, ks, bounds = floattext._tables()[0]
+    for j in range(-280, 298):  # column j, negative j from the end
+        hi, half_high, half_low, ulp, lo = powers[:, j].tolist()
+        exact = Fraction(10) ** j
+        assert hi == float(exact) and half_high + half_low == hi and ulp == hi * 2.0 ** -53
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * Fraction(2, 10 ** 32)
+        assert (lo == 0) == (0 <= j <= 22)
+    # X = x 10^k lies in [1e16, 1e17), or just below where x is the double nearest a power
+    # of ten and under it
+    low, high = floattext.RANGE
+    for e in range(int(np.log2(low)), int(np.log2(high)) + 1):
+        binade = e + 1023
+        ends = [2.0 ** e, np.nextafter(2.0 ** (e + 1), 0), bounds[binade],
+                np.nextafter(bounds[binade], 0)]
+        for x in [float(x) for x in ends if low <= x < high]:
+            k = int(ks[binade]) - bool(x >= bounds[binade])
+            big = Fraction(x) * Fraction(10) ** k
+            assert 10 ** 16 <= big < 10 ** 17 or (
+                float(Fraction(10) ** (16 - k)) == x and 10 ** 16 * (1 - Fraction(1, 2 ** 52)) < big)
+
+
+def test_a_column_mixes_positional_and_exponent_rows_across_chunks():
+    rng = np.random.default_rng(13)
+    values = 10 ** rng.uniform(-30, 30, 600) * rng.choice([-1, 1], 600)
+    values[::5] = rng.choice([1e-05, -2e+100, 0.5, -0.1, 1e16, 9.9e-5, 123.25], 120)
+    values[3::11] = np.round(values[3::11], 3)  # short positional rows among them
+    for chunk in (1, 7, 64, floattext.CHUNK):
+        with mock.patch.object(floattext, "CHUNK", chunk):
+            _assert_reprs(values)
+            _assert_reprs(values[np.abs(values) >= 1e16])  # exponent rows alone
+            _assert_reprs(values[np.abs(values) < 1e-4])
+
+
+def _spring_chain(n: int, seed: int) -> np.ndarray:
+    """A fixed-wall chain with disordered spring constants in [0.5, 1.5)."""
+    k = np.random.default_rng(seed).uniform(0.5, 1.5, size=n + 1)
+    return np.diag(k[:-1] + k[1:]) - np.diag(k[1:-1], 1) - np.diag(k[1:-1], -1)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", ["krawtchouk", "spring"])
+def test_decompose_tables_go_through_the_kernel_and_write_repr(kind, fmt, tmp_path):
+    # 17% of the entries lie below 1e-4, down to 2.6e-24 and 1.3e-30: the kernel writes all
+    # but zeros and powers of two, in the exponent form below 1e-4
+    if kind == "krawtchouk":
+        model, flags = InteractionModel.krawtchouk(100, ptilde=0.75), [
+            "--model", "krawtchouk", "--n", "100", "--ptilde", "0.75"]
+    else:
+        matrix = _spring_chain(100, 3)
+        path = tmp_path / "spring.txt"
+        path.write_text("100\n" + " ".join(map(repr, matrix.ravel().tolist())) + "\n")
+        model, flags = InteractionModel.general(matrix), ["--model", "file", "--path", str(path)]
+    decomp = decompose(model)
+    table = np.column_stack((decomp.lambdas, decomp.u.T))
+    assert (np.abs(table) < 1e-4).mean() > 0.05
+    fallback = floattext.shortest(table.ravel())[3]
+    left = np.abs(table.ravel()[fallback])
+    assert np.all((left == 0) | (left.view(np.int64) & (2 ** 52 - 1) == 0))
+    out = tmp_path / "out.dat"
+    assert cli.main(["decompose", *flags, "--format", fmt, "--out", str(out)]) == 0
+    assert out.read_text() == decompose_text(decomp, fmt)
 
 
 @pytest.mark.parametrize("algebra", ["gl", "osp"])

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from wignerosc import (InteractionModel, ModeFrequencies, NumericError,
                        build_krawtchouk_matrix, decompose, load_matrix,
                        mode_frequencies)
 from wignerosc.cli import main
+from wignerosc.spectral import omega_squared
 from spectral_oracles import (fix_column_signs, jacobi_decomposition, krawtchouk_eval,
                               krawtchouk_exact)
 
@@ -274,6 +276,19 @@ def test_omega_whose_square_overflows_is_rejected():
         mode_frequencies(decompose(InteractionModel.constant(3)), 1e200, 0.1)
     # the largest omega whose square still fits is accepted
     omega = math.sqrt(np.finfo(float).max) * (1 - 1e-15)
+    assert InteractionModel.constant(2, omega=omega).omega == omega
+
+
+def test_omega_whose_square_underflows_is_rejected():
+    # 1e-200 ** 2 is 0.0 and 1e-160 ** 2 the subnormal 1e-320
+    for omega in (1e-200, 1e-160, 5e-324):
+        with pytest.raises(ValueError, match="square of at least"):
+            omega_squared(omega)
+    with pytest.raises(ValueError, match="omega"):
+        mode_frequencies(decompose(InteractionModel.constant(3)), 1e-200, 0.1)
+    # the smallest omega whose square is still a normal float is accepted
+    omega = math.sqrt(sys.float_info.min) * (1 + 1e-15)
+    assert omega_squared(omega) >= sys.float_info.min
     assert InteractionModel.constant(2, omega=omega).omega == omega
 
 
