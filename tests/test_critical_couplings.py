@@ -4,10 +4,14 @@ One row must give the oracle's bytes. Several rows bisected together sum
 each row's weight in another order, so their c_n may move in the last
 digits: within 4e-12 relative, on the positive side of the weight the
 batch itself computes. Every error has the oracle's class and message,
-and a batch raises the error of its first failing row.
+and a batch raises the error of its first failing row. Tables bisect over
+Python floats below ``coupling._ARRAY_ROWS`` rows and over numpy arrays
+from there on; every pool runs on both paths, ``_ARRAY_ROWS`` patched.
 """
 
 import functools
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +46,11 @@ SEEDED = _seeded_rows()
 POOLS = {"krawtchouk": KRAWTCHOUK, "constant": CONSTANT, "seeded": SEEDED}
 
 
+# _ARRAY_ROWS that put every table on the float path, and every table of two or more rows on
+# the array path (one row sums on its own)
+PATHS = (10 ** 9, 2)
+
+
 def _outcome(solve, *args):
     """The value, or the class and message of the error, of ``solve(*args)``."""
     try:
@@ -64,28 +73,32 @@ def _batch_weights(rows, couplings, omega):
 
 
 def _check_batch(rows, expected, omega):
-    """``critical_couplings(rows)`` against the oracle outcome of each row."""
+    """``critical_couplings(rows)`` on both paths against the oracle outcome of each row."""
     failures = [out for out in expected if isinstance(out, tuple)]
-    if failures:
-        error, message = failures[0]
-        with pytest.raises(error) as info:
-            critical_couplings(rows, omega)
-        assert str(info.value) == message
-        return
-    got = critical_couplings(rows, omega)
-    assert all(type(c) is float for c in got)
-    np.testing.assert_allclose(got, expected, rtol=BATCH_RTOL, atol=0.0)
-    if len(rows) > 1:
-        assert (_batch_weights(rows, got, omega) > 0.0).all()
+    for array_rows in PATHS:
+        with mock.patch.object(coupling, "_ARRAY_ROWS", array_rows):
+            if failures:
+                error, message = failures[0]
+                with pytest.raises(error) as info:
+                    critical_couplings(rows, omega)
+                assert str(info.value) == message
+                continue
+            got = critical_couplings(rows, omega)
+        assert all(type(c) is float for c in got)
+        np.testing.assert_allclose(got, expected, rtol=BATCH_RTOL, atol=0.0)
+        if len(rows) > 1:
+            assert (_batch_weights(rows, got, omega) > 0.0).all()
 
 
 @pytest.mark.parametrize("omega", OMEGAS)
 @pytest.mark.parametrize("pool", sorted(POOLS))
 def test_one_row_is_the_scalar_bisection(pool, omega):
-    for row, expected in zip(POOLS[pool], _oracle(pool, omega)):
-        assert _outcome(critical_couplings, [row], omega) == (
-            expected if isinstance(expected, tuple) else [expected])
-        assert _outcome(critical_coupling, row, omega) == expected
+    for array_rows in PATHS:
+        with mock.patch.object(coupling, "_ARRAY_ROWS", array_rows):
+            for row, expected in zip(POOLS[pool], _oracle(pool, omega)):
+                assert _outcome(critical_couplings, [row], omega) == (
+                    expected if isinstance(expected, tuple) else [expected])
+                assert _outcome(critical_coupling, row, omega) == expected
 
 
 @pytest.mark.parametrize("omega", OMEGAS)
@@ -118,8 +131,68 @@ def test_rows_split_into_batches_keep_their_order_and_errors(monkeypatch):
     assert critical_couplings([]) == []
 
 
+def _solvable(pool: str, omega: float) -> list[np.ndarray]:
+    return [row for row, out in zip(POOLS[pool], _oracle(pool, omega))
+            if not isinstance(out, tuple)]
+
+
+# one failing row of each kind: no root (every tested c), the positive-definiteness limit, the
+# overflowing bracket, a non-finite eigenvalue and a single oscillator
+FAILING = [np.arange(2.0), np.array([2.0, 2.0, 2.0]), np.array([-1.0, 1.0, 1.0]),
+           np.array([0.0, 1e300]), np.array([0.0, np.nan, 2.0]), np.array([1.0])]
+
+
+@pytest.mark.parametrize("omega", [1.0, 3.7])
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_tables_either_side_of_the_array_threshold(pool, omega):
+    rows = _solvable(pool, omega)
+    full = critical_couplings(rows, omega)
+    for k in (coupling._ARRAY_ROWS - 1, coupling._ARRAY_ROWS, coupling._ARRAY_ROWS + 1):
+        assert critical_couplings(rows[:k], omega) == full[:k]  # float for float
+        for bad in FAILING:
+            error, message = _outcome(scalar_critical_coupling, bad, omega)
+            for at in (0, k // 2, k):
+                with pytest.raises(error) as info:
+                    critical_couplings(rows[:at] + [bad] + rows[at:k], omega)
+                assert str(info.value) == message, (k, at)
+
+
+def test_a_failing_row_doubles_its_bracket_on_its_own(monkeypatch):
+    """Once the rows after n = 2 have bracketed, each pass evaluates n = 2 alone."""
+    layouts, term_sums = [], coupling._term_sums
+
+    def spy(rows, omega2):
+        sums = term_sums(rows, omega2)
+
+        def counted(c):
+            layouts.append([row.shape[0] for row in rows])
+            return sums(c)
+        return counted
+    monkeypatch.setattr(coupling, "_term_sums", spy)
+    rows = KRAWTCHOUK[:1] + KRAWTCHOUK[3:199]  # n = 2, then n = 5..200, each with a root below 1
+    error, message = _oracle("krawtchouk", 1.0)[0]
+    with pytest.raises(error) as info:
+        critical_couplings(rows)
+    assert str(info.value) == message
+    assert layouts[0] == [2] + list(range(5, 201))
+    assert layouts[1:] == [[2]] * (coupling._MAX_BRACKET_DOUBLINGS - 1)
+
+
+def test_rows_not_probed_sit_where_no_bracket_overflows():
+    # [0, 1e300] fails when its bracket passes 2^27; the row before it, whose root lies near
+    # 5e8, brackets two passes later, with the failed row still in the array
+    rows = [np.arange(5.0) * 1e-9, np.array([0.0, 1e300])]
+    error, message = _outcome(scalar_critical_coupling, rows[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            critical_couplings(rows)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("model", ["krawtchouk", "constant"])
-@pytest.mark.parametrize("sizes, code", [("2,1", 3), ("1,2", 2), ("30,2", 3), ("5,1,2", 2)])
+@pytest.mark.parametrize("sizes, code", [("2,1", 3), ("1,2", 2), ("30,2", 3), ("5,1,2", 2),
+                                         ("2..200", 3)])
 def test_bounds_raises_for_its_first_failing_size(model, sizes, code, capsys):
     assert main(["bounds", "--model", model, "--n", sizes]) == code
     assert capsys.readouterr().out == ""
