@@ -347,9 +347,9 @@ def _cmd_sweep(args) -> int:
             c_n = critical_coupling(lambdas, omega=args.omega)
         except NumericError:
             c_n = None  # weights stay positive for every coupling
-        if c_n is not None and args.cmax > c_n:
+        if c_n is not None and args.cmax >= c_n:
             raise UnitarityError(
-                f"--cmax {args.cmax} exceeds the critical coupling {c_n:.6g}; "
+                f"--cmax {args.cmax} is not below the critical coupling {c_n:.6g}; "
                 "pass --allow-strong to sweep past it")
 
     # each pair, and each class held while the pairs are evaluated: its keys, weights and

@@ -23,6 +23,7 @@ formula at ``j`` passes ``j+1`` where needed.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections import namedtuple
 
@@ -98,11 +99,11 @@ def checked_namedtuple(typename: str, field_names: str) -> type:
 
 def int_tuple(values, message: str) -> tuple[int, ...]:
     """``values`` as plain ints (``2.0``, ``np.int64`` and ``bool`` normalise), or
-    ValueError(message) if one is not integral."""
+    ValueError(message) if one is not an integral real number (a string is not)."""
     if type(values) is tuple and _INT.issuperset(map(type, values)):
         return values
     values = tuple(values)
-    if not all(float(x).is_integer() for x in values):
+    if not all(isinstance(x, (numbers.Real, np.bool_)) and float(x).is_integer() for x in values):
         raise ValueError(message)
     return tuple(map(int, values))
 

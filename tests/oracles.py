@@ -12,8 +12,13 @@ the hook-content multiplicity of each osp(1|2n) height
 coupling (``distinct_count_at_height``), and the square-root-sum lemma
 behind the Krawtchouk coupling bound (``sqrt_sum_bound_holds``).
 
-``scalar_critical_coupling`` is the one-row bracketed bisection that
-``critical_couplings`` runs for many rows at once.
+``exact_phi_root`` is the root t = c / omega^2 of phi = 1 (``wignerosc.coupling``)
+to 40 digits in ``decimal`` arithmetic, checked by the sign of phi on either
+side, and ``phi_root_exists`` says whether there is one; ``phi_excess`` is
+phi - 1 summed the way the library sums it, so a test can check the side of
+the root a returned c_n lies on. The scalar bracketed bisection
+``scalar_critical_coupling``, one weight at a time, gives the error of each
+row that has no c_n.
 
 ``decompose_text`` and ``bounds_text`` write the CLI's ``decompose`` and
 ``bounds`` tables the way it once did, row by row: ``%r`` rows for CSV and
@@ -26,6 +31,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Any, NamedTuple
 
@@ -220,6 +226,59 @@ def sqrt_sum_bound_holds(big_c: float, n: int) -> bool:
         raise ValueError("precondition C > (n-4)^2/16 violated")
     lhs = sum(math.sqrt(big_c + j) for j in range(n + 1))
     return lhs > (n + 1) * math.sqrt(big_c + n / 2.0 - 1.0)
+
+
+def _phi(t: Decimal, lambdas: list[Decimal]) -> tuple[Decimal, Decimal]:
+    """phi and phi' at t = c / omega^2: sum_k t d_k / (R (R + r_k)) with R^2 = 1 + t lambda_max,
+    r_k^2 = 1 + t lambda_k and d_k = lambda_max - lambda_k, and sum_k d_k / (2 r_k R^3)."""
+    top = max(lambdas)
+    big_r, r = (1 + t * top).sqrt(), [(1 + t * x).sqrt() for x in lambdas]
+    phi = sum((top - x) / (big_r + rk) for x, rk in zip(lambdas, r)) * t / big_r
+    return phi, sum((top - x) / rk for x, rk in zip(lambdas, r) if x != top) / (2 * big_r ** 3)
+
+
+def exact_phi_root(lambdas, guess: float) -> Decimal:
+    """The t = c / omega^2 with phi(t) = 1 for the float eigenvalues ``lambdas``, to 40 digits,
+    by Newton's method in 60-digit ``decimal`` arithmetic from ``guess``; phi must change sign
+    within 1e-40 relative of the result (AssertionError otherwise)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam, t = [Decimal(x) for x in np.asarray(lambdas, dtype=float).tolist()], Decimal(guess)
+        for _ in range(50):
+            phi, slope = _phi(t, lam)
+            step = (1 - phi) / slope
+            t += step
+            if abs(step) <= t * Decimal("1e-45"):
+                break
+        assert _phi(t * (1 - Decimal("1e-40")), lam)[0] < 1 < _phi(t * (1 + Decimal("1e-40")), lam)[0]
+        return t
+
+
+def phi_root_exists(lambdas) -> bool:
+    """Whether phi = 1 has a root, for finite ``lambdas``: with s = min(lambda_min, 0), whether
+    sum_k (1 - sqrt((lambda_k - s) / (lambda_max - s))), phi at c = inf or where mu_min reaches
+    0, exceeds 1, in 60-digit ``decimal`` arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam = [Decimal(x) for x in np.asarray(lambdas, dtype=float).tolist()]
+        shift, top = min(min(lam), Decimal(0)), max(lam)
+        return top > shift and sum(1 - ((x - shift) / (top - shift)).sqrt() for x in lam) > 1
+
+
+def ulps_from(c: float, exact: Decimal) -> float:
+    """(c - exact) in units in the last place of the float nearest ``exact``."""
+    return float((Decimal(c) - exact) / Decimal(math.ulp(float(exact))))
+
+
+def phi_excess(lambdas, c: float, omega2: float) -> float:
+    """phi(c) - 1 as ``critical_couplings`` sums it: the terms c d_k / (mu_max + R r_k), 1 taken
+    from the first, added by ``np.add.reduceat``."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    top = lambdas.max()
+    mu = c * top + omega2
+    terms = c * (top - lambdas) / (math.sqrt(mu) * np.sqrt(c * lambdas + omega2) + mu)
+    terms[0] -= 1.0
+    return float(np.add.reduceat(terms, [0])[0])
 
 
 def _smallest_weight(c: float, lambdas: np.ndarray, omega: float) -> float:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wignerosc import (InteractionModel, build_krawtchouk_matrix, cli, critical_coupling,
-                       decompose, gl_spectrum, levels, mode_frequencies, osp_spectrum)
+                       decompose, eigenvalues, gl_spectrum, levels, mode_frequencies,
+                       osp_spectrum)
 from wignerosc.cli import main
 
 
@@ -172,11 +173,18 @@ def test_sweep_gl_respects_critical_coupling(tmp_path, capsys):
                  "--p", "2", "--cmin", "0", "--cmax", "2.0", "--steps", "3",
                  "--out", str(out)])
     assert code == 4
-    assert capsys.readouterr().err == ("error: --cmax 2.0 exceeds the critical coupling 1.27357; "
-                                       "pass --allow-strong to sweep past it\n")
+    assert capsys.readouterr().err == ("error: --cmax 2.0 is not below the critical coupling "
+                                       "1.27357; pass --allow-strong to sweep past it\n")
     assert main(["sweep", "--algebra", "gl", "--model", "krawtchouk", "--n", "4",
                  "--p", "2", "--cmin", "0", "--cmax", "2.0", "--steps", "3",
                  "--allow-strong", "--out", str(out)]) == 0
+
+
+def test_sweep_gl_refuses_a_cmax_at_the_critical_coupling(capsys):
+    c4 = critical_coupling(eigenvalues(InteractionModel.krawtchouk(4)))
+    assert main(["sweep", "--algebra", "gl", "--model", "krawtchouk", "--n", "4", "--p", "2",
+                 "--cmin", "0", "--cmax", repr(c4), "--steps", "3"]) == 4
+    assert "is not below the critical coupling 1.27357" in capsys.readouterr().err
 
 
 SPECTRA_AND_BOUNDS = [

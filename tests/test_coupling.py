@@ -1,16 +1,17 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerosc import (InteractionModel, ModeFrequencies, NoCriticalCouplingError,
+from wignerosc import (InteractionModel, ModeFrequencies, NoCriticalCouplingError, coupling,
                        critical_coupling, decompose, gl_weights, mode_frequencies,
                        weak_coupling_bound)
 from wignerosc.cli import main
 from wignerosc.coupling import coupling_rows
-from oracles import sqrt_sum_bound_holds
+from oracles import phi_excess, sqrt_sum_bound_holds
 
 # printed reference values for the Krawtchouk eigenvalue law (5 decimals)
 TABLE = {
@@ -89,6 +90,12 @@ def test_bound_closed_form_values():
         weak_coupling_bound(1)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e300, 2.5, "3"])
+def test_weak_coupling_bound_refuses_a_bad_n(bad):
+    with pytest.raises(ValueError, match="integer n from 2 to 2"):
+        weak_coupling_bound(bad)
+
+
 def test_critical_coupling_reference_values():
     for n in (4, 10, 50):
         c = critical_coupling(np.arange(float(n)))
@@ -99,8 +106,9 @@ def test_critical_coupling_positive_side_and_small_residual():
     for n in (4, 7, 20):
         lambdas = np.arange(float(n))
         c_n = critical_coupling(lambdas)
+        assert phi_excess(lambdas, c_n, 1.0) < 0.0  # the side the solver promises
         w = gl_weights(_kraw_freqs(n, c_n))
-        assert w[-1] >= 0
+        assert w[-1] >= 0  # holds at these n; gl_weights sums another way (ROADMAP item 12)
         assert abs(w[-1]) <= 1e-10
 
 
@@ -116,10 +124,13 @@ def test_critical_coupling_no_root_cases():
 @pytest.mark.parametrize("lambdas, root", [([-0.6, 0.0, 1.0], 1.25),
                                            ([-2.0, -1.0, 0.0], 2 * math.sqrt(3) - 3)])
 def test_critical_coupling_with_a_negative_eigenvalue(lambdas, root):
-    # the root lies below omega^2 / -lambda_min, where positive definiteness ends
+    # the root lies below omega^2 / -lambda_min, where positive definiteness ends; on its
+    # positive side phi - 1 < 0, while gl_weights, summing sqrt(mu_k) directly, puts
+    # beta_min at 0.0 here
     c = critical_coupling(np.array(lambdas))
     assert c == pytest.approx(root, rel=1e-12)
-    assert (gl_weights(ModeFrequencies(mu=1.0 + c * np.array(lambdas))) > 0).all()
+    assert phi_excess(lambdas, c, 1.0) < 0.0
+    assert abs(gl_weights(ModeFrequencies(mu=1.0 + c * np.array(lambdas)))[-1]) <= 1e-10
 
 
 def test_critical_coupling_stops_before_its_bracket_overflows():
@@ -131,6 +142,22 @@ def test_critical_coupling_stops_before_its_bracket_overflows():
         critical_coupling([0.0, 1e300])
     assert critical_coupling(np.arange(4.0), omega=1e130) / 1e260 == pytest.approx(
         TABLE[4][1], abs=5e-6)
+
+
+def test_a_root_past_the_doubling_range_is_returned():
+    # phi = 1 where t lambda_max = 3 for [0, 0, eps]: c = 3e300, past every omega^2 2^k,
+    # k < 200, which a doubling search would report as no root
+    assert critical_coupling([0.0, 0.0, 1e-300]) == pytest.approx(3e300, rel=1e-14)
+
+
+def test_bound_column_is_exact_past_int64(monkeypatch):
+    # (n - 1)(n^2 - 3n + 4) passes 2^63 from n of about 2.1e6. The solve gets n = 4's row in
+    # place of 3e6 eigenvalues; only the bound column is checked
+    monkeypatch.setattr(coupling, "eigenvalues", lambda model, n: np.arange(4.0))
+    n = 3_000_000
+    (row,) = coupling_rows(InteractionModel.krawtchouk(4), [n])
+    assert row.c_bound == weak_coupling_bound(n) == pytest.approx(
+        float(Fraction(2 * (2 * n - 3), (n - 1) * (n * n - 3 * n + 4))), rel=1e-15)
 
 
 def test_critical_coupling_stops_where_positive_definiteness_ends():

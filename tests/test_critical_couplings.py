@@ -1,17 +1,21 @@
-"""``critical_couplings`` against the scalar bisection it batches.
+"""``critical_couplings`` against the exact root of phi and the scalar bisection.
 
-One row must give the oracle's bytes. Several rows bisected together sum
-each row's weight in another order, so their c_n may move in the last
-digits: within 4e-12 relative, on the positive side of the weight the
-batch itself computes. Every error has the oracle's class and message,
-and a batch raises the error of its first failing row. Tables bisect over
-Python floats below ``coupling._ARRAY_ROWS`` rows and over numpy arrays
-from there on; every pool runs on both paths, ``_ARRAY_ROWS`` patched.
+Each c_n is compared with the 40-digit ``decimal`` root of phi(c) = 1
+(``oracles.exact_phi_root``): within 4 ulps for the Krawtchouk
+and constant chains, and within 4 ulps over c_n phi'(c_n), the root's
+condition, where that is below 1. It lies on the positive side, where the
+library's own sum of phi - 1 (``oracles.phi_excess``) is negative, and it
+is the same float alone, in any table and in any batch. The class and
+message of each error come from the scalar bracketed bisection
+``oracles.scalar_critical_coupling``, and ``oracles.phi_root_exists``
+confirms that the rows of the error corpus that raise have no root; a
+table raises the error of its first failing row.
 """
 
 import functools
+import math
 import warnings
-from unittest import mock
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -19,24 +23,33 @@ import pytest
 from wignerosc import (InteractionModel, NoCriticalCouplingError, coupling, critical_coupling,
                        critical_couplings, decompose)
 from wignerosc.cli import main
-from wignerosc.spectral import eigenvalues
-from oracles import scalar_critical_coupling
+from wignerosc.spectral import eigenvalues, omega_squared
+from oracles import (exact_phi_root, phi_excess, phi_root_exists, scalar_critical_coupling,
+                     ulps_from)
 
 OMEGAS = (0.5, 1.0, 3.7, 1e130)
-BATCH_RTOL = 4e-12
+CHAIN_ULPS = 4.0  # Krawtchouk and constant chains; other rows, over min(1, c_n phi'(c_n))
 
 KRAWTCHOUK = [np.arange(n, dtype=float) for n in range(2, 301)]
-CONSTANT = [eigenvalues(InteractionModel.constant(n)) for n in range(2, 201)]
+CONSTANT = [eigenvalues(InteractionModel.constant(n)) for n in range(2, 301)]
 
 
 def _seeded_rows(seed: int = 11, count: int = 120) -> list[np.ndarray]:
-    """Random eigenvalue arrays, a third with a negative lambda_min, and rows that fail."""
+    """Spring chains, dense PSD matrices and uniform rows, a third of these with a negative
+    lambda_min, and rows that fail."""
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(count):
         n = int(rng.integers(2, 41))
-        low = -1.0 if i % 3 == 0 else 0.0
-        rows.append(rng.uniform(low, 3.0, size=n))
+        if i % 4 == 0:  # a chain of springs k_0..k_n between two walls
+            k = rng.uniform(0.5, 2.0, n + 1)
+            rows.append(np.linalg.eigvalsh(
+                np.diag(k[:-1] + k[1:]) - np.diag(k[1:-1], 1) - np.diag(k[1:-1], -1)))
+        elif i % 4 == 1:
+            b = rng.standard_normal((n, n))
+            rows.append(np.linalg.eigvalsh(b @ b.T / n))
+        else:
+            rows.append(rng.uniform(-1.0 if i % 3 == 0 else 0.0, 3.0, size=n))
     rows += [np.array([2.0, 2.0, 2.0]), np.array([-1.0, 1.0, 1.0]), np.array([0.0, 1e300]),
              np.array([-0.6, 0.0, 1.0]), np.array([0.0, np.nan, 2.0]), np.array([1.0])]
     return rows
@@ -44,11 +57,6 @@ def _seeded_rows(seed: int = 11, count: int = 120) -> list[np.ndarray]:
 
 SEEDED = _seeded_rows()
 POOLS = {"krawtchouk": KRAWTCHOUK, "constant": CONSTANT, "seeded": SEEDED}
-
-
-# _ARRAY_ROWS that put every table on the float path, and every table of two or more rows on
-# the array path (one row sums on its own)
-PATHS = (10 ** 9, 2)
 
 
 def _outcome(solve, *args):
@@ -60,80 +68,96 @@ def _outcome(solve, *args):
 
 
 @functools.lru_cache(maxsize=None)
-def _oracle(pool: str, omega: float) -> tuple:
-    return tuple(_outcome(scalar_critical_coupling, row, omega) for row in POOLS[pool])
+def _expected(pool: str, omega: float) -> tuple:
+    """Per row: the scalar bisection's error, or None where it finds a c_n."""
+    outcomes = (_outcome(scalar_critical_coupling, row, omega) for row in POOLS[pool])
+    return tuple(out if isinstance(out, tuple) else None for out in outcomes)
 
 
-def _batch_weights(rows, couplings, omega):
-    """Each row's smallest weight, evaluated the way a batch of these rows evaluates it."""
-    sizes = np.array([row.shape[0] for row in rows])
-    starts = np.cumsum(sizes) - sizes
-    sq = np.sqrt(omega ** 2 + np.repeat(couplings, sizes) * np.concatenate(rows))
-    return np.add.reduceat(sq, starts) / (sizes - 1) - np.maximum.reduceat(sq, starts)
+@functools.lru_cache(maxsize=None)
+def _alone(pool: str, omega: float) -> tuple:
+    """Per row: ``critical_couplings([row])``'s c_n, or its error."""
+    return tuple(_outcome(lambda row: critical_couplings([row], omega)[0], row)
+                 for row in POOLS[pool])
 
 
-def _check_batch(rows, expected, omega):
-    """``critical_couplings(rows)`` on both paths against the oracle outcome of each row."""
-    failures = [out for out in expected if isinstance(out, tuple)]
-    for array_rows in PATHS:
-        with mock.patch.object(coupling, "_ARRAY_ROWS", array_rows):
-            if failures:
-                error, message = failures[0]
-                with pytest.raises(error) as info:
-                    critical_couplings(rows, omega)
-                assert str(info.value) == message
-                continue
-            got = critical_couplings(rows, omega)
-        assert all(type(c) is float for c in got)
-        np.testing.assert_allclose(got, expected, rtol=BATCH_RTOL, atol=0.0)
-        if len(rows) > 1:
-            assert (_batch_weights(rows, got, omega) > 0.0).all()
+_EXACT: dict[bytes, Decimal] = {}  # the exact root of phi in t = c / omega^2, per row
+
+
+def _exact(row, c_n: float, omega2: float) -> Decimal:
+    """The exact c_n of ``row`` at omega2, from the guess c_n on the row's first call."""
+    key = row.tobytes()
+    if key not in _EXACT:
+        _EXACT[key] = exact_phi_root(row, c_n / omega2)
+    return _EXACT[key] * Decimal(omega2)
+
+
+def _check_c_n(row, c_n: float, omega: float, chain: bool) -> None:
+    """c_n on the positive side, and within the stated ulp bound of the exact root."""
+    omega2 = omega_squared(omega)
+    assert type(c_n) is float and phi_excess(row, c_n, omega2) < 0.0
+    top = row.max()
+    big_r, r = math.sqrt(omega2 + c_n * top), np.sqrt(omega2 + c_n * row)
+    condition = c_n / big_r * (omega2 / big_r ** 2) * float(np.sum((top - row) / r)) / 2.0
+    bound = CHAIN_ULPS if chain else CHAIN_ULPS / min(1.0, condition)
+    ulps = ulps_from(c_n, _exact(row, c_n, omega2))
+    assert abs(ulps) <= bound, (len(row), ulps, condition)
+
+
+def _check_table(pool: str, omega: float, picks) -> None:
+    """``critical_couplings`` of the rows ``picks`` of ``pool``: each row's bytes alone, or
+    the error of the first failing row."""
+    rows, alone = [POOLS[pool][i] for i in picks], [_alone(pool, omega)[i] for i in picks]
+    failures = [out for out in alone if isinstance(out, tuple)]
+    if failures:
+        error, message = failures[0]
+        with pytest.raises(error) as info:
+            critical_couplings(rows, omega)
+        assert str(info.value) == message
+    else:
+        assert critical_couplings(rows, omega) == alone
 
 
 @pytest.mark.parametrize("omega", OMEGAS)
 @pytest.mark.parametrize("pool", sorted(POOLS))
 def test_one_row_is_the_scalar_bisection(pool, omega):
-    for array_rows in PATHS:
-        with mock.patch.object(coupling, "_ARRAY_ROWS", array_rows):
-            for row, expected in zip(POOLS[pool], _oracle(pool, omega)):
-                assert _outcome(critical_couplings, [row], omega) == (
-                    expected if isinstance(expected, tuple) else [expected])
-                assert _outcome(critical_coupling, row, omega) == expected
+    """A row alone raises the scalar bisection's error, or gives a c_n near the exact root."""
+    for row, expected, got in zip(POOLS[pool], _expected(pool, omega), _alone(pool, omega)):
+        if expected is not None:
+            assert got == expected
+            continue
+        assert not isinstance(got, tuple), (row, got)
+        assert critical_coupling(row, omega) == got
+        _check_c_n(row, got, omega, chain=pool != "seeded")
 
 
 @pytest.mark.parametrize("omega", OMEGAS)
 @pytest.mark.parametrize("pool", ["krawtchouk", "constant"])
 def test_a_table_in_one_bisection(pool, omega):
     # n = 2, and n = 3 of the constant chain, have no root: the table starts at n = 4
-    _check_batch(POOLS[pool][2:], _oracle(pool, omega)[2:], omega)
+    _check_table(pool, omega, range(2, len(POOLS[pool])))
     # with them first, the whole table raises the error of n = 2
-    _check_batch(POOLS[pool], _oracle(pool, omega), omega)
+    _check_table(pool, omega, range(len(POOLS[pool])))
 
 
 @pytest.mark.parametrize("omega", OMEGAS)
 def test_seeded_batches(omega):
     rng = np.random.default_rng(5)
-    expected = _oracle("seeded", omega)
-    solvable = [i for i, out in enumerate(expected) if not isinstance(out, tuple)]
-    _check_batch([SEEDED[i] for i in solvable], [expected[i] for i in solvable], omega)
+    _check_table("seeded", omega, [i for i, out in enumerate(_alone("seeded", omega))
+                                   if not isinstance(out, tuple)])
     for _ in range(40):  # failing rows among the rest, the first failure in any position
-        picks = rng.choice(len(SEEDED), size=int(rng.integers(2, 9)), replace=False)
-        _check_batch([SEEDED[i] for i in picks], [expected[i] for i in picks], omega)
+        _check_table("seeded", omega, rng.choice(len(SEEDED), size=int(rng.integers(2, 9)),
+                                                 replace=False))
 
 
 def test_rows_split_into_batches_keep_their_order_and_errors(monkeypatch):
     monkeypatch.setattr(coupling, "_BATCH_ENTRIES", 60)
-    expected = _oracle("krawtchouk", 1.0)
-    _check_batch(KRAWTCHOUK[1:40], expected[1:40], 1.0)
+    for pool in ("krawtchouk", "constant"):  # batches of 1 to 7 rows, then one row each
+        assert critical_couplings(POOLS[pool][2:], 3.7) == list(_alone(pool, 3.7)[2:])
     rows = KRAWTCHOUK[20:30] + [np.arange(2.0)] + KRAWTCHOUK[2:5] + [np.array([1.0])]
     with pytest.raises(NoCriticalCouplingError):  # n = 2 fails before n = 1
         critical_couplings(rows)
     assert critical_couplings([]) == []
-
-
-def _solvable(pool: str, omega: float) -> list[np.ndarray]:
-    return [row for row, out in zip(POOLS[pool], _oracle(pool, omega))
-            if not isinstance(out, tuple)]
 
 
 # one failing row of each kind: no root (every tested c), the positive-definiteness limit, the
@@ -144,43 +168,45 @@ FAILING = [np.arange(2.0), np.array([2.0, 2.0, 2.0]), np.array([-1.0, 1.0, 1.0])
 
 @pytest.mark.parametrize("omega", [1.0, 3.7])
 @pytest.mark.parametrize("pool", sorted(POOLS))
-def test_tables_either_side_of_the_array_threshold(pool, omega):
-    rows = _solvable(pool, omega)
-    full = critical_couplings(rows, omega)
-    for k in (coupling._ARRAY_ROWS - 1, coupling._ARRAY_ROWS, coupling._ARRAY_ROWS + 1):
-        assert critical_couplings(rows[:k], omega) == full[:k]  # float for float
+def test_tables_either_side_of_the_array_threshold(pool, omega, monkeypatch):
+    """Tables of k - 1, k and k + 1 rows about the array threshold ``_BATCH_ENTRIES``, the
+    eigenvalues solved in one array, patched to hold the first k rows."""
+    alone = _alone(pool, omega)
+    rows = [row for row, out in zip(POOLS[pool], alone) if not isinstance(out, tuple)]
+    c_n = [out for out in alone if not isinstance(out, tuple)]
+    k = 34
+    monkeypatch.setattr(coupling, "_BATCH_ENTRIES", sum(row.size for row in rows[:k]))
+    for size in (k - 1, k, k + 1):
+        assert critical_couplings(rows[:size], omega) == c_n[:size]  # float for float
         for bad in FAILING:
             error, message = _outcome(scalar_critical_coupling, bad, omega)
-            for at in (0, k // 2, k):
+            for at in (0, size // 2, size):
                 with pytest.raises(error) as info:
-                    critical_couplings(rows[:at] + [bad] + rows[at:k], omega)
-                assert str(info.value) == message, (k, at)
+                    critical_couplings(rows[:at] + [bad] + rows[at:size], omega)
+                assert str(info.value) == message, (size, at)
 
 
 def test_a_failing_row_doubles_its_bracket_on_its_own(monkeypatch):
-    """Once the rows after n = 2 have bracketed, each pass evaluates n = 2 alone."""
-    layouts, term_sums = [], coupling._term_sums
+    """n = 2 has no root, so its bracket doubles alone; the rows after it are never solved."""
+    layouts, newton = [], coupling._newton
 
-    def spy(rows, omega2):
-        sums = term_sums(rows, omega2)
-
-        def counted(c):
-            layouts.append([row.shape[0] for row in rows])
-            return sums(c)
-        return counted
-    monkeypatch.setattr(coupling, "_term_sums", spy)
+    def spy(lam, d, owner, starts, sizes, *args):
+        layouts.append(sizes.tolist())
+        return newton(lam, d, owner, starts, sizes, *args)
+    monkeypatch.setattr(coupling, "_newton", spy)
     rows = KRAWTCHOUK[:1] + KRAWTCHOUK[3:199]  # n = 2, then n = 5..200, each with a root below 1
-    error, message = _oracle("krawtchouk", 1.0)[0]
+    error, message = _expected("krawtchouk", 1.0)[0]
     with pytest.raises(error) as info:
         critical_couplings(rows)
     assert str(info.value) == message
-    assert layouts[0] == [2] + list(range(5, 201))
-    assert layouts[1:] == [[2]] * (coupling._MAX_BRACKET_DOUBLINGS - 1)
+    assert layouts == [[]]
+    critical_couplings(rows[1:])
+    assert layouts[1] == list(range(5, 201))
 
 
 def test_rows_not_probed_sit_where_no_bracket_overflows():
     # [0, 1e300] fails when its bracket passes 2^27; the row before it, whose root lies near
-    # 5e8, brackets two passes later, with the failed row still in the array
+    # 5e8, is solved without a warning
     rows = [np.arange(5.0) * 1e-9, np.array([0.0, 1e300])]
     error, message = _outcome(scalar_critical_coupling, rows[1])
     with warnings.catch_warnings():
@@ -188,6 +214,41 @@ def test_rows_not_probed_sit_where_no_bracket_overflows():
         with pytest.raises(error) as info:
             critical_couplings(rows)
     assert str(info.value) == message
+
+
+def _error_corpus(seed: int = 7) -> list[np.ndarray]:
+    """Rows for the errors: named edge cases, then seeded rows of 2-11 eigenvalues from
+    [low, 3] with low in {0, -0.3, -1, -3}."""
+    rows = [np.arange(2.0), np.array([2.0, 2.0, 2.0]), np.zeros(3), np.full(4, -1.0),
+            np.array([0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0]),
+            np.array([-1.0, 1.0, 1.0]), np.array([-0.6, 0.0, 1.0]), np.array([-2.0, -1.0, 0.0]),
+            np.array([0.0, 1e300]), np.array([0.0, 1.0, 1e300]), np.array([-1e300, 0.0, 1.0]),
+            np.array([-1e300, 1e300, 1.0]), np.array([1e300, 1e300, 0.0, 5.0]),
+            np.array([0.0, np.nan, 2.0]), np.array([np.inf, 1.0, 0.0]),
+            np.array([-np.inf, 1.0, 2.0]), np.array([1.0]), np.array([])]
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        low = float(rng.choice([0.0, -0.3, -1.0, -3.0]))
+        rows.append(rng.uniform(low, 3.0, size=int(rng.integers(2, 12))))
+    return rows
+
+
+@pytest.mark.parametrize("omega", OMEGAS + (0.0, -1.0, math.nan, math.inf, 1e200, 1e-170))
+def test_the_error_corpus_raises_the_scalar_bisections_errors(omega):
+    """Krawtchouk n = 2, equal eigenvalues, negative lambda_min with and without a root before
+    the positive-definiteness limit, +-1e300, nan and inf entries, n < 2, and invalid omega.
+    A row with a root gets it, also where the bisection's range of couplings omega^2 2^k
+    misses it: [0, 1, 1e300] and [1e300, 1e300, 0, 5] at omega = 1e130, whose root 3e-40 the
+    bisection reports as an overflowing bracket, and roots below 2^-200 omega^2, such as
+    3e-300, that it reads as 0."""
+    for row in _error_corpus():
+        got = _outcome(critical_coupling, row, omega)
+        if isinstance(got, tuple):
+            assert got == _outcome(scalar_critical_coupling, row, omega), row
+            assert got[0] is not NoCriticalCouplingError or not phi_root_exists(row), row
+        else:  # exact_phi_root checks that phi changes sign there
+            _check_c_n(row, got, omega, chain=False)
+    assert critical_couplings([], omega) == []
 
 
 @pytest.mark.parametrize("model", ["krawtchouk", "constant"])
@@ -202,7 +263,15 @@ def test_constant_bounds_need_no_eigenvectors(capsys):
     assert main(["bounds", "--model", "constant", "--n", "4..40", "--format", "csv"]) == 0
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     assert [int(row.split(",")[0]) for row in rows] == list(range(4, 41))
-    expected = [scalar_critical_coupling(decompose(InteractionModel.constant(n)).lambdas)
+    expected = [critical_coupling(decompose(InteractionModel.constant(n)).lambdas)
                 for n in range(4, 41)]
     got = [float(row.split(",")[2]) for row in rows]
-    np.testing.assert_allclose(got, expected, rtol=BATCH_RTOL, atol=0.0)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_a_size_prints_the_same_row_in_every_table(capsys):
+    """n = 1481 alone, and after n = 4..1447 in the batch of over 2^20 eigenvalues before it."""
+    assert main(["bounds", "--n", "1481", "--format", "csv"]) == 0
+    alone = capsys.readouterr().out.splitlines()[1]
+    assert main(["bounds", "--n", "4..1447,1481", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == alone

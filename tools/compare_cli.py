@@ -17,10 +17,9 @@ asymmetric and non-finite matrices), csv and json, with and without
 tolerance that did not scale with omega would split or fuse levels), --c and
 --cmax 1e15 (where gl energies lose digits) and 1e308, fractional, negative
 and non-finite --p, oversize bases, --n lists with n < 2 before or after a
-size without a critical coupling, bounds tables up to n = 200, on either
-side of the row count from which critical couplings bisect as numpy arrays
-(4..36 and 4..37) and failing above it (2..200, 200,2, and 3..200, whose
-n = 3 has no root in the constant chain), and --allow-strong.
+size without a critical coupling, bounds tables up to n = 200, and failing
+ones (2..200, 200,2, and 3..200, whose n = 3 has no root in the constant
+chain), and --allow-strong.
 Matrix files live in one directory that both trees read; each worker
 writes ``--out`` files in its own directory under the same relative name.
 """
@@ -114,9 +113,8 @@ def corpus(seed: int, runs: int, files: list[str]) -> list[list[str]]:
             out.append([command] + _model(rng, files, sizes) + _output(rng, ("csv", "json")))
             continue
         if command == "bounds":
-            # 4..36 and 4..37 hold 33 and 34 rows, either side of coupling._ARRAY_ROWS
             sizes = ["4..10", "2..6", "1", "3,5,7", "5..4", "2..30", "1..3", "4..200", "2,1",
-                     "30,2", "3..60", "4..36", "4..37", "2..200", "200,2", "3..200"]
+                     "30,2", "3..60", "2..200", "200,2", "3..200"]
             out.append([command] + _model(rng, files, sizes) + _output(rng, (None, "csv", "json")))
             continue
         algebra = rng.choice(("gl", "osp"))
