@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .coupling import coupling_rows, critical_coupling
+from .coupling import coupling_rows
 from .errors import NumericError, ResourceLimitError, UnirrepError, UnitarityError
 from .gl_spectrum import gl_classes, gl_levels
 from .levels import LevelClasses, MergedLevels, check_bytes, levels
@@ -342,22 +342,14 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--steps must be at least 2")
     model = _model_from_flags(args, c=args.cmin)
     lambdas, classes = eigenvalues(model), _classes(args, model.n)
-    if args.algebra == "gl" and not args.allow_strong:
-        try:
-            c_n = critical_coupling(lambdas, omega=args.omega)
-        except NumericError:
-            c_n = None  # weights stay positive for every coupling
-        if c_n is not None and args.cmax >= c_n:
-            raise UnitarityError(
-                f"--cmax {args.cmax} is not below the critical coupling {c_n:.6g}; "
-                "pass --allow-strong to sweep past it")
-
     # each pair, and each class held while the pairs are evaluated: its keys, weights and
     # multiplicity; the traced peak once the classes are built, text included, was at most
     # 0.92 of this count (n 1-20, 2-20 steps, both formats, --out, counts of 4-300 MB)
     check_bytes((12 * (model.n + 15) * args.steps + 8 * (2 * model.n + 2)) * len(classes.keys),
                 f"the {args.steps} x {len(classes.keys)} (coupling, class) pairs of the sweep")
-    couplings = [args.cmin + (args.cmax - args.cmin) * i / (args.steps - 1)
+    # cmin + (cmax - cmin) i / (steps - 1), float for float, scaled by 2^k so it cannot overflow
+    scale = 2.0 ** (args.steps - 1).bit_length()
+    couplings = [args.cmin + (args.cmax / scale - args.cmin / scale) * i / (args.steps - 1) * scale
                  for i in range(args.steps)]
     merged = _levels(args, classes, mode_frequencies(lambdas, args.omega, couplings))
     # each coupling and each class key is written once, and a line takes its coupling's

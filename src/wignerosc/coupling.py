@@ -30,10 +30,11 @@ starts at the root of the model phi_s(inf) (1 - (1 + x / m)^-m), x = a t /
 phi_s(inf), which has phi_s's slope a, curvature and value at infinity (2-3
 passes fewer than the Newton step from 0, t = 2 / sum_k d_k); from below it
 climbs without overshooting where phi is concave (lambda_min >= 0).
-phi - 1 is summed with 1 taken from the first term, so it is not rounded
-to the spacing of floats near 1. The rows step in lockstep, laid end to
-end; a row leaves the arrays once it has converged, and reads only its
-own entries.
+phi - 1 is summed with the first term less 1 written exactly as -r_0 / R,
+so it is not rounded to the spacing of floats near 1. ``gl_weights`` sums
+the same phi - 1, so its gate passes exactly up to c_n. The rows step in
+lockstep, laid end to end; a row leaves the arrays once it has converged,
+and reads only its own entries.
 """
 
 from __future__ import annotations
@@ -71,16 +72,35 @@ class CriticalCoupling(NamedTuple):
         return None if self.c_bound is None else self.c_bound / self.c_critical
 
 
+def _phi_excess(gap, r, big_r, mu, owner, starts) -> np.ndarray:
+    """phi - 1 of rows laid end to end: the terms gap_k / (mu_max + R r_k), the first less 1 as
+    -r_0 / R, added by ``np.add.reduceat`` (``big_r``, ``mu`` per row, as in ``_newton``)."""
+    terms = big_r[owner]
+    terms *= r
+    terms += mu[owner]
+    np.divide(gap, terms, out=terms)
+    if np.count_nonzero(huge := mu >= 2.0 ** 1023):  # mu_max + R r_k may pass the largest float
+        at = huge[owner]
+        terms[at] = gap[at] / big_r[owner[at]] / (big_r[owner[at]] + r[at])
+    terms[starts] = -r[starts] / big_r
+    return np.add.reduceat(terms, starts)
+
+
 def gl_weights(freqs: ModeFrequencies) -> np.ndarray:
     """Read-only weights beta_j = -sqrt(mu_j) + sum_k sqrt(mu_k)/(n-1), shaped like ``freqs.mu``.
 
-    All beta_j > 0 marks weak coupling; sign(beta_j) is the signature of the
-    star condition. Undefined for one oscillator (the formula divides by n - 1).
+    All beta_j > 0 marks weak coupling; sign(beta_j) is the signature of the star
+    condition. Undefined for one oscillator (the formula divides by n - 1). Summed as
+    (1 - phi) R / (n - 1) + gap_j / (R + r_j), so all are positive exactly up to c_n.
     """
     if freqs.n < 2:
         raise ValueError("gl(1|n) weights need at least two oscillators")
-    sq = freqs.sqrt_mu
-    beta = sq.sum(axis=-1, keepdims=True) / (freqs.n - 1) - sq
+    sq, mu = np.atleast_2d(freqs.sqrt_mu), np.atleast_2d(freqs.mu).max(axis=-1)
+    big_r, rows, n = sq.max(axis=-1), np.arange(len(sq)), freqs.n
+    with np.errstate(over="ignore"):  # _phi_excess redoes the terms that overflow
+        excess = _phi_excess(freqs.gap.ravel(), sq.ravel(), big_r, mu, rows.repeat(n), rows * n)
+    beta = freqs.gap / (big_r[:, None] + sq) - (excess * big_r / (n - 1))[:, None]
+    beta = beta.reshape(freqs.mu.shape)
     beta.setflags(write=False)
     return beta
 
@@ -129,8 +149,6 @@ def _newton(lam, d, owner, starts, sizes, top, hi, c, omega2: float) -> np.ndarr
     leaving (lo, hi), the couplings known below and at or above the root, is replaced by the
     midpoint; from above it goes at least one ulp down."""
     rows, c_n, lo = np.arange(len(sizes)), np.full(len(sizes), math.inf), np.zeros(len(sizes))
-    first = np.zeros(lam.size)  # 1 at each row's first term
-    first[starts] = 1.0
     c, hi, scale = np.where(c < hi, c, 0.5 * hi), hi.copy(), 2.0 / omega2
     for _ in range(_MAX_STEPS):
         mu = c * top + omega2
@@ -138,12 +156,7 @@ def _newton(lam, d, owner, starts, sizes, top, hi, c, omega2: float) -> np.ndarr
         r = c_k * lam  # in place from here: for large tables, new arrays cost more than sums
         r += omega2
         np.sqrt(r, out=r)
-        terms = big_r[owner]
-        terms *= r
-        terms += mu[owner]
-        np.divide(np.multiply(c_k, d, out=c_k), terms, out=terms)
-        terms -= first
-        excess = np.add.reduceat(terms, starts)  # phi - 1
+        excess = _phi_excess(np.multiply(c_k, d, out=c_k), r, big_r, mu, owner, starts)
         np.copyto(lo, c, where=excess < 0.0)
         step = c - excess * mu * scale * big_r / np.add.reduceat(np.divide(d, r, out=r), starts)
         down = step <= c  # above the root, or a step that no longer raises c
@@ -164,7 +177,7 @@ def _newton(lam, d, owner, starts, sizes, top, hi, c, omega2: float) -> np.ndarr
                 break
             live = ~done  # rows that have converged leave the arrays
             keep = live[owner]
-            lam, d, first, rows, sizes = lam[keep], d[keep], first[keep], rows[live], sizes[live]
+            lam, d, rows, sizes = lam[keep], d[keep], rows[live], sizes[live]
             top, lo, hi, c = top[live], lo[live], hi[live], c[live]
             owner, starts = np.repeat(np.arange(rows.size), sizes), np.cumsum(sizes) - sizes
     return c_n
@@ -239,17 +252,14 @@ def critical_coupling(lambdas, omega: float = 1.0) -> float:
     """The critical coupling c_n, where the smallest weight beta_min vanishes: the root of
     phi(c) = 1 (module docstring) by Newton's method.
 
-    c_n lies on the positive side, where phi(c_n) - 1, summed with 1 taken
-    from the first term, is negative, and within 4 ulps of the exact root
-    of the given eigenvalues, divided by c_n phi'(c_n) where that is below
-    1 (as tested on the Krawtchouk and constant chains, n = 4..300, and on
-    seeded spring, dense and uniform rows). ``gl_weights``, which sums
-    sqrt(mu_k) directly, can still put beta_min at or just below 0 up to a
-    few hundred ulps below c_n. Raises NoCriticalCouplingError when no root
-    lies below omega^2 / -lambda_min, where mu_min reaches zero (e.g. all
-    lambda_j equal, or the Krawtchouk chain with n = 2, whose smallest
-    weight is identically omega), or when the root is past the largest
-    float; the message says where the search c = omega^2 2^k, k < 200, stops.
+    c_n lies on the positive side, where phi - 1 as ``gl_weights`` sums it is negative,
+    so every weight is positive at c_n, and within 4 ulps of the exact root of the given
+    eigenvalues, divided by c_n phi'(c_n) where that is below 1 (as tested on the Krawtchouk
+    and constant chains, n = 4..300, and on seeded spring, dense and uniform rows). Raises
+    NoCriticalCouplingError when no root lies below omega^2 / -lambda_min, where mu_min
+    reaches zero (e.g. all lambda_j equal, or the Krawtchouk chain with n = 2, whose smallest
+    weight is identically omega), or when the root is past the largest float; the message
+    says where the search c = omega^2 2^k, k < 200, stops.
     """
     return critical_couplings([lambdas], omega)[0]
 
@@ -257,7 +267,9 @@ def critical_coupling(lambdas, omega: float = 1.0) -> float:
 def coupling_rows(model: InteractionModel, sizes: list[int]) -> list[CriticalCoupling]:
     """Critical couplings (and Krawtchouk's closed-form bound) over omega^2 of ``model``'s chain
     at each of ``sizes``, in one solve. Each size replaces the model's n, so the model is
-    checked once; the first failing size raises, one below 2 once those before it are done."""
+    checked once; the first failing size raises, one below 2 once those before it are done,
+    and one that is not an integer (ValueError) at once."""
+    sizes = [int_tuple((n,), f"bounds need integer sizes; got n = {n!r}")[0] for n in sizes]
     short = next((i for i, n in enumerate(sizes) if n < 2), len(sizes))
     couplings = critical_couplings([eigenvalues(model, n) for n in sizes[:short]], model.omega)
     if short < len(sizes):

@@ -197,8 +197,11 @@ def fock_spectrum(n: int, freqs: ModeFrequencies, hbar: float = 1.0,
     """Levels hbar sum_j sqrt(mu_j) (1/2 + k_j) over occupations with sum k_j <= k_total_max.
 
     The lines of ``osp_spectrum(n, 1, freqs, k_total_max)`` times hbar, each
-    labelled by the weight of its head class: its occupation tuple.
+    labelled by the weight of its head class: its occupation tuple. hbar must be finite
+    and positive (ValueError).
     """
+    if not 0 < hbar < np.inf:
+        raise ValueError(f"hbar must be finite and positive; got hbar = {hbar!r}")
     classes = osp_classes(n, 1, k_total_max)
     merged = levels(classes, freqs)
     occ = classes.weights[merged.head].tolist()

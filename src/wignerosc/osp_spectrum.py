@@ -47,7 +47,10 @@ _TUPLE, _INT = frozenset((tuple,)), frozenset((int,))
 
 
 def is_unirrep(n: int, p: float) -> bool:
-    """Whether V(p) of osp(1|2n) is unitary irreducible: p in {1..n-1} or p > n-1."""
+    """Whether V(p) of osp(1|2n) is unitary irreducible: p in {1..n-1} or p > n-1
+    (ValueError for a p that is not finite)."""
+    if not math.isfinite(p):
+        raise ValueError(f"the V(p) label must be finite; got p = {p}")
     if n < 1:
         raise ValueError("need at least one oscillator")
     if p > n - 1:
@@ -172,8 +175,6 @@ def osp_classes(n: int, p: float, k_max: int) -> LevelClasses:
     raises ValueError, and a lattice over BYTE_BUDGET raises before it is built.
     """
     n, k_max = int_tuple((n, k_max), f"need integers n and k_max, not n = {n}, k_max = {k_max}")
-    if not math.isfinite(p):
-        raise ValueError(f"the V(p) label must be finite; got p = {p}")
     if not is_unirrep(n, p):
         raise UnirrepError(
             f"V(p) of osp(1|{2 * n}) needs p in {{1..{n - 1}}} or p > {n - 1}; got p = {p}")

@@ -201,17 +201,17 @@ class SpectralDecomposition(checked_namedtuple(
         return float(np.abs(m - (self.u * self.lambdas) @ self.u.T).max())
 
 
-class ModeFrequencies(namedtuple("ModeFrequencies", "mu sqrt_mu")):
-    """Squared normal-mode frequencies mu_j = omega^2 + c*lambda_j and their roots.
+class ModeFrequencies(namedtuple("ModeFrequencies", "mu sqrt_mu gap")):
+    """Squared normal-mode frequencies mu_j = omega^2 + c*lambda_j, their roots, and mu_max - mu_j.
 
     ``mu`` holds the n values at one coupling, or one row of them per
     coupling of a grid, shape (couplings, n). ``sqrt_mu`` is derived from
-    ``mu``, so it is no constructor argument.
+    ``mu``, so it is no constructor argument; ``gap`` defaults to ``mu.max(-1) - mu``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, mu: np.ndarray):
+    def __new__(cls, mu: np.ndarray, gap: np.ndarray | None = None):
         mu = np.asarray(mu, dtype=float)
         rows = np.atleast_2d(mu)
         # the first failing row decides (row 0 if none fails); non-finite before not positive
@@ -222,17 +222,21 @@ class ModeFrequencies(namedtuple("ModeFrequencies", "mu sqrt_mu")):
             bad = int(np.argmax(row <= 0))
             raise PositiveDefinitenessError(
                 f"interaction matrix not positive definite: mu[{bad}] = {float(row[bad])}")
-        return super().__new__(cls, _freeze(mu), _freeze(np.sqrt(mu)))
+        gap = mu.max(axis=-1, keepdims=True) - mu if gap is None else gap
+        return super().__new__(cls, _freeze(mu), _freeze(np.sqrt(mu)),
+                               _freeze(gap).reshape(mu.shape))
 
     def __getnewargs__(self) -> tuple:  # copy and pickle rebuild sqrt_mu from mu
-        return (self.mu,)
+        return self.mu, self.gap
 
     @classmethod
     def _make(cls, iterable) -> "ModeFrequencies":  # sqrt_mu from mu again
-        return cls(next(iter(iterable)))
+        mu, _, gap = iterable
+        return cls(mu, gap)
 
     def _replace(self, **changes) -> "ModeFrequencies":  # naming sqrt_mu is a TypeError
-        return type(self)(**{"mu": self.mu, **changes})
+        kept = {"mu": self.mu} if "mu" in changes else {"mu": self.mu, "gap": self.gap}
+        return type(self)(**{**kept, **changes})  # a new mu without a gap gets its own
 
     @property
     def n(self) -> int:
@@ -335,13 +339,17 @@ def mode_frequencies(lambdas, omega: float, c) -> ModeFrequencies:
 
     ``lambdas`` is an eigenvalue array (``eigenvalues``) or a SpectralDecomposition;
     ``c`` is one coupling, or a 1-D array of couplings giving one row of mu
-    each. Raises PositiveDefinitenessError (naming the offending index within
+    each, and gap = c (lambda_max - lambda_j), c (lambda_min - lambda_j) for
+    c < 0. Raises PositiveDefinitenessError (naming the offending index within
     its row) if any mu_j fails to be strictly positive, and ValueError if one
     is not finite; a grid raises its first failing row's.
     """
+    lam = np.asarray(getattr(lambdas, "lambdas", lambdas), dtype=float)
+    c = np.asarray(c)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):  # ModeFrequencies rejects non-finite mu
-        mu = omega_squared(omega) + np.multiply.outer(c, getattr(lambdas, "lambdas", lambdas))
-    return ModeFrequencies(mu=mu)
+        mu = omega_squared(omega) + c * lam
+        gap = c * (np.where(c < 0, lam.min(), lam.max()) - lam)  # mu_max - mu_j, unrounded
+    return ModeFrequencies(mu=mu, gap=gap)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -271,13 +271,14 @@ def ulps_from(c: float, exact: Decimal) -> float:
 
 
 def phi_excess(lambdas, c: float, omega2: float) -> float:
-    """phi(c) - 1 as ``critical_couplings`` sums it: the terms c d_k / (mu_max + R r_k), 1 taken
-    from the first, added by ``np.add.reduceat``."""
+    """phi(c) - 1 as ``critical_couplings`` sums it: the terms c d_k / (mu_max + R r_k), the
+    first less 1 written as -r_0 / R, added by ``np.add.reduceat``."""
     lambdas = np.asarray(lambdas, dtype=float)
     top = lambdas.max()
     mu = c * top + omega2
-    terms = c * (top - lambdas) / (math.sqrt(mu) * np.sqrt(c * lambdas + omega2) + mu)
-    terms[0] -= 1.0
+    r = np.sqrt(c * lambdas + omega2)
+    terms = c * (top - lambdas) / (math.sqrt(mu) * r + mu)
+    terms[0] = -r[0] / math.sqrt(mu)
     return float(np.add.reduceat(terms, [0])[0])
 
 

@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+from decimal import Decimal, localcontext
 import time
 import tracemalloc
 
@@ -173,18 +176,22 @@ def test_sweep_gl_respects_critical_coupling(tmp_path, capsys):
                  "--p", "2", "--cmin", "0", "--cmax", "2.0", "--steps", "3",
                  "--out", str(out)])
     assert code == 4
-    assert capsys.readouterr().err == ("error: --cmax 2.0 is not below the critical coupling "
-                                       "1.27357; pass --allow-strong to sweep past it\n")
+    assert capsys.readouterr().err == ("error: weights change sign at this coupling; "
+                                       "pass --allow-strong to proceed\n")
     assert main(["sweep", "--algebra", "gl", "--model", "krawtchouk", "--n", "4",
                  "--p", "2", "--cmin", "0", "--cmax", "2.0", "--steps", "3",
                  "--allow-strong", "--out", str(out)]) == 0
 
 
-def test_sweep_gl_refuses_a_cmax_at_the_critical_coupling(capsys):
+def test_sweep_gl_takes_a_cmax_up_to_the_critical_coupling(capsys):
+    # the gate sums phi - 1 as critical_coupling does: c_4 passes, one ulp more does not
     c4 = critical_coupling(eigenvalues(InteractionModel.krawtchouk(4)))
-    assert main(["sweep", "--algebra", "gl", "--model", "krawtchouk", "--n", "4", "--p", "2",
-                 "--cmin", "0", "--cmax", repr(c4), "--steps", "3"]) == 4
-    assert "is not below the critical coupling 1.27357" in capsys.readouterr().err
+    argv = ["sweep", "--algebra", "gl", "--model", "krawtchouk", "--n", "4", "--p", "2",
+            "--cmin", "0", "--steps", "3", "--cmax"]
+    assert main(argv + [repr(c4)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(repr(c4) + ",")
+    assert main(argv + [repr(math.nextafter(c4, math.inf))]) == 4
+    assert "weights change sign at this coupling" in capsys.readouterr().err
 
 
 SPECTRA_AND_BOUNDS = [
@@ -252,6 +259,22 @@ def test_sweep_degenerate_grid(tmp_path):
     assert sum(int(r.split(",")[2]) for r in rows[:half]) == 4
 
 
+def test_sweep_grid_is_the_plain_formula_and_does_not_overflow(capsys):
+    # cmin + (cmax - cmin) i / (steps - 1), float for float, which overflows at 1e308
+    rng = np.random.default_rng(4)
+    base = "sweep --algebra osp --model krawtchouk --n 2 --p 1 --kmax 1".split()
+    for _ in range(20):
+        cmax, steps = float(rng.uniform(0.01, 3.0)), int(rng.integers(2, 61))
+        cmin = cmax * float(rng.choice([0.0, rng.uniform(0.0, 0.9)]))
+        assert main(base + ["--cmin", repr(cmin), "--cmax", repr(cmax),
+                            "--steps", str(steps)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        grid = [float(c) for c, _ in itertools.groupby(row.split(",")[0] for row in rows)]
+        assert grid == [cmin + (cmax - cmin) * i / (steps - 1) for i in range(steps)]
+    assert main(base + ["--cmin", "0", "--cmax", "1e308", "--steps", "11"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("1e+308,")
+
+
 def test_sweep_usage_errors(capsys):
     base = ["sweep", "--algebra", "osp", "--model", "krawtchouk", "--n", "3", "--p", "1"]
     assert main(base + ["--cmin", "-1", "--cmax", "1", "--steps", "3"]) == 2
@@ -298,7 +321,7 @@ def test_indefinite_file_matrix_has_its_critical_coupling(tmp_path, capsys):
     assert capsys.readouterr().out.split("\n")[1].split() == ["3", "1.25000"]
     assert main(["sweep", "--algebra", "gl", "--model", "file", "--path", str(path),
                  "--p", "1", "--cmin", "0", "--cmax", "1.4", "--steps", "3"]) == 4
-    assert "critical coupling" in capsys.readouterr().err
+    assert "weights change sign at this coupling" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -329,7 +352,7 @@ def test_gl_sweep_without_a_critical_coupling(capsys):
     ("spectrum --algebra gl --n 1 --p 0 --format json",
      "gl(1|n) weights need at least two oscillators"),
     ("sweep --algebra gl --n 1 --p 2 --cmin 0 --cmax 1 --steps 3",
-     "need at least two oscillators"),
+     "gl(1|n) weights need at least two oscillators"),
     ("sweep --algebra gl --n 1 --p 2 --cmin 0 --cmax 1 --steps 3 --allow-strong",
      "gl(1|n) weights need at least two oscillators"),
 ])
@@ -372,7 +395,9 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.startswith("lambda,")
 
 
-@pytest.mark.parametrize("grid", [["spectrum", "--c", "1e15"],
+# at c = 1e16 the weights of V(2) of gl(1|3), of size sqrt(mu_max) = 1.4e8, keep 8 digits of the
+# energy 1.0; at 1e15 the two forms happen to agree (test_gl_spectrum_at_1e15_is_accurate)
+@pytest.mark.parametrize("grid", [["spectrum", "--c", "1e16"],
                                   ["sweep", "--cmin", "0", "--cmax", "1e15", "--steps", "3"]])
 def test_gl_energy_forms_that_disagree_exit_3_without_a_traceback(grid):
     import subprocess
@@ -383,6 +408,21 @@ def test_gl_energy_forms_that_disagree_exit_3_without_a_traceback(grid):
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("error: eigenvalue forms disagree at coupling index ")
     assert "Traceback" not in proc.stderr
+
+
+def test_gl_spectrum_at_1e15_is_accurate(capsys):
+    # weights that do not cancel agree with the energy form here; each energy lies within
+    # 2e-15 (min sqrt(mu_j) + |E|) of a 60-digit sum_j sqrt(mu_j) (1 - r_j)
+    argv = "spectrum --algebra gl --model krawtchouk --n 3 --p 2 --c 1e15 --allow-strong"
+    assert main(argv.split()) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 9
+    with localcontext() as ctx:
+        ctx.prec = 60
+        roots = [(1 + Decimal(10) ** 15 * j).sqrt() for j in range(3)]
+        for energy, _, _, *r in rows:
+            exact = sum(root * (1 - int(rj)) for root, rj in zip(roots, r))
+            assert abs(Decimal(energy) - exact) <= Decimal("2e-15") * (1 + abs(exact)), r
 
 
 ROUND_TRIP = {

@@ -108,8 +108,18 @@ def test_critical_coupling_positive_side_and_small_residual():
         c_n = critical_coupling(lambdas)
         assert phi_excess(lambdas, c_n, 1.0) < 0.0  # the side the solver promises
         w = gl_weights(_kraw_freqs(n, c_n))
-        assert w[-1] >= 0  # holds at these n; gl_weights sums another way (ROADMAP item 12)
-        assert abs(w[-1]) <= 1e-10
+        assert 0 < w[-1] <= 1e-10  # gl_weights sums the same phi - 1
+
+
+def test_gl_weights_where_mu_max_plus_r_r_k_overflows():
+    # mu_max + sqrt(mu_max mu_1) passes the largest float; the smallest weight is still negative
+    freqs = mode_frequencies(np.array([0.0, 0.64, 1.0]), 1.0, 1.7e308)
+    direct = freqs.sqrt_mu.sum() / 2 - freqs.sqrt_mu
+    assert np.abs(gl_weights(freqs) - direct).max() <= 1e-12 * np.abs(direct).max()
+    assert gl_weights(freqs)[-1] < 0
+    # n = 2: beta_j is the other mode's sqrt(mu), 1 here, which the direct sum rounds to 0
+    freqs = mode_frequencies(np.array([0.0, 1.0]), 1.0, 1e308)
+    np.testing.assert_allclose(gl_weights(freqs), freqs.sqrt_mu[::-1], rtol=1e-15)
 
 
 def test_critical_coupling_no_root_cases():
@@ -125,12 +135,11 @@ def test_critical_coupling_no_root_cases():
                                            ([-2.0, -1.0, 0.0], 2 * math.sqrt(3) - 3)])
 def test_critical_coupling_with_a_negative_eigenvalue(lambdas, root):
     # the root lies below omega^2 / -lambda_min, where positive definiteness ends; on its
-    # positive side phi - 1 < 0, while gl_weights, summing sqrt(mu_k) directly, puts
-    # beta_min at 0.0 here
+    # positive side phi - 1 < 0, and so beta_min > 0
     c = critical_coupling(np.array(lambdas))
     assert c == pytest.approx(root, rel=1e-12)
     assert phi_excess(lambdas, c, 1.0) < 0.0
-    assert abs(gl_weights(ModeFrequencies(mu=1.0 + c * np.array(lambdas)))[-1]) <= 1e-10
+    assert 0 < gl_weights(mode_frequencies(np.array(lambdas), 1.0, c))[-1] <= 1e-10
 
 
 def test_critical_coupling_stops_before_its_bracket_overflows():
@@ -158,6 +167,13 @@ def test_bound_column_is_exact_past_int64(monkeypatch):
     (row,) = coupling_rows(InteractionModel.krawtchouk(4), [n])
     assert row.c_bound == weak_coupling_bound(n) == pytest.approx(
         float(Fraction(2 * (2 * n - 3), (n - 1) * (n * n - 3 * n + 4))), rel=1e-15)
+
+
+def test_coupling_rows_refuse_a_size_that_is_not_an_integer():
+    model = InteractionModel.krawtchouk(5)
+    with pytest.raises(ValueError, match=r"integer sizes; got n = 4\.5"):
+        coupling_rows(model, [4, 4.5])
+    assert coupling_rows(model, [4.0, np.int64(5)]) == coupling_rows(model, [4, 5])
 
 
 def test_critical_coupling_stops_where_positive_definiteness_ends():

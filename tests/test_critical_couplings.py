@@ -20,8 +20,9 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from wignerosc import (InteractionModel, NoCriticalCouplingError, coupling, critical_coupling,
-                       critical_couplings, decompose)
+from wignerosc import (InteractionModel, ModeFrequencies, NoCriticalCouplingError, coupling,
+                       critical_coupling, critical_couplings, decompose, gl_weights,
+                       mode_frequencies)
 from wignerosc.cli import main
 from wignerosc.spectral import eigenvalues, omega_squared
 from oracles import (exact_phi_root, phi_excess, phi_root_exists, scalar_critical_coupling,
@@ -148,6 +149,31 @@ def test_seeded_batches(omega):
     for _ in range(40):  # failing rows among the rest, the first failure in any position
         _check_table("seeded", omega, rng.choice(len(SEEDED), size=int(rng.integers(2, 9)),
                                                  replace=False))
+
+
+@pytest.mark.parametrize("omega", [1.0, 3.7])
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_the_gl_gate_passes_exactly_up_to_c_n(pool, omega):
+    """gl_weights sums phi - 1 as the solver does: all > 0 at c_n, one <= 0 one ulp above."""
+    for row, c_n in zip(POOLS[pool], _alone(pool, omega)):
+        if isinstance(c_n, tuple):
+            continue
+        assert (gl_weights(mode_frequencies(row, omega, c_n)) > 0).all(), (row.size, c_n)
+        above = gl_weights(mode_frequencies(row, omega, math.nextafter(c_n, math.inf)))
+        assert not (above > 0).all(), (row.size, c_n)
+
+
+def test_gl_weights_of_a_negative_coupling_and_of_mu_alone_are_the_direct_sum():
+    """beta_j = sum_k sqrt(mu_k) / (n - 1) - sqrt(mu_j), within 1e-12 of max |beta|."""
+    rng = np.random.default_rng(2)
+    for row in KRAWTCHOUK[1:40] + CONSTANT[1:40] + SEEDED[:40]:
+        grid = rng.uniform(-0.9, 0.0, 5) / max(1.0, -row.min(), row.max())
+        for freqs in (mode_frequencies(row, 1.0, grid),
+                      ModeFrequencies(mode_frequencies(row, 1.0, -grid).mu)):
+            sq = freqs.sqrt_mu
+            direct = sq.sum(axis=-1, keepdims=True) / (row.size - 1) - sq
+            beta = gl_weights(freqs)
+            assert np.abs(beta - direct).max() <= 1e-12 * np.abs(direct).max(), row
 
 
 def test_rows_split_into_batches_keep_their_order_and_errors(monkeypatch):

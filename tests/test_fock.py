@@ -128,6 +128,12 @@ def test_fock_spectrum_hbar_prefactor():
         assert b.energy == pytest.approx(2 * a.energy, rel=1e-12)
 
 
+@pytest.mark.parametrize("hbar", [math.nan, math.inf, 0.0, -1.0])
+def test_fock_spectrum_refuses_an_hbar_that_is_not_finite_and_positive(hbar):
+    with pytest.raises(ValueError, match="hbar must be finite and positive"):
+        fock_spectrum(2, _kraw_freqs(2, 0.3), hbar=hbar, k_total_max=1)
+
+
 def test_fock_matches_osp_p1():
     for n in (1, 2, 3, 4):
         freqs = _kraw_freqs(n, 0.37)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from wignerosc import (GZPattern, ModeFrequencies, ResourceLimitError, UnirrepError,
                        is_unirrep, levels, osp_spectrum)
 from wignerosc.cli import main
+from wignerosc.osp_spectrum import osp_classes
 from oracles import (Partition, conjugate, distinct_count_at_height, enumerate_gz,
                      generalized_binomial, gz_first_broken_rule, hook_patterns,
                      multiplicity_at_height, osp_eigenvalue, partitions_of, row_sum_signature)
@@ -392,6 +393,14 @@ def test_unirrep_condition():
     assert not is_unirrep(4, 0)
     assert is_unirrep(1, 0.5)
     assert is_unirrep(2, 1)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_a_label_that_is_not_finite_is_refused(p):
+    with pytest.raises(ValueError, match=r"the V\(p\) label must be finite"):
+        is_unirrep(3, p)
+    with pytest.raises(ValueError, match=r"the V\(p\) label must be finite"):
+        osp_classes(3, p, 2)
 
 
 def test_non_integer_p_top_rows():

@@ -25,7 +25,7 @@ LAYOUT = {
                        dict(mass=1.0, ptilde=None, matrix=None)),
     SpectralDecomposition: ("lambdas u source orthonormality reconstruction",
                             dict(orthonormality=None, reconstruction=None)),
-    ModeFrequencies: ("mu sqrt_mu", {}),
+    ModeFrequencies: ("mu sqrt_mu gap", {}),
     GZPattern: ("rows n p", {}),
     FockBasisState: ("occupations cutoff", {}),
     CriticalCoupling: ("n c_critical c_bound", dict(c_bound=None)),
@@ -110,6 +110,7 @@ def test_repr_immutability_copy_and_pickle(cls):
     (GZPattern, dict(p=math.inf), ValueError),
     (FockBasisState, dict(cutoff=2), ValueError),
     (FockBasisState, dict(occupations=(1, -1, 0)), ValueError),
+    (ModeFrequencies, dict(gap=np.ones(2)), ValueError),  # not mu's shape
 ])
 def test_replace_and_make_validate_again(cls, changes, error):
     record = RECORDS[cls]
@@ -126,19 +127,22 @@ def test_replace_normalises_like_the_constructor():
     u = np.array(decomp.u)
     assert u.flags.writeable and not decomp._replace(u=u).u.flags.writeable
     freqs = ModeFrequencies(mu=np.ones(2))._replace(mu=np.array([4.0, 9.0]))
-    assert freqs.sqrt_mu.tolist() == [2, 3]
+    assert freqs.sqrt_mu.tolist() == [2, 3] and freqs.gap.tolist() == [5, 0]
+    assert freqs._replace(gap=[6.0, 0.0]).gap.tolist() == [6, 0]
     state = RECORDS[FockBasisState]._replace(occupations=[np.int64(2), 1.0, True])
     assert state.occupations == (2, 1, 1)
 
 
 def test_records_freeze_copies_not_the_callers_arrays():
-    lambdas, u, mu, matrix = np.arange(1.0, 4.0), np.eye(3), np.ones(3), 2 * np.eye(3)
-    arrays = [*SpectralDecomposition(lambdas, u, "numeric")[:2], *ModeFrequencies(mu),
+    lambdas, u, mu, gap, matrix = (np.arange(1.0, 4.0), np.eye(3), np.ones(3), np.zeros(3),
+                                   2 * np.eye(3))
+    arrays = [*SpectralDecomposition(lambdas, u, "numeric")[:2], *ModeFrequencies(mu, gap),
               InteractionModel.general(matrix).matrix]
-    assert all(a.flags.writeable for a in (lambdas, u, mu, matrix))
+    assert all(a.flags.writeable for a in (lambdas, u, mu, gap, matrix))
     assert not any(a.flags.writeable for a in arrays)
-    lambdas[0] = u[0, 0] = mu[0] = matrix[0, 0] = 7.0  # the records keep their own values
-    assert arrays[0][0] == arrays[1][0, 0] == arrays[2][0] == 1.0 and arrays[4][0, 0] == 2.0
+    lambdas[0] = u[0, 0] = mu[0] = gap[0] = matrix[0, 0] = 7.0  # the records keep their own
+    assert arrays[0][0] == arrays[1][0, 0] == arrays[2][0] == 1.0
+    assert arrays[4][0] == 0.0 and arrays[5][0, 0] == 2.0
 
 
 def test_records_are_tuples_by_value():
