@@ -109,27 +109,26 @@ def int_tuple(values, message: str) -> tuple[int, ...]:
 
 
 class InteractionModel(checked_namedtuple("InteractionModel",
-                                          "n omega c kind mass ptilde matrix")):
+                                          "n omega c kind ptilde matrix")):
     """Physical parameters of a coupled-oscillator system, A = omega^2 I + c M.
 
     ``kind`` selects the coupling matrix M: "constant" (tridiagonal
     2/-1 chain with fixed walls), "krawtchouk" (tridiagonal matrix whose
     eigenvectors are normalized Krawtchouk polynomials, parameter
     ``ptilde`` in (0,1)), or "general" (explicit symmetric ``matrix``).
+    Units are hbar = m = 1, so the oscillators' mass is not a parameter.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n: int, omega: float, c: float, kind: str, mass: float = 1.0,
-                ptilde: float | None = None, matrix: np.ndarray | None = None):
+    def __new__(cls, n: int, omega: float, c: float, kind: str, ptilde: float | None = None,
+                matrix: np.ndarray | None = None):
         if n < 1:
             raise ValueError("need at least one oscillator")
         (n,) = int_tuple((n,), "the oscillator count must be an integer")
         omega_squared(omega)
         if not 0 <= c < math.inf:
             raise ValueError("coupling strength c must be non-negative and finite")
-        if not 0 < mass < math.inf:
-            raise ValueError("mass must be positive and finite")
         if kind == "krawtchouk":
             if ptilde is None or not 0.0 < ptilde < 1.0:
                 raise ValueError("krawtchouk coupling needs ptilde in (0,1)")
@@ -142,7 +141,7 @@ class InteractionModel(checked_namedtuple("InteractionModel",
             matrix = _freeze(m)
         elif kind != "constant":
             raise ValueError(f"unknown coupling kind {kind!r}")
-        return super().__new__(cls, n, omega, c, kind, mass, ptilde, matrix)
+        return super().__new__(cls, n, omega, c, kind, ptilde, matrix)
 
     @classmethod
     def constant(cls, n: int, omega: float = 1.0, c: float = 0.0, **kw) -> "InteractionModel":

@@ -10,7 +10,8 @@ residual. Dense matrices cost O(dim^2) memory and O(dim^3) time, so use
 this only at small sizes (a few hundred states).
 
 ``densify`` turns a structured ``TruncatedOperatorSet`` back into dense
-``a_plus``, ``a_minus`` and ``h`` matrices, and ``dense_q``/``dense_w``
+``a_plus``, ``a_minus`` and ``h`` matrices, reading a_j^- as the stride
+shift of the one stored coefficient array, and ``dense_q``/``dense_w``
 rebuild the chain observables from ``ReconstructedObservables`` so
 that tests can state identities as matrix equations.
 """
@@ -27,7 +28,6 @@ class DenseOperators(NamedTuple):
     a_minus: tuple[np.ndarray, ...]
     h: np.ndarray
     interior: np.ndarray
-    hbar: float
     sqrt_mu: np.ndarray
 
     @property
@@ -56,8 +56,8 @@ def _single_mode_lowering(cutoff: int) -> np.ndarray:
     return a
 
 
-def dense_operators(n: int, freqs, cutoff: int, hbar: float = 1.0) -> DenseOperators:
-    """Ladder matrices and h = sum_j hbar sqrt(mu_j) (a_j^+ a_j^- + 1/2), all dense."""
+def dense_operators(n: int, freqs, cutoff: int) -> DenseOperators:
+    """Ladder matrices and h = sum_j sqrt(mu_j) (a_j^+ a_j^- + 1/2), all dense (hbar = m = 1)."""
     lower = _single_mode_lowering(cutoff)
     a_minus = [np.kron(np.kron(np.eye(cutoff ** j), lower), np.eye(cutoff ** (n - j - 1)))
                for j in range(n)]
@@ -66,11 +66,10 @@ def dense_operators(n: int, freqs, cutoff: int, hbar: float = 1.0) -> DenseOpera
     h = np.zeros((dim, dim))
     eye = np.eye(dim)
     for j in range(n):
-        h += hbar * freqs.sqrt_mu[j] * (a_plus[j] @ a_minus[j] + 0.5 * eye)
+        h += freqs.sqrt_mu[j] * (a_plus[j] @ a_minus[j] + 0.5 * eye)
     occupations = np.array(np.unravel_index(np.arange(dim), (cutoff,) * n)).T
     interior = np.all(occupations <= cutoff - 2, axis=1)
-    return DenseOperators(tuple(a_plus), tuple(a_minus), h, interior, hbar,
-                          np.array(freqs.sqrt_mu))
+    return DenseOperators(tuple(a_plus), tuple(a_minus), h, interior, np.array(freqs.sqrt_mu))
 
 
 def _interior_max(matrix: np.ndarray, mask: np.ndarray) -> float:
@@ -82,7 +81,7 @@ def dense_compatibility(ops: DenseOperators) -> tuple[list[float], list[float]]:
     """Interior max-norms of [h, a_j^+] - shift a_j^+ and [h, a_j^-] + shift a_j^-."""
     plus, minus = [], []
     for j in range(ops.n):
-        shift = ops.hbar * ops.sqrt_mu[j]
+        shift = ops.sqrt_mu[j]
         rp = ops.h @ ops.a_plus[j] - ops.a_plus[j] @ ops.h - shift * ops.a_plus[j]
         rm = ops.h @ ops.a_minus[j] - ops.a_minus[j] @ ops.h + shift * ops.a_minus[j]
         plus.append(_interior_max(rp, ops.interior))
@@ -93,10 +92,9 @@ def dense_compatibility(ops: DenseOperators) -> tuple[list[float], list[float]]:
 def dense_observables(decomp, ops: DenseOperators, model) -> DenseObservables:
     """q = U Q, w = U W as dense matrices, and their identity residuals on interior states."""
     n = model.n
-    hbar, mass = ops.hbar, model.mass
-    q_modes = [np.sqrt(hbar / (2.0 * mass * ops.sqrt_mu[j])) * (ops.a_plus[j] + ops.a_minus[j])
+    q_modes = [np.sqrt(1.0 / (2.0 * ops.sqrt_mu[j])) * (ops.a_plus[j] + ops.a_minus[j])
                for j in range(n)]
-    w_modes = [np.sqrt(hbar * mass * ops.sqrt_mu[j] / 2.0) * (ops.a_plus[j] - ops.a_minus[j])
+    w_modes = [np.sqrt(ops.sqrt_mu[j] / 2.0) * (ops.a_plus[j] - ops.a_minus[j])
                for j in range(n)]
     u = decomp.u
     q = tuple(sum(u[r, j] * q_modes[j] for j in range(n)) for r in range(n))
@@ -108,15 +106,15 @@ def dense_observables(decomp, ops: DenseOperators, model) -> DenseObservables:
     pos_res, mom_res = [], []
     pairing = 0.0
     for r in range(n):
-        pos = h @ q[r] - q[r] @ h - (hbar / mass) * w[r]
+        pos = h @ q[r] - q[r] @ h - w[r]
         pos_res.append(_interior_max(pos, mask))
-        forced = hbar * mass * sum(a_matrix[r, s] * q[s] for s in range(n))
+        forced = sum(a_matrix[r, s] * q[s] for s in range(n))
         mom = h @ w[r] - w[r] @ h - forced
         mom_res.append(_interior_max(mom, mask))
         for s in range(n):
             pair = q[r] @ w[s] - w[s] @ q[r]
             if r == s:
-                pair = pair - hbar * np.eye(ops.dim)
+                pair = pair - np.eye(ops.dim)
             pairing = max(pairing, _interior_max(pair, mask))
     return DenseObservables(
         q=q, w=w, position_cc_residuals=tuple(pos_res), momentum_cc_residuals=tuple(mom_res),
@@ -135,10 +133,12 @@ def _shift_matrix(coefficients: np.ndarray, offset: int) -> np.ndarray:
 
 
 def densify(ops) -> DenseOperators:
-    """The dense matrices of a structured TruncatedOperatorSet."""
+    """The dense matrices of a structured TruncatedOperatorSet; a_j^- has a_plus[j, i] in
+    column i + s."""
     a_plus = tuple(_shift_matrix(ops.a_plus[j], s) for j, s in enumerate(ops.strides))
-    a_minus = tuple(_shift_matrix(ops.a_minus[j], -s) for j, s in enumerate(ops.strides))
-    return DenseOperators(a_plus, a_minus, np.diag(ops.h), ops.interior, ops.hbar, ops.sqrt_mu)
+    a_minus = tuple(_shift_matrix(np.concatenate((np.zeros(s), ops.a_plus[j, :-s])), -s)
+                    for j, s in enumerate(ops.strides))
+    return DenseOperators(a_plus, a_minus, np.diag(ops.h), ops.interior, ops.sqrt_mu)
 
 
 def dense_q(obs, dense: DenseOperators, r: int) -> np.ndarray:

@@ -156,7 +156,7 @@ def test_criterion_7_canonical_equivalence():
     with criterion(7, "boson Fock space matches osp V(1)"):
         for n in (1, 2, 3, 4):
             freqs = _kraw_freqs(n, 0.37)
-            fock = fock_spectrum(n, freqs, hbar=1.0, k_total_max=3)
+            fock = fock_spectrum(n, freqs, k_total_max=3)
             osp = osp_spectrum(n, 1, freqs, k_max=3)
             assert [(a.energy, a.multiplicity) for a in fock] == \
                 [(b.energy, b.multiplicity) for b in osp]

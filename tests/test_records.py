@@ -1,6 +1,6 @@
 """The package's ten records are immutable named tuples that keep their field layout.
 
-Each record keeps the field names, order and defaults it has always had,
+Each record keeps the field names, order and defaults pinned in ``LAYOUT``,
 builds from keywords, reprs as ``Name(field=...)``, refuses assignment and
 survives copy and pickle. The five records that validate their fields do
 so again on ``_replace`` and ``_make``.
@@ -21,8 +21,7 @@ from wignerosc import (CompatibilityReport, CriticalCoupling, FockBasisState, GZ
 
 # field names in order, and the defaults of the trailing ones
 LAYOUT = {
-    InteractionModel: ("n omega c kind mass ptilde matrix",
-                       dict(mass=1.0, ptilde=None, matrix=None)),
+    InteractionModel: ("n omega c kind ptilde matrix", dict(ptilde=None, matrix=None)),
     SpectralDecomposition: ("lambdas u source orthonormality reconstruction",
                             dict(orthonormality=None, reconstruction=None)),
     ModeFrequencies: ("mu sqrt_mu gap", {}),
@@ -30,10 +29,10 @@ LAYOUT = {
     FockBasisState: ("occupations cutoff", {}),
     CriticalCoupling: ("n c_critical c_bound", dict(c_bound=None)),
     SpectrumLine: ("energy multiplicity label", {}),
-    TruncatedOperatorSet: ("n cutoff hbar sqrt_mu a_plus a_minus h interior occupations", {}),
-    CompatibilityReport: ("cutoff interior_dim raising_residuals lowering_residuals", {}),
+    TruncatedOperatorSet: ("n cutoff sqrt_mu a_plus h interior", {}),
+    CompatibilityReport: ("cutoff interior_dim raising_residuals", {}),
     ReconstructedObservables: ("q w position_cc_residuals momentum_cc_residuals "
-                               "pairing_residual max_q_asymmetry max_w_symmetry", {}),
+                               "pairing_residual", {}),
 }
 
 
