@@ -200,13 +200,17 @@ def gz_to_fock(pattern: GZPattern) -> FockBasisState:
 
     Only patterns of the p = 1 shape (one value per row, all other
     entries zero) correspond to Fock states; anything else is rejected.
+    Interleaving bounds entry i of every row by top-row entry i, so a pattern
+    is single-column exactly when its top row's second entry is 0 (or absent).
+    The state is built unchecked: the heads ascend, so the occupations are
+    non-negative ints, below cutoff = max + 1.
     """
-    heads = tuple(map(operator.itemgetter(0), pattern.rows))  # m_n, ..., m_1
-    # entries are non-negative, so the rows sum to their heads only when the rest are 0
-    if sum(map(sum, pattern.rows)) != sum(heads):
+    rows = pattern.rows
+    if any(rows[0][1:2]):
         raise ValueError("pattern is not single-column (p = 1 shape)")
-    occ = tuple(map(operator.sub, heads[::-1], (0,) + heads[:0:-1]))
-    return FockBasisState(occupations=occ, cutoff=max(occ) + 1)
+    heads = [row[0] for row in reversed(rows)]  # m_1, ..., m_n
+    occ = tuple(map(operator.sub, heads, [0, *heads]))
+    return tuple.__new__(FockBasisState, (occ, max(occ) + 1))
 
 
 class ReconstructedObservables(NamedTuple):

@@ -161,5 +161,4 @@ def spectrum_lines(merged: MergedLevels, labels: list) -> list[SpectrumLine]:
     """The lines of a one-coupling table as SpectrumLine records, ``labels`` one per line."""
     if merged.coupling.any():
         raise ValueError("spectrum_lines takes the lines of one coupling")
-    return [SpectrumLine(energy=e, multiplicity=m, label=label)
-            for e, m, label in zip(merged.energy.tolist(), merged.multiplicity.tolist(), labels)]
+    return list(map(SpectrumLine, merged.energy.tolist(), merged.multiplicity.tolist(), labels))

@@ -5,6 +5,8 @@ every class at once; osp(1|2n) classes are counted from their weights,
 and no pattern is built. These functions take the long way: every
 gl(1|n) basis vector or osp(1|2n) Gelfand-Zetlin pattern as an object,
 one energy each, merged by ``merge_lines``. Tests compare the two paths.
+``fock_state_by_sums`` maps a single-column pattern to its Fock state by row
+sums, the definition ``gz_to_fock`` must match.
 
 The paper's closed forms live here too, in exact ``Fraction`` arithmetic:
 the hook-content multiplicity of each osp(1|2n) height
@@ -37,8 +39,8 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from wignerosc import (GZPattern, ModeFrequencies, NoCriticalCouplingError, SpectrumLine,
-                       UnirrepError, UnitarityError, is_unirrep)
+from wignerosc import (FockBasisState, GZPattern, ModeFrequencies, NoCriticalCouplingError,
+                       SpectrumLine, UnirrepError, UnitarityError, is_unirrep)
 from wignerosc.spectral import omega_squared
 
 _FORM_AGREEMENT_TOL = 1e-10
@@ -390,6 +392,17 @@ def gz_first_broken_rule(rows, n: int, p: float) -> str | None:
             if rows[r][i] < rows[r + 1][i] or rows[r + 1][i] < rows[r][i + 1]:
                 return "interleaving condition violated"
     return None
+
+
+def fock_state_by_sums(pattern: GZPattern) -> FockBasisState:
+    """The occupation state k_j = m_j - m_{j-1} of a single-column pattern, the long way:
+    entries are non-negative, so the rows sum to their heads only when every other entry
+    is 0, and the state is built through ``FockBasisState``'s checks."""
+    heads = tuple(row[0] for row in pattern.rows)  # m_n, ..., m_1
+    if sum(map(sum, pattern.rows)) != sum(heads):
+        raise ValueError("pattern is not single-column (p = 1 shape)")
+    occ = tuple(b - a for a, b in zip((0,) + heads[:0:-1], heads[::-1]))
+    return FockBasisState(occupations=occ, cutoff=max(occ) + 1)
 
 
 def row_sum_signature(pattern: GZPattern) -> tuple[int, ...]:

@@ -5,11 +5,11 @@ import pytest
 
 from wignerosc import (FockBasisState, GZPattern, InteractionModel, ModeFrequencies,
                        ResourceLimitError, build_fock_operators, decompose,
-                       fock_spectrum, gz_to_fock, mode_frequencies,
+                       fock_spectrum, gz_to_fock, is_unirrep, mode_frequencies,
                        osp_spectrum, reconstruct_observables, verify_compatibility)
 
 from fock_dense import dense_q, dense_w, densify
-from oracles import enumerate_gz, osp_eigenvalue
+from oracles import enumerate_gz, fock_state_by_sums, osp_eigenvalue
 
 
 def _kraw_freqs(n, c, omega=1.0):
@@ -182,6 +182,27 @@ def test_gz_to_fock_rejects_every_wider_pattern(n):
     for pat in wide:
         with pytest.raises(ValueError, match="single-column"):
             gz_to_fock(pat)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gz_to_fock_matches_the_sum_based_definition(n):
+    """Every pattern up to height 3 of every V(p) with p <= 3: the same state, of the same
+    types, or the same error."""
+    for p in (0.5, 1, 1.5, 2, 2.5, 3):
+        if not is_unirrep(n, p):
+            continue
+        for pat in enumerate_gz(n, p, 3):
+            try:
+                expected = fock_state_by_sums(pat)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    gz_to_fock(pat)
+                assert str(info.value) == str(exc)
+                continue
+            state = gz_to_fock(pat)
+            assert state == expected and type(state) is FockBasisState
+            assert list(map(type, state)) == [tuple, int]
+            assert all(type(k) is int for k in state.occupations)
 
 
 def test_fock_basis_state_checks_and_normalises():

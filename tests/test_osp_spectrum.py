@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from wignerosc import (GZPattern, ModeFrequencies, ResourceLimitError, UnirrepError,
                        is_unirrep, levels, osp_spectrum)
 from wignerosc.cli import main
-from wignerosc.osp_spectrum import osp_classes
+from wignerosc.osp_spectrum import _interleaving, osp_classes
 from oracles import (Partition, conjugate, distinct_count_at_height, enumerate_gz,
                      generalized_binomial, gz_first_broken_rule, hook_patterns,
                      multiplicity_at_height, osp_eigenvalue, partitions_of, row_sum_signature)
@@ -252,6 +252,45 @@ def test_pattern_validation_matches_rule_by_rule_oracle(n):
         assert any(str(msg).startswith("top row has more than ceil(p)") for msg in seen)
 
 
+def _column_rows(column):
+    """The single-column pattern whose length-j row starts with column[j - 1], top row first."""
+    n = len(column)
+    return tuple((column[n - 1 - i],) + (0,) * (n - 1 - i) for i in range(n))
+
+
+@pytest.mark.parametrize("n", range(5, 8))
+def test_pattern_validation_of_v1_shapes_matches_rule_by_rule_oracle(n):
+    """Every single-column V(1) pattern up to height 3, each with one entry moved by +-1,
+    also given as a tuple of lists, lists, numpy ints, floats and (0/1 entries) bools."""
+    ps = (1, 2, n + 0.5)
+    seen = Counter()
+    for c, column in enumerate(itertools.combinations_with_replacement(range(4), n)):
+        flat = list(itertools.chain(*_column_rows(column)))
+        moved = [flat[:i] + [flat[i] + step] + flat[i + 1:]
+                 for i in range(len(flat)) for step in (-1, 1)]
+        for i, entries in enumerate([flat, *moved]):
+            rows = _split_rows(entries, n)
+            forms = [rows, tuple(map(list, rows)), list(map(list, rows)),
+                     tuple(tuple(map(np.int64, row)) for row in rows),
+                     tuple(tuple(map(float, row)) for row in rows)]
+            if set(entries) <= {0, 1}:
+                forms.append(tuple(tuple(map(bool, row)) for row in rows))
+            for form in forms:
+                seen[_assert_validates_like_oracle(form, n, ps[(c + i) % len(ps)])] += 1
+    assert None in seen and "entries must be non-negative" in seen
+    assert {"top row must be weakly decreasing", "interleaving condition violated"} < set(seen)
+    assert any(str(msg).startswith("top row has more than ceil(p)") for msg in seen)
+
+
+def test_wrong_size_pattern_is_refused_before_any_per_n_build():
+    before = _interleaving.cache_info()
+    for rows, n in ((((1,),), 10 ** 6), (((0,),) * 3, 10 ** 6), (((0, 0, 0), (0,), (0,)), 3),
+                    ([[0], [0, 0]], 10 ** 6)):
+        with pytest.raises(ValueError, match="^pattern must have rows of lengths"):
+            GZPattern(rows=rows, n=n, p=1)
+    assert _interleaving.cache_info() == before
+
+
 @pytest.mark.parametrize("rows, n, p", [
     (((1, -1), (0,)), 2, 2),  # negative, decreasing and interleaving all broken
     (((2, 0), (-1,)), 2, 2),
@@ -393,6 +432,16 @@ def test_unirrep_condition():
     assert not is_unirrep(4, 0)
     assert is_unirrep(1, 0.5)
     assert is_unirrep(2, 1)
+
+
+@pytest.mark.parametrize("p", [True, False, np.True_])
+def test_a_bool_label_is_refused(p):
+    with pytest.raises(ValueError, match=r"^the V\(p\) label must be a number, not a bool; got p = "):
+        is_unirrep(3, p)
+    with pytest.raises(ValueError, match=r"^the V\(p\) label must be a number, not a bool"):
+        osp_spectrum(3, p, _kraw_freqs(3, 0.1), 2)
+    if p:  # a pattern's rules stay as they were: p = True has ceil(p) = 1
+        assert GZPattern(rows=((1, 0), (1,)), n=2, p=p).p is p
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
